@@ -252,10 +252,17 @@ def cmd_count(args) -> int:
     if not args.partite:
         partition = None
     table = sv.enumerate_copies(host, pattern, partition, budget=_budget_default())
-    value = sv.count_decompositions(
-        host, pattern, partition, timeout=args.timeout, table=table
-    )
-    doc = {"command": "count", "host": args.host, "pattern": args.pattern, "count": value}
+    doc = {"command": "count", "host": args.host, "pattern": args.pattern}
+    # with the table given, the only budget count_decompositions can hit is
+    # its time budget; an enumeration overrun above stays an input error
+    try:
+        doc["count"] = sv.count_decompositions(
+            host, pattern, partition, timeout=args.timeout, table=table
+        )
+    except sv.BudgetExceeded:
+        doc.update(count=None, status="timeout")
+        _emit(doc, args.format)
+        return EXIT_TIMEOUT
     _emit(doc, args.format)
     return EXIT_TRUE
 

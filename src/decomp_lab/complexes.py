@@ -19,11 +19,13 @@ from .core import (
     Hypergraph,
     Inj,
     Partition,
+    index_set,
     inj_compose,
     inj_domain,
     inj_extends,
     inj_from_pairs,
     inj_restrict,
+    partite_density,
 )
 from .rng import SplitMix64
 
@@ -676,10 +678,6 @@ class TypicalityReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _within(lhs: int, expected: Fraction, slack: Fraction) -> bool:
-    return abs(Fraction(lhs) - expected) <= slack * expected
-
-
 def is_typical_plain(
     g: Hypergraph,
     c,
@@ -754,16 +752,11 @@ def is_typical_blowup(
         raise ValueError("host partition must have one class per pattern vertex")
     part_of = host_partition.assignment()
     classes = host_partition.parts
-    # class density per pattern edge
-    dens = {}
-    for f in h.edges:
-        count = sum(
-            1 for e in g.edges if tuple(sorted(part_of[v] for v in e)) == f
-        )
-        slots = 1
-        for x in f:
-            slots *= len(classes[x])
-        dens[f] = Fraction(count, slots) if slots else Fraction(0)
+    # class density per pattern edge: the host edges indexed by its classes
+    dens = {
+        f: partite_density(g, host_partition, [int(x in f) for x in range(h.n)])
+        for f in h.edges
+    }
     # candidate (r-1)-partite sets, grouped by footprint
     fsets = []
     for e in combinations(range(g.n), g.r - 1):
@@ -912,8 +905,6 @@ def is_typical_hp(
     """Index-partite typicality: per-part joint neighbourhoods track the
     densities of the index classes hit, with both sides allowed to vanish
     when an index falls outside the pattern's realized index set."""
-    from .core import index_set, partite_density
-
     c = Fraction(c)
     I = set(index_set(h, pattern_partition))
     dens = {i: partite_density(g, host_partition, i) for i in I}

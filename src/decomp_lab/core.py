@@ -5,13 +5,16 @@ sorted duplicate-free tuples, arcs as tuples of distinct vertices indexed by
 position, and partial injections ("labelled edges") as tuples of
 (label, vertex) pairs sorted by label.  All values are immutable after
 construction and all operations are pure, so everything here is safe to
-share across threads.
+share across threads.  Every degree, neighbourhood and density query reads
+a per-level incidence index that each structure builds in one pass on
+first use and memoizes; an index is stored only once it is complete, so a
+race between threads at worst builds it twice.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
@@ -43,13 +46,6 @@ def inj_image(psi: Inj) -> frozenset:
     return frozenset(b for _, b in psi)
 
 
-def inj_apply(psi: Inj, label: int) -> int:
-    for a, b in psi:
-        if a == label:
-            return b
-    raise KeyError(label)
-
-
 def inj_restrict(psi: Inj, labels) -> Inj:
     labels = set(labels)
     return tuple((a, b) for a, b in psi if a in labels)
@@ -70,6 +66,62 @@ def inj_extends(sup: Inj, sub: Inj) -> bool:
 def injections(i: int, n: int) -> list[tuple]:
     """All injections [i] -> [n] as value tuples, lexicographically sorted."""
     return sorted(permutations(range(n), i))
+
+
+# ---------------------------------------------------------------------------
+# incidence index
+
+
+class _Incidence:
+    """Degree queries shared by the four structure types.
+
+    Level i of the index maps each i-element sub-placement of an edge or
+    arc to the entries that contain it: the edges or arcs themselves, or
+    for coloured structures their stored (edge or arc, multiplicity
+    vector) pairs.  Unordered structures key a sub-placement by its sorted
+    vertex subset, ordered ones by its (position, vertex) pairs sorted by
+    position.
+    """
+
+    _ordered = False
+
+    def _entries(self):
+        """(edge or arc, index entry) pairs."""
+        return ((pair[0], pair) for pair in self.mult)
+
+    def _incidence(self, level: int) -> dict:
+        memo = self.__dict__.setdefault("_incidence_memo", {})
+        index = memo.get(level)
+        if index is None:
+            index = {}
+            for item, entry in self._entries():
+                slots = tuple(enumerate(item)) if self._ordered else item
+                for key in combinations(slots, level):
+                    index.setdefault(key, []).append(entry)
+            # tuples: smaller than lists, and callers cannot alter the memo
+            index = {key: tuple(entries) for key, entries in index.items()}
+            memo[level] = index
+        return index
+
+    def _containing(self, key) -> tuple:
+        """Entries whose edge contains the sorted vertex tuple key, or whose
+        arc places the sorted (position, vertex) pairs of key."""
+        if len(key) > self.r:
+            return ()
+        return self._incidence(len(key)).get(key, ())
+
+    def _placements(self, psi) -> list[tuple]:
+        """Per injection pi: [i] -> [r] in lex order, the entries whose arc
+        puts position pi[k] on vertex psi[k]."""
+        psi = tuple(psi)
+        return [
+            self._containing(tuple(sorted(zip(pi, psi))))
+            for pi in injections(len(psi), self.r)
+        ]
+
+
+def _colour_sums(pairs, colours: int) -> list[int]:
+    return [sum(vec[d] for _, vec in pairs) for d in range(colours)]
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +206,7 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(_Incidence):
     """r-uniform hypergraph on 0..n-1 with canonically sorted edges."""
 
     n: int
@@ -191,19 +243,16 @@ class Hypergraph:
     def sorted_edges(self) -> list[tuple]:
         return sorted(self.edges)
 
+    def _entries(self):
+        return ((e, e) for e in self.edges)
+
     def neighbourhood(self, e) -> set:
         """Sets f disjoint from e with e u f an edge."""
-        e = tuple(sorted(set(e)))
-        if any(v < 0 or v >= self.n for v in e):
-            raise ValueError("vertex id out of range")
-        if len(e) > self.r:
-            return set()
         es = set(e)
-        out = set()
-        for edge in self.edges:
-            if es <= set(edge):
-                out.add(tuple(sorted(set(edge) - es)))
-        return out
+        if any(v < 0 or v >= self.n for v in es):
+            raise ValueError("vertex id out of range")
+        edges = self._containing(tuple(sorted(es)))
+        return {tuple(sorted(set(edge) - es)) for edge in edges}
 
     def degree(self, e) -> int:
         return len(self.neighbourhood(e))
@@ -259,13 +308,11 @@ def index_set(h: Hypergraph, p: Partition) -> tuple[tuple[int, ...], ...]:
 
 def pattern_degree_vector(h: Hypergraph, p: Partition, f, index) -> tuple[int, ...]:
     """Component i = number of index-i edges of h containing f."""
-    f = set(f)
     counts = {i: 0 for i in index}
-    for e in h.edges:
-        if f <= set(e):
-            i = p.index_vector(e)
-            if i in counts:
-                counts[i] += 1
+    for e in h._containing(tuple(sorted(set(f)))):
+        i = p.index_vector(e)
+        if i in counts:
+            counts[i] += 1
     return tuple(counts[i] for i in index)
 
 
@@ -285,7 +332,7 @@ def is_index_blowup(g: Hypergraph, p_host: Partition, index) -> tuple | None:
 
 def partite_density(g: Hypergraph, p_host: Partition, i) -> Fraction:
     """Edges of index i relative to the number of such transversal slots."""
-    count = sum(1 for e in g.edges if p_host.index_vector(e) == tuple(i))
+    (count,) = pattern_degree_vector(g, p_host, (), (tuple(i),))
     slots = 1
     for j, size in enumerate(p_host.sizes()):
         slots *= comb(size, i[j])
@@ -297,7 +344,7 @@ def partite_density(g: Hypergraph, p_host: Partition, i) -> Fraction:
 
 
 @dataclass(frozen=True)
-class ColouredMultigraph:
+class ColouredMultigraph(_Incidence):
     """r-multigraph with [D]-coloured edges stored as multiplicity vectors."""
 
     n: int
@@ -356,15 +403,7 @@ class ColouredMultigraph:
 
     def degree_vector(self, e) -> tuple[int, ...]:
         """Component d = multiplicity-weighted number of colour-d edges over e."""
-        es = set(e)
-        if len(es) > self.r:
-            return (0,) * self.colours
-        out = [0] * self.colours
-        for edge, vec in self.mult:
-            if es <= set(edge):
-                for d in range(self.colours):
-                    out[d] += vec[d]
-        return tuple(out)
+        return tuple(_colour_sums(self._containing(tuple(sorted(set(e)))), self.colours))
 
     def density_vector(self) -> tuple[Fraction, ...]:
         total = comb(self.n, self.r)
@@ -401,12 +440,14 @@ class ColouredMultigraph:
 
 
 @dataclass(frozen=True)
-class Digraph:
+class Digraph(_Incidence):
     """r-digraph: a set of arcs, each an injection [r] -> V given by its value tuple."""
 
     n: int
     r: int
     arcs: frozenset
+
+    _ordered = True
 
     def __post_init__(self):
         for a in self.arcs:
@@ -435,20 +476,13 @@ class Digraph:
         images = [frozenset(a) for a in self.arcs]
         return len(set(images)) == len(images)
 
-    def neighbourhood_count(self, partial: Inj) -> int:
-        """Arcs agreeing with a partial position->vertex assignment."""
-        return sum(1 for a in self.arcs if all(a[pos] == v for pos, v in partial))
+    def _entries(self):
+        return ((a, a) for a in self.arcs)
 
     def degree_vector(self, psi) -> tuple[int, ...]:
         """Coordinate pi (injections [i]->[r], lex order): arcs with positions
         pi placed on the vertices psi."""
-        psi = tuple(psi)
-        i = len(psi)
-        out = []
-        for pi in injections(i, self.r):
-            partial = tuple((pi[k], psi[k]) for k in range(i))
-            out.append(self.neighbourhood_count(partial))
-        return tuple(out)
+        return tuple(len(arcs) for arcs in self._placements(psi))
 
     def to_json_dict(self) -> dict:
         return {
@@ -466,13 +500,15 @@ class Digraph:
 
 
 @dataclass(frozen=True)
-class ColouredMultidigraph:
+class ColouredMultidigraph(_Incidence):
     """[D]-coloured r-multidigraph: arc -> multiplicity vector."""
 
     n: int
     r: int
     colours: int
     mult: tuple  # tuple[(arc, tuple[int]*colours), ...] sorted
+
+    _ordered = True
 
     def __post_init__(self):
         for a, vec in self.mult:
@@ -517,25 +553,12 @@ class ColouredMultidigraph:
     def size(self) -> int:
         return sum(sum(vec) for _, vec in self.mult)
 
-    def colour_class(self, d: int) -> list[tuple]:
-        return [a for a, vec in self.mult if vec[d]]
-
     def degree_vector(self, psi) -> tuple[int, ...]:
         """Coordinates (d, pi) with d major, pi in lex order over injections
         [i]->[r]; entry = multiplicity-weighted arcs of colour d through the
         placement pi -> psi."""
-        psi = tuple(psi)
-        i = len(psi)
-        pis = injections(i, self.r)
-        out = []
-        for d in range(self.colours):
-            for pi in pis:
-                total = 0
-                for a, vec in self.mult:
-                    if vec[d] and all(a[pi[k]] == psi[k] for k in range(i)):
-                        total += vec[d]
-                out.append(total)
-        return tuple(out)
+        sums = [_colour_sums(pairs, self.colours) for pairs in self._placements(psi)]
+        return tuple(s[d] for d in range(self.colours) for s in sums)
 
     def to_json_dict(self) -> dict:
         return {

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 from math import comb, gcd
 
 from .core import (
@@ -153,34 +154,26 @@ def h_balanced(g: Hypergraph, host_partition: Partition, h: Hypergraph) -> bool:
     counts into the pattern edges containing f all agree."""
     if host_partition.t != h.n:
         raise ValueError("need one host class per pattern vertex")
-    part_of = host_partition.assignment()
     classes = host_partition.parts
-
-    def partite_count(e, f_prime) -> int:
-        es = set(e)
-        count = 0
-        for edge in g.edges:
-            if es <= set(edge):
-                if tuple(sorted(part_of[v] for v in edge)) == f_prime:
-                    count += 1
-        return count
-
     for size in range(h.r + 1):
         for f in combinations(range(h.n), size):
-            containing = [fp for fp in sorted(h.edges) if set(f) <= set(fp)]
+            # a pattern edge as the index of the host edges it footprints
+            containing = [
+                tuple(int(x in fp) for x in range(h.n))
+                for fp in sorted(h.edges)
+                if set(f) <= set(fp)
+            ]
             if not containing:
                 continue
             for e in _partial_transversals(classes, f):
-                counts = {partite_count(e, fp) for fp in containing}
-                if len(counts) > 1:
+                counts = host_degree_vector(g, host_partition, e, containing)
+                if len(set(counts)) > 1:
                     return False
     return True
 
 
 def _partial_transversals(classes, footprint):
     """All vertex sets picking exactly one vertex from each listed class."""
-    from itertools import product
-
     pools = [classes[x] for x in footprint]
     for choice in product(*pools):
         if len(set(choice)) == len(choice):
@@ -188,10 +181,29 @@ def _partial_transversals(classes, footprint):
 
 
 # ---------------------------------------------------------------------------
+# pattern lattices
+
+
+# Pattern lattices are reused across hosts; the bound keeps a long-lived
+# process that sees many distinct patterns from growing without limit.
+_PATTERN_SPANS = 64
+
+
+@lru_cache(maxsize=_PATTERN_SPANS)
+def _pattern_span(patterns, level: int) -> SpanChecker:
+    """Span of the level-i pattern degree vectors of a simple Digraph (one
+    per injection [i] -> V) or of a tuple of ColouredMultigraphs (one per
+    i-set of the first pattern's vertex range)."""
+    if isinstance(patterns, Digraph):
+        gens = {patterns.degree_vector(theta) for theta in injections(level, patterns.n)}
+    else:
+        q = patterns[0].n
+        gens = {h.degree_vector(f) for h in patterns for f in combinations(range(q), level)}
+    return SpanChecker(sorted(gens))
+
+
+# ---------------------------------------------------------------------------
 # coloured conditions
-
-
-_coloured_span_cache: dict = {}
 
 
 def coloured_divisible(g: ColouredMultigraph, patterns) -> DivisibilityReport:
@@ -201,20 +213,12 @@ def coloured_divisible(g: ColouredMultigraph, patterns) -> DivisibilityReport:
         patterns = tuple(patterns)
     if not patterns:
         raise ValueError("empty pattern family")
-    q = patterns[0].n
     for h in patterns:
         if h.r != g.r or h.colours != g.colours:
             raise ValueError("pattern family mismatches host")
     failures = []
     for level in range(g.r + 1):
-        checker = _coloured_span_cache.get((patterns, level))
-        if checker is None:
-            gens = set()
-            for h in patterns:
-                for f in combinations(range(q), level):
-                    gens.add(h.degree_vector(f))
-            checker = SpanChecker(sorted(gens))
-            _coloured_span_cache[(patterns, level)] = checker
+        checker = _pattern_span(patterns, level)
         found = None
         for e in combinations(range(g.n), level):
             vec = g.degree_vector(e)
@@ -312,9 +316,6 @@ def _is_rainbow_triangle_family(patterns) -> bool:
 # directed conditions
 
 
-_digraph_span_cache: dict = {}
-
-
 def digraph_divisible(g: Digraph, h: Digraph) -> DivisibilityReport:
     """Positional degree vectors lie in the span of the pattern's, at every
     level, checked on one injection per image set (the symmetry reduction)."""
@@ -324,11 +325,7 @@ def digraph_divisible(g: Digraph, h: Digraph) -> DivisibilityReport:
         raise ValueError("pattern digraph must be simple")
     failures = []
     for i in range(g.r + 1):
-        checker = _digraph_span_cache.get((h, i))
-        if checker is None:
-            gens = sorted({h.degree_vector(theta) for theta in injections(i, h.n)})
-            checker = SpanChecker(gens)
-            _digraph_span_cache[(h, i)] = checker
+        checker = _pattern_span(h, i)
         found = None
         for image in combinations(range(g.n), i):
             psi = tuple(image)  # increasing representative of the coset
@@ -344,21 +341,19 @@ def digraph_divisible(g: Digraph, h: Digraph) -> DivisibilityReport:
 def shift_regular(g: Digraph) -> bool:
     """Degree vectors constant along order-preserving position shifts."""
     for i in range(1, g.r + 1):
+        coordinate = {pi: k for k, pi in enumerate(injections(i, g.r))}
         shift_pairs = []
-        base = list(combinations(range(g.r), i))
-        for pi in base:
+        for pi in combinations(range(g.r), i):
             for cshift in range(1, g.r):
                 moved = tuple(x + cshift for x in pi)
                 if moved[-1] < g.r:
-                    shift_pairs.append((pi, moved))
+                    shift_pairs.append((coordinate[pi], coordinate[moved]))
         if not shift_pairs:
             continue
         for psi in injections(i, g.n):
-            for pi, moved in shift_pairs:
-                a = g.neighbourhood_count(tuple(zip(pi, psi)))
-                b = g.neighbourhood_count(tuple(zip(moved, psi)))
-                if a != b:
-                    return False
+            vec = g.degree_vector(psi)
+            if any(vec[a] != vec[b] for a, b in shift_pairs):
+                return False
     return True
 
 

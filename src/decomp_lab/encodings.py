@@ -315,14 +315,13 @@ def resolvable_sts_instance(n: int) -> PartiteInstance:
     )
 
 
-def extract_resolvable(embeddings, n: int) -> DesignCertificate:
-    """Copies (images of pattern vertices 0..3) to triples grouped into
-    parallel classes by the image of vertex 3."""
+def _extract_by_label(embeddings, kind: str) -> DesignCertificate:
+    """Copies (images of pattern vertices 0..3) to triples grouped by the
+    image of vertex 3."""
     blocks = []
     labels = []
     for images in embeddings:
-        triple = tuple(sorted(images[:3]))
-        blocks.append(triple)
+        blocks.append(tuple(sorted(images[:3])))
         labels.append(images[3])
     order = sorted(range(len(blocks)), key=lambda k: (labels[k], blocks[k]))
     blocks = [blocks[k] for k in order]
@@ -331,10 +330,28 @@ def extract_resolvable(embeddings, n: int) -> DesignCertificate:
     for idx, y in enumerate(labels):
         classes.setdefault(y, []).append(idx)
     return DesignCertificate(
-        kind="resolvable-sts",
+        kind=kind,
         blocks=blocks,
         classes=[classes[y] for y in sorted(classes)],
     )
+
+
+def _classes_to_embeddings(cert: DesignCertificate, n: int, verify, what: str) -> list[tuple]:
+    """Inverse of _extract_by_label: class k's triples get label vertex n + k."""
+    if not verify(cert, n):
+        raise ValueError(f"not a valid {what} certificate")
+    out = []
+    for label, cls in enumerate(cert.classes):
+        y = n + label
+        for idx in cls:
+            triple = cert.blocks[idx]
+            out.append((triple[0], triple[1], triple[2], y))
+    return sorted(out)
+
+
+def extract_resolvable(embeddings, n: int) -> DesignCertificate:
+    """Copies to triples grouped into parallel classes by the image of vertex 3."""
+    return _extract_by_label(embeddings, "resolvable-sts")
 
 
 def verify_resolvable(cert: DesignCertificate, n: int) -> bool:
@@ -366,15 +383,7 @@ def verify_resolvable(cert: DesignCertificate, n: int) -> bool:
 
 def resolvable_to_embeddings(cert: DesignCertificate, n: int) -> list[tuple]:
     """Inverse direction: parallel classes back to partite 4-clique copies."""
-    if not verify_resolvable(cert, n):
-        raise ValueError("not a valid resolvable triple system certificate")
-    out = []
-    for label, cls in enumerate(cert.classes):
-        y = n + label
-        for idx in cls:
-            triple = cert.blocks[idx]
-            out.append((triple[0], triple[1], triple[2], y))
-    return sorted(out)
+    return _classes_to_embeddings(cert, n, verify_resolvable, "resolvable triple system")
 
 
 def large_set_instance(n: int) -> PartiteInstance:
@@ -399,22 +408,7 @@ def large_set_instance(n: int) -> PartiteInstance:
 
 def extract_large_set(embeddings, n: int) -> DesignCertificate:
     """Copies to triples grouped into systems by the image of vertex 3."""
-    blocks = []
-    labels = []
-    for images in embeddings:
-        blocks.append(tuple(sorted(images[:3])))
-        labels.append(images[3])
-    order = sorted(range(len(blocks)), key=lambda k: (labels[k], blocks[k]))
-    blocks = [blocks[k] for k in order]
-    labels = [labels[k] for k in order]
-    systems: dict[int, list[int]] = {}
-    for idx, y in enumerate(labels):
-        systems.setdefault(y, []).append(idx)
-    return DesignCertificate(
-        kind="large-set",
-        blocks=blocks,
-        classes=[systems[y] for y in sorted(systems)],
-    )
+    return _extract_by_label(embeddings, "large-set")
 
 
 def verify_large_set(cert: DesignCertificate, n: int) -> bool:
@@ -449,15 +443,8 @@ def verify_large_set(cert: DesignCertificate, n: int) -> bool:
 
 
 def large_set_to_embeddings(cert: DesignCertificate, n: int) -> list[tuple]:
-    if not verify_large_set(cert, n):
-        raise ValueError("not a valid large-set certificate")
-    out = []
-    for label, cls in enumerate(cert.classes):
-        y = n + label
-        for idx in cls:
-            triple = cert.blocks[idx]
-            out.append((triple[0], triple[1], triple[2], y))
-    return sorted(out)
+    """Inverse direction: systems back to partite complete-4-block copies."""
+    return _classes_to_embeddings(cert, n, verify_large_set, "large-set")
 
 
 # ---------------------------------------------------------------------------

@@ -103,12 +103,6 @@ class GreedyRun:
     steps: list
     stop_reason: str  # exhausted | density | steps
 
-    def covered_atoms(self, aux: AuxiliaryMatchingInstance) -> set:
-        out = set()
-        for cid in self.matching:
-            out.update(aux.copies[cid])
-        return out
-
     def dump_jsonl(self) -> str:
         lines = [
             json.dumps(s.to_json_dict(), sort_keys=True, separators=(",", ":"))

@@ -94,7 +94,6 @@ class CopyTable:
     footprints: list  # sorted tuples of atom indices
     embeddings: list  # one representative (pattern index, images) per footprint
     multiplicities: list  # number of embeddings per footprint
-    hosts_covered: bool = True
 
 
 def enumerate_copies(host, patterns, partition=None, budget: int = 10_000_000) -> CopyTable:
@@ -322,12 +321,12 @@ class _CoverSearch:
                 best = c
         return best
 
-    def run(self, mode: str, on_solution, replay=None):
-        """mode 'first' stops at one solution, 'all' exhausts the space."""
-        stop = self._search(on_solution, mode, replay or [])
-        return stop
+    def run(self, on_solution, replay=None):
+        """Search until on_solution returns True (then True) or the space is
+        exhausted (then False)."""
+        return self._search(on_solution, replay or [])
 
-    def _search(self, on_solution, mode, replay) -> bool:
+    def _search(self, on_solution, replay) -> bool:
         self._tick()
         if not self.open_cols:
             return on_solution(list(self.selection))
@@ -354,7 +353,7 @@ class _CoverSearch:
             if viable:
                 viable = self._select(r, trail)
             if viable:
-                if self._search(on_solution, mode, inner_replay):
+                if self._search(on_solution, inner_replay):
                     self._undo(trail)
                     return True
             self._undo(trail)
@@ -391,7 +390,7 @@ def find_decomposition(
         return True
 
     try:
-        found = search.run("first", on_solution, replay=resume)
+        found = search.run(on_solution, replay=resume)
     except _Timeout as t:
         return SolveResult(
             status="timeout",
@@ -439,7 +438,7 @@ def count_decompositions(
         return False
 
     try:
-        search.run("all", on_solution)
+        search.run(on_solution)
     except _Timeout:
         raise BudgetExceeded("counting hit the time budget")
     return count

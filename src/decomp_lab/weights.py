@@ -27,8 +27,6 @@ from .core import (
 )
 from .intlattice import SpanChecker
 
-ZERO = ()
-
 
 def _zero(dim: int) -> tuple[int, ...]:
     return (0,) * dim
@@ -40,10 +38,6 @@ def _unit(dim: int, d: int) -> tuple[int, ...]:
 
 def _vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 class WeightSystem:
@@ -64,10 +58,6 @@ class WeightSystem:
 
     def weight_of(self, tag: int, theta: Inj) -> tuple[int, ...]:
         return self.weight.get((tag, theta), _zero(self.dim))
-
-    def level_maps(self, labels) -> tuple[Inj, ...]:
-        """A_B: restrictions of group elements to the label set."""
-        return self.group.restrictions(labels)
 
     def r_subsets(self):
         return list(combinations(range(self.q), self.r))
@@ -243,9 +233,6 @@ class TypeTable:
             for idx, cls in enumerate(self.classes(labels))
             if not cls.is_zero
         ]
-
-    def type_of(self, tag: int, theta: Inj) -> int:
-        return self._type_of[(inj_domain(theta), tag, theta)]
 
     def nonzero_level_maps(self, tag: int) -> list[tuple[Inj, int]]:
         """Every level map of the tagged complex whose type is nonzero,

@@ -2,12 +2,17 @@
 
 Nothing here touches the package's solver or lattice code paths: Latin
 squares are enumerated row by row, triple systems (undirected and cyclic)
-and grid counts by plain backtracking over itertools combinations.
+and grid counts by plain backtracking over itertools combinations.  The
+reference degree queries scan every edge or arc on each call, the way the
+library counted degrees before its incidence index; the library must agree
+with them exactly.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from fractions import Fraction
+from itertools import combinations, permutations, product
+from math import comb
 
 
 def latin_square_count(n: int) -> int:
@@ -163,3 +168,167 @@ def kirkman_triple_system_9():
             [tuple(sorted(3 * i + j for i, j in line)) for line in family]
         )
     return classes
+
+
+# ---------------------------------------------------------------------------
+# reference degree queries: one full scan of the edges or arcs per query
+
+
+def ref_neighbourhood(h, e) -> set:
+    """Sets f disjoint from e with e u f an edge."""
+    e = tuple(sorted(set(e)))
+    if any(v < 0 or v >= h.n for v in e):
+        raise ValueError("vertex id out of range")
+    if len(e) > h.r:
+        return set()
+    es = set(e)
+    out = set()
+    for edge in h.edges:
+        if es <= set(edge):
+            out.add(tuple(sorted(set(edge) - es)))
+    return out
+
+
+def ref_degree(h, e) -> int:
+    return len(ref_neighbourhood(h, e))
+
+
+def ref_pattern_degree_vector(h, p, f, index) -> tuple:
+    """Component i = number of index-i edges of h containing f."""
+    f = set(f)
+    counts = {i: 0 for i in index}
+    for e in h.edges:
+        if f <= set(e):
+            i = p.index_vector(e)
+            if i in counts:
+                counts[i] += 1
+    return tuple(counts[i] for i in index)
+
+
+def ref_partite_density(g, p_host, i) -> Fraction:
+    """Edges of index i relative to the number of such transversal slots."""
+    count = sum(1 for e in g.edges if p_host.index_vector(e) == tuple(i))
+    slots = 1
+    for j, size in enumerate(p_host.sizes()):
+        slots *= comb(size, i[j])
+    return Fraction(count, slots) if slots else Fraction(0)
+
+
+def ref_class_densities(g, host_partition, h) -> dict:
+    """Per pattern edge f: host edges with class footprint f over the
+    product of those class sizes (blowup typicality's densities)."""
+    part_of = host_partition.assignment()
+    classes = host_partition.parts
+    dens = {}
+    for f in h.edges:
+        count = sum(
+            1 for e in g.edges if tuple(sorted(part_of[v] for v in e)) == f
+        )
+        slots = 1
+        for x in f:
+            slots *= len(classes[x])
+        dens[f] = Fraction(count, slots) if slots else Fraction(0)
+    return dens
+
+
+def ref_coloured_degree_vector(g, e) -> tuple:
+    """Component d = multiplicity-weighted number of colour-d edges over e."""
+    es = set(e)
+    if len(es) > g.r:
+        return (0,) * g.colours
+    out = [0] * g.colours
+    for edge, vec in g.mult:
+        if es <= set(edge):
+            for d in range(g.colours):
+                out[d] += vec[d]
+    return tuple(out)
+
+
+def _injections(i: int, n: int) -> list:
+    return sorted(permutations(range(n), i))
+
+
+def ref_neighbourhood_count(g, partial) -> int:
+    """Arcs agreeing with a partial position->vertex assignment."""
+    return sum(1 for a in g.arcs if all(a[pos] == v for pos, v in partial))
+
+
+def ref_digraph_degree_vector(g, psi) -> tuple:
+    """Coordinate pi (injections [i]->[r], lex order): arcs with positions
+    pi placed on the vertices psi."""
+    psi = tuple(psi)
+    i = len(psi)
+    out = []
+    for pi in _injections(i, g.r):
+        partial = tuple((pi[k], psi[k]) for k in range(i))
+        out.append(ref_neighbourhood_count(g, partial))
+    return tuple(out)
+
+
+def ref_coloured_digraph_degree_vector(g, psi) -> tuple:
+    """Coordinates (d, pi), d major and pi in lex order."""
+    psi = tuple(psi)
+    i = len(psi)
+    pis = _injections(i, g.r)
+    out = []
+    for d in range(g.colours):
+        for pi in pis:
+            total = 0
+            for a, vec in g.mult:
+                if vec[d] and all(a[pi[k]] == psi[k] for k in range(i)):
+                    total += vec[d]
+            out.append(total)
+    return tuple(out)
+
+
+def ref_shift_regular(g) -> bool:
+    """Degree vectors constant along order-preserving position shifts."""
+    for i in range(1, g.r + 1):
+        shift_pairs = []
+        base = list(combinations(range(g.r), i))
+        for pi in base:
+            for cshift in range(1, g.r):
+                moved = tuple(x + cshift for x in pi)
+                if moved[-1] < g.r:
+                    shift_pairs.append((pi, moved))
+        if not shift_pairs:
+            continue
+        for psi in _injections(i, g.n):
+            for pi, moved in shift_pairs:
+                a = ref_neighbourhood_count(g, tuple(zip(pi, psi)))
+                b = ref_neighbourhood_count(g, tuple(zip(moved, psi)))
+                if a != b:
+                    return False
+    return True
+
+
+def ref_h_balanced(g, host_partition, h) -> bool:
+    """For each pattern subset f and f-partite partial transversal e, the
+    counts into the pattern edges containing f all agree."""
+    if host_partition.t != h.n:
+        raise ValueError("need one host class per pattern vertex")
+    part_of = host_partition.assignment()
+    classes = host_partition.parts
+
+    def partite_count(e, f_prime) -> int:
+        es = set(e)
+        count = 0
+        for edge in g.edges:
+            if es <= set(edge):
+                if tuple(sorted(part_of[v] for v in edge)) == f_prime:
+                    count += 1
+        return count
+
+    for size in range(h.r + 1):
+        for f in combinations(range(h.n), size):
+            containing = [fp for fp in sorted(h.edges) if set(f) <= set(fp)]
+            if not containing:
+                continue
+            for choice in product(*(classes[x] for x in f)):
+                if len(set(choice)) != len(choice):
+                    continue
+                e = tuple(sorted(choice))
+                counts = {partite_count(e, fp) for fp in containing}
+                if len(counts) > 1:
+                    return False
+    return True

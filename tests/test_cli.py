@@ -39,6 +39,17 @@ def test_count_latin_oracle_value(capsys):
     assert json.loads(out)["count"] == 12
 
 
+def test_count_timeout_exits_two(monkeypatch, capsys):
+    argv = ("count", "--host", "k3n:4", "--partite", "--timeout", "0")
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["status"] == "timeout" and doc["count"] is None
+    # an enumeration budget overrun is still an input error
+    monkeypatch.setenv("DECOMP_LAB_BUDGET", "10")
+    assert main(list(argv)) == 3
+
+
 def test_solve_proven_none_exit(capsys):
     code, out = run_cli(capsys, "solve", "--host", "k_n:5", "--pattern", "triangle")
     assert code == 1

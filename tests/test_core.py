@@ -1,11 +1,15 @@
 """Core structures: degree machinery, blowups, serialization."""
 
+import importlib
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
+import oracles
+from decomp_lab import divisibility as dv
 from decomp_lab.core import (
     ColouredMultidigraph,
     ColouredMultigraph,
@@ -17,9 +21,11 @@ from decomp_lab.core import (
     host_degree_vector,
     index_set,
     injections,
+    partite_density,
     pattern_degree_vector,
 )
-from decomp_lab.encodings import sudoku_pattern
+from decomp_lab.divisibility import h_balanced, hp_divisible, shift_regular
+from decomp_lab.encodings import resolvable_sts_instance, sudoku_pattern
 
 
 def test_neighbourhood_complete_graph():
@@ -207,3 +213,152 @@ def test_density_is_exact():
     g = Hypergraph.complete(5, 2)
     assert g.density() == Fraction(1)
     assert Hypergraph.from_edges(5, 2, [(0, 1)]).density() == Fraction(1, 10)
+
+
+# ---------------------------------------------------------------------------
+# the incidence index against the per-query reference scans
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except ValueError:
+        return ("ValueError", None)
+
+
+def _queries(rng, n, level, ordered):
+    """Every in-range query of the level, plus random ones that repeat a
+    vertex or leave the range 0..n-1."""
+    exact = permutations(range(n), level) if ordered else combinations(range(n), level)
+    rough = [tuple(rng.randrange(-1, n + 1) for _ in range(level)) for _ in range(12)]
+    return list(exact) + rough
+
+
+def _random_partition(rng, n):
+    t = rng.randint(1, 3)
+    parts = [[] for _ in range(t)]
+    for v in range(n):
+        parts[rng.randrange(t)].append(v)
+    return Partition.from_lists(parts)
+
+
+def _random_vec(rng, colours):
+    vec = [rng.randint(0, 2) for _ in range(colours)]
+    vec[rng.randrange(colours)] += 1
+    return vec
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unordered_degree_queries_match_reference(seed):
+    rng = random.Random(seed)
+    for r in (1, 2, 3):
+        n = rng.randint(r, 6)
+        slots = list(combinations(range(n), r))
+        g = Hypergraph.from_edges(n, r, [e for e in slots if rng.random() < 0.5])
+        colours = rng.randint(1, 3)
+        cg = ColouredMultigraph.from_dict(
+            n, r, colours, {e: _random_vec(rng, colours) for e in slots if rng.random() < 0.5}
+        )
+        p = _random_partition(rng, n)
+        realized = index_set(g, p)
+        # drop realized indices, add one no edge can have
+        index = [i for i in realized if rng.random() < 0.6] + [(r + 1,) + (0,) * (p.t - 1)]
+        rng.shuffle(index)
+        for level in range(r + 2):
+            for e in _queries(rng, n, level, ordered=False):
+                assert _outcome(g.neighbourhood, e) == _outcome(oracles.ref_neighbourhood, g, e)
+                assert _outcome(g.degree, e) == _outcome(oracles.ref_degree, g, e)
+                assert cg.degree_vector(e) == oracles.ref_coloured_degree_vector(cg, e)
+                for idx in (index, realized):
+                    assert pattern_degree_vector(g, p, e, idx) == (
+                        oracles.ref_pattern_degree_vector(g, p, e, idx)
+                    )
+                    assert host_degree_vector(g, p, e, idx) == (
+                        oracles.ref_pattern_degree_vector(g, p, e, idx)
+                    )
+        for i in index:
+            assert partite_density(g, p, i) == oracles.ref_partite_density(g, p, i)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ordered_degree_queries_match_reference(seed):
+    rng = random.Random(100 + seed)
+    for r in (1, 2, 3):
+        n = rng.randint(r, 5)
+        slots = list(permutations(range(n), r))
+        g = Digraph.from_arcs(n, r, [a for a in slots if rng.random() < 0.4])
+        colours = rng.randint(1, 3)
+        cg = ColouredMultidigraph.from_dict(
+            n, r, colours, {a: _random_vec(rng, colours) for a in slots if rng.random() < 0.4}
+        )
+        for level in range(r + 2):
+            for psi in _queries(rng, n, level, ordered=True):
+                assert g.degree_vector(psi) == oracles.ref_digraph_degree_vector(g, psi)
+                assert cg.degree_vector(psi) == (
+                    oracles.ref_coloured_digraph_degree_vector(cg, psi)
+                )
+        # an ordered query longer than r has no coordinates
+        assert g.degree_vector(range(r + 1)) == () == cg.degree_vector(range(r + 1))
+
+
+def test_shift_regular_matches_reference():
+    rng = random.Random(7)
+    verdicts = set()
+    for _ in range(40):
+        r = rng.randint(1, 3)
+        n = rng.randint(r, 5)
+        slots = list(permutations(range(n), r))
+        if rng.random() < 0.5:
+            arcs = [a for a in slots if rng.random() < 0.5]
+        else:  # every ordering of some image sets: shift regular
+            images = [s for s in combinations(range(n), r) if rng.random() < 0.5]
+            arcs = [a for s in images for a in permutations(s)]
+        g = Digraph.from_arcs(n, r, arcs)
+        verdict = shift_regular(g)
+        assert verdict == oracles.ref_shift_regular(g)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_h_balanced_and_class_densities_match_reference():
+    rng = random.Random(8)
+    verdicts = set()
+    for _ in range(30):
+        r = rng.randint(2, 3)
+        q = rng.randint(r, 4)
+        edges = [e for e in combinations(range(q), r) if rng.random() < 0.7]
+        h = Hypergraph.from_edges(q, r, edges or [tuple(range(r))])
+        host, part = blowup(h, [rng.randint(1, 2) for _ in range(q)])
+        kept = [e for e in host.sorted_edges() if rng.random() < 0.9]
+        g = Hypergraph.from_edges(host.n, r, kept)
+        verdict = h_balanced(g, part, h)
+        assert verdict == oracles.ref_h_balanced(g, part, h)
+        verdicts.add(verdict)
+        classes = oracles.ref_class_densities(g, part, h)
+        for f in h.edges:
+            indicator = [int(x in f) for x in range(q)]
+            assert partite_density(g, part, indicator) == classes[f]
+    assert verdicts == {True, False}
+
+
+def test_bench_trace_targets_resolve(monkeypatch):
+    """bench/tracing.py patches these names from outside; each must exist."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    tracing = importlib.import_module("tracing")
+    for owner, attr, name, _count in tracing.TARGETS:
+        assert callable(getattr(owner, attr, None)), name
+
+
+def test_hp_divisible_asks_both_degree_vectors(monkeypatch):
+    calls = {"host_degree_vector": 0, "pattern_degree_vector": 0}
+    for name in calls:
+        fn = getattr(dv, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(dv, name, counted)
+    inst = resolvable_sts_instance(9)
+    assert hp_divisible(inst.host, inst.host_partition, inst.pattern, inst.pattern_partition)
+    assert all(calls.values()), calls

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -14,6 +14,7 @@ from decomp_lab.core import (
     Partition,
     blowup,
 )
+from decomp_lab import divisibility as dv
 from decomp_lab.divisibility import (
     canonical_family_check,
     coloured_balanced,
@@ -399,3 +400,16 @@ def test_master_two_coloured_cycle_level_one_lattice():
     for v in iproduct(range(-2, 3), repeat=4):
         expected = v[0] + v[2] == v[1] + v[3]
         assert (checker.membership(list(v)) is not None) == expected
+
+
+def test_pattern_span_cache_is_bounded():
+    maxsize = dv._pattern_span.cache_info().maxsize
+    assert maxsize == dv._PATTERN_SPANS
+    pairs = list(combinations(range(5), 2))
+    # each pair absent, forward or backward: distinct simple digraphs
+    orientations = islice(product((None, 0, 1), repeat=len(pairs)), 1, maxsize + 2)
+    host = Digraph.complete(3, 2)
+    for choice in orientations:
+        arcs = [p if o == 0 else p[::-1] for p, o in zip(pairs, choice) if o is not None]
+        digraph_divisible(host, Digraph.from_arcs(5, 2, arcs))
+    assert dv._pattern_span.cache_info().currsize <= maxsize
