@@ -224,9 +224,8 @@ def cmd_solve(args) -> int:
         pattern = parse_structure(args.pattern)
     if not args.partite:
         partition = None
-    table = sv.enumerate_copies(host, pattern, partition, budget=_budget_default())
     result = sv.find_decomposition(
-        host, pattern, partition, timeout=args.timeout, table=table
+        host, pattern, partition, timeout=args.timeout, budget=_budget_default()
     )
     doc = {
         "command": "solve",
@@ -251,15 +250,14 @@ def cmd_count(args) -> int:
         pattern = parse_structure(args.pattern)
     if not args.partite:
         partition = None
-    table = sv.enumerate_copies(host, pattern, partition, budget=_budget_default())
     doc = {"command": "count", "host": args.host, "pattern": args.pattern}
-    # with the table given, the only budget count_decompositions can hit is
-    # its time budget; an enumeration overrun above stays an input error
+    # running out of time is a timeout; an enumeration node overrun is an
+    # input error (a plain BudgetExceeded, caught in main)
     try:
         doc["count"] = sv.count_decompositions(
-            host, pattern, partition, timeout=args.timeout, table=table
+            host, pattern, partition, timeout=args.timeout, budget=_budget_default()
         )
-    except sv.BudgetExceeded:
+    except sv.TimeBudgetExceeded:
         doc.update(count=None, status="timeout")
         _emit(doc, args.format)
         return EXIT_TIMEOUT

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
@@ -171,6 +172,11 @@ class Partition:
         raise KeyError(v)
 
     def assignment(self) -> dict[int, int]:
+        return dict(self._vertex_parts)
+
+    @cached_property
+    def _vertex_parts(self) -> dict[int, int]:
+        """Vertex to part index, built once per (frozen) partition."""
         return {v: j for j, part in enumerate(self.parts) for v in part}
 
     def sizes(self) -> tuple[int, ...]:
@@ -178,10 +184,13 @@ class Partition:
 
     def index_vector(self, subset) -> tuple[int, ...]:
         """Per-part intersection counts of a vertex set."""
-        s = set(subset)
-        if not s <= set(self.assignment()):
-            raise ValueError("subset outside the partition's ground set")
-        return tuple(len(s & set(part)) for part in self.parts)
+        vertex_parts = self._vertex_parts
+        counts = [0] * len(self.parts)
+        for v in set(subset):
+            if v not in vertex_parts:
+                raise ValueError("subset outside the partition's ground set")
+            counts[vertex_parts[v]] += 1
+        return tuple(counts)
 
     def is_ordered_intervals(self) -> bool:
         """Parts are consecutive intervals in increasing order."""

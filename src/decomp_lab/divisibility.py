@@ -190,16 +190,20 @@ _PATTERN_SPANS = 64
 
 
 @lru_cache(maxsize=_PATTERN_SPANS)
-def _pattern_span(patterns, level: int) -> SpanChecker:
-    """Span of the level-i pattern degree vectors of a simple Digraph (one
-    per injection [i] -> V) or of a tuple of ColouredMultigraphs (one per
-    i-set of the first pattern's vertex range)."""
-    if isinstance(patterns, Digraph):
-        gens = {patterns.degree_vector(theta) for theta in injections(level, patterns.n)}
-    else:
-        q = patterns[0].n
-        gens = {h.degree_vector(f) for h in patterns for f in combinations(range(q), level)}
-    return SpanChecker(sorted(gens))
+def _pattern_span(patterns, levels: int) -> tuple[SpanChecker, ...]:
+    """Per level i < levels, the span of the level-i pattern degree vectors
+    of a simple Digraph (one per injection [i] -> V) or of a tuple of
+    ColouredMultigraphs (one per i-set of the first pattern's vertex range).
+    One entry holds every level, so a check hashes the family once."""
+    spans = []
+    for level in range(levels):
+        if isinstance(patterns, Digraph):
+            gens = {patterns.degree_vector(t) for t in injections(level, patterns.n)}
+        else:
+            q = patterns[0].n
+            gens = {h.degree_vector(f) for h in patterns for f in combinations(range(q), level)}
+        spans.append(SpanChecker(sorted(gens)))
+    return tuple(spans)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +221,7 @@ def coloured_divisible(g: ColouredMultigraph, patterns) -> DivisibilityReport:
         if h.r != g.r or h.colours != g.colours:
             raise ValueError("pattern family mismatches host")
     failures = []
-    for level in range(g.r + 1):
-        checker = _pattern_span(patterns, level)
+    for level, checker in enumerate(_pattern_span(patterns, g.r + 1)):
         found = None
         for e in combinations(range(g.n), level):
             vec = g.degree_vector(e)
@@ -324,8 +327,7 @@ def digraph_divisible(g: Digraph, h: Digraph) -> DivisibilityReport:
     if not h.is_simple():
         raise ValueError("pattern digraph must be simple")
     failures = []
-    for i in range(g.r + 1):
-        checker = _pattern_span(h, i)
+    for i, checker in enumerate(_pattern_span(h, g.r + 1)):
         found = None
         for image in combinations(range(g.n), i):
             psi = tuple(image)  # increasing representative of the coset

@@ -27,6 +27,10 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
+class TimeBudgetExceeded(BudgetExceeded):
+    """The time budget ran out, in copy enumeration or in counting."""
+
+
 # ---------------------------------------------------------------------------
 # atomization
 
@@ -96,13 +100,17 @@ class CopyTable:
     multiplicities: list  # number of embeddings per footprint
 
 
-def enumerate_copies(host, patterns, partition=None, budget: int = 10_000_000) -> CopyTable:
+def enumerate_copies(
+    host, patterns, partition=None, budget: int = 10_000_000, deadline: float | None = None
+) -> CopyTable:
     """All pattern copies whose footprint fits inside the host.
 
     ``patterns`` is a single pattern or a list; ``partition`` an optional
     (pattern Partition, host Partition) pair constraining images partwise.
     Footprints are deduplicated; each keeps a representative embedding and
-    an embedding count.
+    an embedding count.  More than ``budget`` nodes raise BudgetExceeded;
+    passing the ``time.monotonic()`` instant ``deadline``, checked every
+    1024 nodes, raises TimeBudgetExceeded.
     """
     if not isinstance(patterns, (list, tuple)):
         patterns = [patterns]
@@ -119,6 +127,7 @@ def enumerate_copies(host, patterns, partition=None, budget: int = 10_000_000) -
     found: dict[tuple, tuple] = {}
     counts: dict[tuple, int] = {}
     nodes = 0
+    limit = budget if deadline is None else min(budget, 1024)  # next check
     for p_idx, pattern in enumerate(patterns):
         q, items = _pattern_atoms(pattern)
         if part_pool is not None and len(part_pool) != q:
@@ -139,7 +148,7 @@ def enumerate_copies(host, patterns, partition=None, budget: int = 10_000_000) -
         used = set()
 
         def rec(k: int):
-            nonlocal nodes
+            nonlocal nodes, limit
             if k == q:
                 keys = []
                 ok = True
@@ -163,8 +172,12 @@ def enumerate_copies(host, patterns, partition=None, budget: int = 10_000_000) -
                 if v in used:
                     continue
                 nodes += 1
-                if nodes > budget:
-                    raise BudgetExceeded(f"copy enumeration exceeded {budget} nodes")
+                if nodes > limit:
+                    if nodes > budget:
+                        raise BudgetExceeded(f"copy enumeration exceeded {budget} nodes")
+                    if time.monotonic() > deadline:
+                        raise TimeBudgetExceeded("copy enumeration hit the time budget")
+                    limit = min(budget, nodes + 1024)
                 images[x] = v
                 ok = True
                 for verts, builder in ready[k]:
@@ -242,66 +255,36 @@ class _Timeout(Exception):
 
 
 class _CoverSearch:
-    """Deterministic capacity-aware exact cover over a copy table."""
+    """Deterministic capacity-aware exact cover over a copy table.
+
+    Rows are the bits of Python ints: ``masks[c]`` holds the rows covering
+    column c, and a node's alive rows are one int passed down the recursion,
+    so backtracking only restores the selected row's ``need`` entries.  When
+    the alive rows grow sparse in their int, a subtree renumbers them densely
+    in the same order; ``ids`` maps its row numbers back to footprint
+    indices, which selections, solutions and frontiers always use.
+
+    Counting each open column's alive rows through its mask costs a node
+    about 40 ns per open column plus 1 ns per 30 bits of the alive int;
+    keeping ``counts`` costs about 60 ns per column of each killed row, some
+    ``alive * width**3 / open`` per node for ``width``-column footprints.
+    Counts are kept while they are the cheaper (many columns of few rows,
+    as in K_n^(3) by K_4^(3)) and dropped for good once a subtree is not.
+    """
 
     def __init__(self, table: CopyTable):
         self.rows = table.footprints
-        self.caps = list(table.capacities)
-        self.ncols = len(table.atoms)
-        self.col_rows: list[set] = [set() for _ in range(self.ncols)]
+        self.need = list(table.capacities)
+        col_rows: list[list[int]] = [[] for _ in self.need]
         for r, fp in enumerate(self.rows):
             for c in fp:
-                self.col_rows[c].add(r)
-        self.alive = [True] * len(self.rows)
-        self.need = list(self.caps)
-        self.open_cols = {c for c in range(self.ncols) if self.need[c] > 0}
+                col_rows[c].append(r)
+        self.masks = [_mask(rows) for rows in col_rows]
+        self.kill_cost = 1800 * max(map(len, self.rows), default=0) ** 3
         self.selection: list[int] = []
         self.nodes = 0
         self.deadline = None
         self.node_budget = None
-
-    # -- mutations with undo trail
-
-    def _kill_row(self, r: int, trail: list) -> None:
-        if self.alive[r]:
-            self.alive[r] = False
-            trail.append(("row", r))
-            for c in self.rows[r]:
-                self.col_rows[c].discard(r)
-
-    def _select(self, r: int, trail: list) -> bool:
-        self.selection.append(r)
-        trail.append(("sel",))
-        self._kill_row(r, trail)
-        ok = True
-        for c in self.rows[r]:
-            self.need[c] -= 1
-            trail.append(("need", c))
-            if self.need[c] == 0:
-                self.open_cols.discard(c)
-                trail.append(("open", c))
-                for rr in list(self.col_rows[c]):
-                    self._kill_row(rr, trail)
-            elif len(self.col_rows[c]) < self.need[c]:
-                ok = False
-        return ok
-
-    def _undo(self, trail: list) -> None:
-        while trail:
-            op = trail.pop()
-            if op[0] == "row":
-                r = op[1]
-                self.alive[r] = True
-                for c in self.rows[r]:
-                    self.col_rows[c].add(r)
-            elif op[0] == "need":
-                self.need[op[1]] += 1
-            elif op[0] == "open":
-                self.open_cols.add(op[1])
-            else:
-                self.selection.pop()
-
-    # -- search
 
     def _tick(self):
         self.nodes += 1
@@ -311,54 +294,123 @@ class _CoverSearch:
             if time.monotonic() > self.deadline:
                 raise _Timeout(list(self.selection))
 
-    def _choose(self) -> int | None:
-        best = None
-        best_key = None
-        for c in self.open_cols:
-            k = (len(self.col_rows[c]), c)
-            if best_key is None or k < best_key:
-                best_key = k
-                best = c
-        return best
-
     def run(self, on_solution, replay=None):
         """Search until on_solution returns True (then True) or the space is
         exhausted (then False)."""
-        return self._search(on_solution, replay or [])
+        self.on_solution = on_solution
+        n = len(self.rows)
+        open_cols = [c for c, k in enumerate(self.need) if k > 0]
+        counts = [m.bit_count() for m in self.masks]
+        return self._search((1 << n) - 1, self.masks, range(n), open_cols, counts, replay or [])
 
-    def _search(self, on_solution, replay) -> bool:
+    def _search(self, alive, masks, ids, open_cols, counts, replay) -> bool:
         self._tick()
-        if not self.open_cols:
-            return on_solution(list(self.selection))
-        c = self._choose()
-        cands = sorted(self.col_rows[c])
-        if len(cands) < self.need[c]:
+        if not open_cols:
+            return self.on_solution(list(self.selection))
+        n_alive = alive.bit_count()
+        if alive.bit_length() > 4 * n_alive + 64:
+            ids = [ids[i] for i in _bits(alive)]
+            alive, masks = (1 << len(ids)) - 1, [0] * len(masks)
+            for i, r in enumerate(ids):
+                for col in self.rows[r]:
+                    masks[col] |= 1 << i
+        # the column with the fewest alive rows, lowest index on ties; the two
+        # per-node costs of the class docstring, both times 30 * len(open_cols)
+        if counts is not None and (
+            len(open_cols) ** 2 * (1200 + alive.bit_length()) > self.kill_cost * n_alive
+        ):
+            c = min(open_cols, key=counts.__getitem__)
+            least = counts[c]
+        else:
+            counts = None
+            least = len(self.rows) + 1
+            for col in open_cols:
+                k = (masks[col] & alive).bit_count()
+                if k < least:
+                    c, least = col, k
+                    if not k:
+                        break
+        need = self.need
+        need_c = need[c]
+        if least < need_c:
             return False
+        rows_c = masks[c] & alive
+        cands = _bits(rows_c)
         start = 0
         inner_replay = []
         if replay:
-            target = replay[0]
-            if target in cands:
-                start = cands.index(target)
+            targets = [ids[r] for r in cands]
+            if replay[0] in targets:
+                start = targets.index(replay[0])
                 inner_replay = replay[1:]
         for pos in range(start, len(cands)):
+            if len(cands) - pos < need_c:
+                break  # fewer rows of c are left than c still needs
             r = cands[pos]
-            trail: list = []
             # r is the lowest-indexed selected row covering c in this branch
+            sub = alive ^ (rows_c & ((2 << r) - 1))
+            fp = self.rows[ids[r]]
+            done = 0
             viable = True
-            for rr in cands[:pos]:
-                self._kill_row(rr, trail)
-            if len(self.col_rows[c]) < self.need[c]:
-                viable = False
+            closed = False
+            for col in fp:
+                done += 1
+                k = need[col] - 1
+                need[col] = k
+                if k == 0:
+                    sub &= ~masks[col]
+                    closed = True
+                elif (masks[col] & sub).bit_count() < k:
+                    viable = False
+                    break
             if viable:
-                viable = self._select(r, trail)
+                self.selection.append(ids[r])
+                child_open = [x for x in open_cols if need[x]] if closed else open_cols
+                if counts is not None:
+                    killed = [self.rows[ids[k]] for k in _bits(alive ^ sub)]
+                    for kfp in killed:
+                        for col in kfp:
+                            counts[col] -= 1
+                viable = self._search(sub, masks, ids, child_open, counts, inner_replay)
+                if counts is not None:
+                    for kfp in killed:
+                        for col in kfp:
+                            counts[col] += 1
+                self.selection.pop()
+            for col in fp[:done]:
+                need[col] += 1
             if viable:
-                if self._search(on_solution, inner_replay):
-                    self._undo(trail)
-                    return True
-            self._undo(trail)
+                return True
             inner_replay = []
         return False
+
+
+def _mask(bits: list[int]) -> int:
+    """The int with exactly the given bits (ascending) set."""
+    if not bits:
+        return 0
+    buf = bytearray(bits[-1] // 8 + 1)  # or-ing bits into an int is quadratic
+    for b in bits:
+        buf[b >> 3] |= 1 << (b & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _bits(x: int) -> list[int]:
+    """Positions of the set bits of x, ascending."""
+    out = []
+    if x.bit_length() > 4096:  # peeling bits off a long int costs its length each
+        digits = bin(x)
+        top = len(digits) - 1
+        i = digits.rfind("1")
+        while i > 1:
+            out.append(top - i)
+            i = digits.rfind("1", 2, i)
+        return out
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
 
 def find_decomposition(
@@ -369,19 +421,25 @@ def find_decomposition(
     node_budget: int | None = None,
     table: CopyTable | None = None,
     resume: list | None = None,
+    budget: int = 10_000_000,
 ) -> SolveResult:
     """First decomposition under the deterministic search order.
 
     Returns status "none" only when the search space is exhausted; hitting
     the time or node budget returns "timeout" with a frontier that can be
-    passed back as ``resume`` to continue the identical search.
+    passed back as ``resume`` to continue the identical search.  The time
+    budget covers copy enumeration too (the frontier is then empty, so a
+    resume starts over); ``budget`` caps its nodes as in enumerate_copies.
     """
-    table = table or enumerate_copies(host, patterns, partition)
-    search = _CoverSearch(table)
-    if timeout is not None:
-        search.deadline = time.monotonic() + timeout
-    search.node_budget = node_budget
     t0 = time.monotonic()
+    deadline = None if timeout is None else t0 + timeout
+    try:
+        table = table or enumerate_copies(host, patterns, partition, budget, deadline)
+    except TimeBudgetExceeded:
+        return SolveResult("timeout", None, 0, time.monotonic() - t0, frontier=[])
+    search = _CoverSearch(table)
+    search.deadline = deadline
+    search.node_budget = node_budget
     solution: list | None = None
 
     def on_solution(sel):
@@ -424,12 +482,14 @@ def count_decompositions(
     partition=None,
     timeout: float | None = None,
     table: CopyTable | None = None,
+    budget: int = 10_000_000,
 ) -> int:
-    """Exact number of decompositions (sets of footprints)."""
-    table = table or enumerate_copies(host, patterns, partition)
+    """Exact number of decompositions (sets of footprints).  Running out of
+    ``timeout``, copy enumeration included, raises TimeBudgetExceeded."""
+    deadline = None if timeout is None else time.monotonic() + timeout
+    table = table or enumerate_copies(host, patterns, partition, budget, deadline)
     search = _CoverSearch(table)
-    if timeout is not None:
-        search.deadline = time.monotonic() + timeout
+    search.deadline = deadline
     count = 0
 
     def on_solution(_sel):
@@ -440,7 +500,7 @@ def count_decompositions(
     try:
         search.run(on_solution)
     except _Timeout:
-        raise BudgetExceeded("counting hit the time budget")
+        raise TimeBudgetExceeded("counting hit the time budget")
     return count
 
 
@@ -462,14 +522,15 @@ def verify_certificate(host, patterns, cert: Certificate, partition=None) -> Ver
     atoms = host_atoms(host)
     covered: dict = {}
     weights = cert.weights if cert.weights is not None else [1] * len(cert.embeddings)
+    if partition is not None:
+        pattern_partition, host_partition = partition
+        hp = host_partition.assignment()
+        pp = pattern_partition.assignment()
     for (p_idx, images), w in zip(cert.embeddings, weights):
         q, items = _pattern_atoms(patterns[p_idx])
         if len(images) != q or len(set(images)) != q:
             return VerificationReport(valid=False, deficit=[("embedding", images)])
         if partition is not None:
-            pattern_partition, host_partition = partition
-            hp = host_partition.assignment()
-            pp = pattern_partition.assignment()
             for x, v in enumerate(images):
                 if hp.get(v) != pp[x]:
                     return VerificationReport(

@@ -5,11 +5,13 @@ squares are enumerated row by row, triple systems (undirected and cyclic)
 and grid counts by plain backtracking over itertools combinations.  The
 reference degree queries scan every edge or arc on each call, the way the
 library counted degrees before its incidence index; the library must agree
-with them exactly.
+with them exactly.  `RefCoverSearch` is the solver's earlier exact-cover
+engine, kept verbatim as the reference for node counts and frontiers.
 """
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
@@ -332,3 +334,137 @@ def ref_h_balanced(g, host_partition, h) -> bool:
                 if len(counts) > 1:
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference exact-cover engine: per-column row sets and an undo trail, the
+# way the solver searched before its bitset engine.  The library must give
+# the same nodes, solutions and frontiers under the same branching rule.
+
+
+class RefTimeout(Exception):
+    def __init__(self, frontier):
+        self.frontier = frontier
+
+
+_Timeout = RefTimeout  # the name the verbatim engine body raises
+
+
+class RefCoverSearch:
+    """Deterministic capacity-aware exact cover over a copy table."""
+
+    def __init__(self, table: CopyTable):
+        self.rows = table.footprints
+        self.caps = list(table.capacities)
+        self.ncols = len(table.atoms)
+        self.col_rows: list[set] = [set() for _ in range(self.ncols)]
+        for r, fp in enumerate(self.rows):
+            for c in fp:
+                self.col_rows[c].add(r)
+        self.alive = [True] * len(self.rows)
+        self.need = list(self.caps)
+        self.open_cols = {c for c in range(self.ncols) if self.need[c] > 0}
+        self.selection: list[int] = []
+        self.nodes = 0
+        self.deadline = None
+        self.node_budget = None
+
+    # -- mutations with undo trail
+
+    def _kill_row(self, r: int, trail: list) -> None:
+        if self.alive[r]:
+            self.alive[r] = False
+            trail.append(("row", r))
+            for c in self.rows[r]:
+                self.col_rows[c].discard(r)
+
+    def _select(self, r: int, trail: list) -> bool:
+        self.selection.append(r)
+        trail.append(("sel",))
+        self._kill_row(r, trail)
+        ok = True
+        for c in self.rows[r]:
+            self.need[c] -= 1
+            trail.append(("need", c))
+            if self.need[c] == 0:
+                self.open_cols.discard(c)
+                trail.append(("open", c))
+                for rr in list(self.col_rows[c]):
+                    self._kill_row(rr, trail)
+            elif len(self.col_rows[c]) < self.need[c]:
+                ok = False
+        return ok
+
+    def _undo(self, trail: list) -> None:
+        while trail:
+            op = trail.pop()
+            if op[0] == "row":
+                r = op[1]
+                self.alive[r] = True
+                for c in self.rows[r]:
+                    self.col_rows[c].add(r)
+            elif op[0] == "need":
+                self.need[op[1]] += 1
+            elif op[0] == "open":
+                self.open_cols.add(op[1])
+            else:
+                self.selection.pop()
+
+    # -- search
+
+    def _tick(self):
+        self.nodes += 1
+        if self.node_budget is not None and self.nodes > self.node_budget:
+            raise _Timeout(list(self.selection))
+        if self.deadline is not None and self.nodes % 256 == 0:
+            if time.monotonic() > self.deadline:
+                raise _Timeout(list(self.selection))
+
+    def _choose(self) -> int | None:
+        best = None
+        best_key = None
+        for c in self.open_cols:
+            k = (len(self.col_rows[c]), c)
+            if best_key is None or k < best_key:
+                best_key = k
+                best = c
+        return best
+
+    def run(self, on_solution, replay=None):
+        """Search until on_solution returns True (then True) or the space is
+        exhausted (then False)."""
+        return self._search(on_solution, replay or [])
+
+    def _search(self, on_solution, replay) -> bool:
+        self._tick()
+        if not self.open_cols:
+            return on_solution(list(self.selection))
+        c = self._choose()
+        cands = sorted(self.col_rows[c])
+        if len(cands) < self.need[c]:
+            return False
+        start = 0
+        inner_replay = []
+        if replay:
+            target = replay[0]
+            if target in cands:
+                start = cands.index(target)
+                inner_replay = replay[1:]
+        for pos in range(start, len(cands)):
+            r = cands[pos]
+            trail: list = []
+            # r is the lowest-indexed selected row covering c in this branch
+            viable = True
+            for rr in cands[:pos]:
+                self._kill_row(rr, trail)
+            if len(self.col_rows[c]) < self.need[c]:
+                viable = False
+            if viable:
+                viable = self._select(r, trail)
+            if viable:
+                if self._search(on_solution, inner_replay):
+                    self._undo(trail)
+                    return True
+            self._undo(trail)
+            inner_replay = []
+        return False

@@ -1,6 +1,7 @@
 """Command-line interface: verdicts, exit codes, format equivalence."""
 
 import json
+import time
 
 from decomp_lab.cli import main
 from decomp_lab.core import dumps_canonical
@@ -48,6 +49,19 @@ def test_count_timeout_exits_two(monkeypatch, capsys):
     # an enumeration budget overrun is still an input error
     monkeypatch.setenv("DECOMP_LAB_BUDGET", "10")
     assert main(list(argv)) == 3
+
+
+def test_timeout_covers_copy_enumeration(capsys):
+    # unbounded, enumerating K_24^(3) by K_4^(3) takes seconds; the time
+    # budget stops it, and both commands report a timeout
+    for command in ("solve", "count"):
+        t0 = time.monotonic()
+        code, out = run_cli(
+            capsys, command, "--host", "k_n:24:3", "--pattern", "k3_q:4", "--timeout", "0.01"
+        )
+        assert time.monotonic() - t0 < 1.0
+        assert code == 2
+        assert json.loads(out)["status"] == "timeout"
 
 
 def test_solve_proven_none_exit(capsys):

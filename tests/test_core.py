@@ -74,6 +74,18 @@ def test_index_vector_worked_values():
     assert singles.index_vector({0, 2}) == (1, 0, 1)
 
 
+def test_index_vector_rejects_outside_vertices_and_ignores_repeats():
+    p = Partition.from_lists([[0, 2], [1, 3]])
+    assert p.index_vector([2, 2, 3, 0]) == (2, 1)
+    assert p.index_vector(iter([1])) == (0, 1)
+    for outside in ({4}, {0, -1}, {"0"}):
+        with pytest.raises(ValueError):
+            p.index_vector(outside)
+    assert p.assignment() == {0: 0, 2: 0, 1: 1, 3: 1}
+    p.assignment()[0] = 1  # a fresh dict: the memo stays intact
+    assert p.index_vector({0}) == (1, 0)
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         Partition.from_lists([[0, 1], [1, 2]])

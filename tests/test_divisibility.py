@@ -413,3 +413,13 @@ def test_pattern_span_cache_is_bounded():
         arcs = [p if o == 0 else p[::-1] for p, o in zip(pairs, choice) if o is not None]
         digraph_divisible(host, Digraph.from_arcs(5, 2, arcs))
     assert dv._pattern_span.cache_info().currsize <= maxsize
+
+
+def test_pattern_span_one_entry_per_family():
+    family = tuple(rainbow_family(3))
+    dv._pattern_span.cache_clear()
+    host = family[0]  # a rainbow triangle decomposes itself
+    assert coloured_divisible(host, family).verdict
+    assert coloured_divisible(host, family).verdict
+    info = dv._pattern_span.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)

@@ -1,9 +1,12 @@
 """Exact-cover solver: search, counting, verification, integral oracle."""
 
 import random
+import time
 
 import pytest
 
+import oracles
+from decomp_lab import solver as sv
 from decomp_lab.core import (
     ColouredMultigraph,
     Digraph,
@@ -11,6 +14,7 @@ from decomp_lab.core import (
     Partition,
 )
 from decomp_lab.encodings import (
+    resolvable_sts_instance,
     sudoku_host,
     sudoku_pattern,
     tight_cycle,
@@ -20,6 +24,8 @@ from decomp_lab.encodings import (
 from decomp_lab.solver import (
     BudgetExceeded,
     Certificate,
+    CopyTable,
+    TimeBudgetExceeded,
     count_decompositions,
     enumerate_copies,
     find_decomposition,
@@ -185,3 +191,162 @@ def test_certificate_json_roundtrip():
     doc = res.certificate.to_json_dict()
     again = Certificate.from_json_dict(doc)
     assert again.embeddings == res.certificate.embeddings
+
+
+# ---------------------------------------------------------------------------
+# the bitset engine against the earlier set-and-trail engine
+
+
+def _table(footprints, capacities) -> CopyTable:
+    return CopyTable(
+        atoms=list(range(len(capacities))),
+        capacities=list(capacities),
+        footprints=footprints,
+        embeddings=[(0, fp) for fp in footprints],
+        multiplicities=[1] * len(footprints),
+    )
+
+
+def _random_table(rng, ncols: int, nrows: int) -> CopyTable:
+    """Capacities 1-3; two hot columns shared by many rows; half the time
+    the capacities are those of a planted set of rows, so covers exist."""
+    hot = rng.sample(range(ncols), 2)
+    fps = set()
+    for _ in range(nrows):
+        cols = set(rng.sample(range(ncols), rng.randint(1, min(3, ncols))))
+        if rng.random() < 0.6:
+            cols.add(rng.choice(hot))
+        fps.add(tuple(sorted(cols)))
+    fps = sorted(fps)
+    caps = [rng.randint(1, 3) for _ in range(ncols)]
+    if rng.random() < 0.5:
+        planted = [0] * ncols
+        for fp in rng.sample(fps, rng.randint(1, len(fps))):
+            for c in fp:
+                planted[c] += 1
+        caps = [k if 1 <= k <= 3 else cap for k, cap in zip(planted, caps)]
+    return _table(fps, caps)
+
+
+# How the engine picks a column: its own choice, column counts kept to the
+# leaves, counts dropped for mask scans part-way down, mask scans throughout.
+KILL_COSTS = (None, 0, 1600, 10**30)
+
+
+def _run(engine, table, node_budget=None, replay=None, count=False, kill_cost=None):
+    """(outcome, solutions in the order reported, nodes) of one search; the
+    outcome is True/False, or ("timeout", frontier)."""
+    search = engine(table)
+    search.node_budget = node_budget
+    if kill_cost is not None:
+        search.kill_cost = kill_cost
+    solutions = []
+
+    def on_solution(sel):
+        solutions.append(sel)
+        return not count
+
+    try:
+        outcome = search.run(on_solution, replay)
+    except (sv._Timeout, oracles.RefTimeout) as stop:
+        outcome = ("timeout", stop.frontier)
+    return outcome, solutions, search.nodes
+
+
+def _assert_same_search(table, budgets, resume_budget=None):
+    """Counts and first solutions agree under each node budget (None for
+    none), and so do the resumes from every frontier, whichever way the
+    engine picks its columns."""
+    ref, new = oracles.RefCoverSearch, sv._CoverSearch
+    for count in (True, False):
+        for budget in budgets:
+            cut = _run(ref, table, budget, None, count)
+            for kill_cost in KILL_COSTS:
+                assert _run(new, table, budget, None, count, kill_cost) == cut
+            if cut[0] is True or cut[0] is False:
+                continue
+            frontier = cut[0][1]
+            resumed = _run(ref, table, resume_budget, frontier, count)
+            for kill_cost in KILL_COSTS:
+                assert _run(new, table, resume_budget, frontier, count, kill_cost) == resumed
+
+
+def test_engine_matches_reference_on_random_tables():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(300):
+        table = _random_table(rng, rng.randint(3, 8), rng.randint(3, 30))
+        nodes = _run(oracles.RefCoverSearch, table, count=True)[2]
+        budgets = [None] + rng.sample(range(1, nodes + 1), min(3, nodes))
+        _assert_same_search(table, budgets)
+        outcomes.add(_run(sv._CoverSearch, table)[0])
+    assert outcomes == {True, False}  # both verdicts occur
+
+
+def test_engine_matches_reference_when_rows_are_renumbered():
+    # more than 64 rows, so alive sets thin out enough to be renumbered
+    rng = random.Random(7)
+    for _ in range(6):
+        table = _random_table(rng, rng.randint(10, 16), rng.randint(120, 300))
+        _assert_same_search(table, (50, 400, 2000), 2000)
+    sts9 = enumerate_copies(Hypergraph.complete(9, 2), TRIANGLE)
+    _assert_same_search(sts9, (None, 500))
+    k12 = enumerate_copies(Hypergraph.complete(12, 3), Hypergraph.complete(4, 3))
+    _assert_same_search(k12, (300, 2000), 2000)
+
+
+def test_ladder_node_counts():
+    """Node counts of the benchmark ladder under the branching rule: fewest
+    alive rows, lowest column on ties, rows in ascending order."""
+    sts9 = enumerate_copies(Hypergraph.complete(9, 2), TRIANGLE)
+    assert _run(sv._CoverSearch, sts9, count=True)[2] == 6553
+    res9 = resolvable_sts_instance(9)
+    table = enumerate_copies(
+        res9.host, res9.pattern, (res9.pattern_partition, res9.host_partition)
+    )
+    outcome, solutions, nodes = _run(sv._CoverSearch, table, count=True)
+    assert (len(solutions), nodes) == (20160, 144229)
+    for host, pattern, nodes in [
+        (Hypergraph.complete(6, 2), TRIANGLE, 13),
+        (Hypergraph.complete(8, 2), TRIANGLE, 79),
+        (Digraph.complete(6, 2), tight_cycle(3, 2), 93),
+    ]:
+        res = find_decomposition(host, pattern)
+        assert (res.status, res.nodes) == ("none", nodes)
+
+
+# ---------------------------------------------------------------------------
+# one time budget through copy enumeration and search
+
+
+def test_time_budget_covers_copy_enumeration():
+    k4 = Hypergraph.complete(4, 3)
+    with pytest.raises(TimeBudgetExceeded):  # checked after 1024 nodes
+        enumerate_copies(Hypergraph.complete(12, 3), k4, deadline=time.monotonic() - 1)
+    host = Hypergraph.complete(24, 3)  # seconds of enumeration unbounded
+    t0 = time.monotonic()
+    res = find_decomposition(host, k4, timeout=0.01)
+    assert (res.status, res.frontier, res.nodes) == ("timeout", [], 0)
+    with pytest.raises(BudgetExceeded):
+        count_decompositions(host, k4, timeout=0.01)
+    assert time.monotonic() - t0 < 2.0
+    # an empty frontier resumes from the start
+    full = find_decomposition(Hypergraph.complete(9, 2), TRIANGLE)
+    again = find_decomposition(Hypergraph.complete(9, 2), TRIANGLE, resume=[])
+    assert again.certificate.embeddings == full.certificate.embeddings
+    assert again.nodes == full.nodes
+
+
+def test_verify_partite_deficit_names_the_first_misplaced_vertex():
+    host, hpart = triangle_host(2)
+    tri, tpart = triangle_pattern()
+    cert = find_decomposition(host, tri, (tpart, hpart)).certificate
+    p, images = cert.embeddings[-1]
+    broken = Certificate(
+        footprint_indices=[],
+        embeddings=cert.embeddings[:-1] + [(p, (images[1], images[0], images[2]))],
+    )
+    rep = verify_certificate(host, tri, broken, (tpart, hpart))
+    assert not rep.valid
+    assert rep.deficit == [("partite", (0, images[1]))]
+    assert verify_certificate(host, tri, cert, (tpart, hpart)).valid
