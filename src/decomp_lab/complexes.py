@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
-from math import comb
+from itertools import chain, combinations, permutations, product
+from math import comb, prod
 
 from .core import (
     ColouredMultigraph,
@@ -471,9 +471,12 @@ def complete_extension(q: int, root: Inj, new_positions) -> Extension:
 
 @dataclass(frozen=True)
 class ExtensionCount:
+    """An exact count (``value``), or a Monte-Carlo ``estimate`` that is an
+    exact Fraction of the sampled hits with an approximate float ``stderr``."""
+
     value: int | None
     estimate: Fraction | None = None
-    stderr: Fraction | None = None
+    stderr: float | None = None
     samples: int = 0
     seed: int | None = None
     unconstrained_restrictions: int = 0
@@ -576,7 +579,8 @@ def extension_count(
     scale = Fraction(n) ** ext.new_count
     p = Fraction(hits, samples)
     estimate = p * scale
-    stderr = (p * (1 - p) / samples) ** Fraction(1, 2) * scale if 0 < hits < samples else Fraction(0)
+    # Fraction ** Fraction(1, 2) is a float, and so is the product with scale
+    stderr = (p * (1 - p) / samples) ** Fraction(1, 2) * scale if 0 < hits < samples else 0.0
     return ExtensionCount(
         value=None,
         estimate=estimate,
@@ -622,19 +626,23 @@ def is_extendable(
     """Check the template library over every root embedding.
 
     A zero completion count is never considered dense, so an empty complex
-    reports non-extendable for any positive omega.
+    reports non-extendable for any positive omega.  Above ``root_limit``
+    roots only every stride-th root is checked, and a note says how many.
     """
     omega = Fraction(omega)
     n = phi.vertex_count
     position_lists = templates if templates is not None else default_templates(phi.q, rank)
     roots = sorted(phi.full_level())
+    notes = []
     if root_limit is not None and len(roots) > root_limit:
         stride = max(1, len(roots) // root_limit)
+        total = len(roots)
         roots = roots[::stride]
+        if stride > 1:
+            notes.append(f"roots subsampled: {len(roots)} of {total} checked (stride {stride})")
     checked = 0
     worst = None
     ok = True
-    notes = []
     if not roots:
         notes.append("no root embeddings exist at the top level")
         ok = False
@@ -664,6 +672,11 @@ def is_extendable(
 
 # ---------------------------------------------------------------------------
 # typicality checks
+#
+# Every mode generates cases (k, key, lhs, expected): a family of k sets, its
+# joint count lhs and the count a random host of the same densities would
+# give.  One fold turns the cases into a report, so all modes share one band,
+# one deviation and one witness rule.
 
 @dataclass
 class TypicalityReport:
@@ -673,9 +686,72 @@ class TypicalityReport:
     mode: str
     checked: int
     worst_deviation: Fraction | None  # max |lhs/expected - 1| over nonzero expectations
-    witness: tuple | None = None
+    witness: tuple | None = None  # (*key, lhs, expected) of the first failing case
     exact: bool = True
     notes: list[str] = field(default_factory=list)
+
+
+def _typicality(mode: str, c: Fraction, s: int, cases, exact: bool = True) -> TypicalityReport:
+    """Fold (k, key, lhs, expected) cases into a report.
+
+    A case fails when expected == 0 < lhs or |lhs/expected - 1| > k*c; the
+    host is typical when no case fails, and the first failing case is the
+    witness.
+    """
+    checked = 0
+    worst = Fraction(0)
+    witness = None
+    # |lhs/expected - 1| = gap/size with integers, so the comparisons below
+    # cross-multiply instead of building a Fraction per case
+    for k, key, lhs, expected in cases:
+        checked += 1
+        if expected:
+            size = abs(expected.numerator)
+            gap = abs(lhs * expected.denominator - expected.numerator)
+            if gap * worst.denominator > worst.numerator * size:
+                worst = Fraction(gap, size)
+            failed = gap * c.denominator > k * c.numerator * size
+        else:
+            failed = lhs > 0
+        if failed and witness is None:
+            witness = (*key, lhs, expected)
+    return TypicalityReport(
+        typical=witness is None, c=c, s=s, mode=mode, checked=checked,
+        worst_deviation=worst, witness=witness, exact=exact,
+    )
+
+
+def _subfamilies(fsets, s: int):
+    """(count, iterator) of the families of 1..s distinct members, smallest first."""
+    count = sum(comb(len(fsets), k) for k in range(1, s + 1))
+    return count, chain.from_iterable(combinations(fsets, k) for k in range(1, s + 1))
+
+
+def _family_source(total: int, budget: int, every, draw, samples: int, seed):
+    """(families, exact): ``every`` when its ``total`` fits the budget, else
+    ``samples`` draws of ``draw(rng)`` from a generator seeded with ``seed``."""
+    if total <= budget:
+        return every, True
+    if seed is None:
+        raise ValueError("sampling typicality requires an explicit seed")
+    rng = SplitMix64(seed)
+    return (draw(rng) for _ in range(samples)), False
+
+
+def _check_budget(total: int, budget: int, message: str) -> None:
+    """Modes without sampling refuse more than ``budget`` cases."""
+    if total > budget:
+        raise ValueError(message)
+
+
+def _neighbourhoods(g: Hypergraph, fsets) -> dict:
+    """Vertex neighbourhood of each (r-1)-set of a graph."""
+    return {f: frozenset(v for (v,) in g.neighbourhood(f)) for f in fsets}
+
+
+def _joint(nbhd: dict, fam, within) -> int:
+    """Number of vertices of ``within`` adjacent to every set of ``fam``."""
+    return len(within.intersection(*(nbhd[f] for f in fam)))
 
 
 def is_typical_plain(
@@ -691,50 +767,19 @@ def is_typical_plain(
     n = g.n
     d = g.density()
     fsets = list(combinations(range(n), g.r - 1))
-    nbhd = {f: frozenset(v for (v,) in g.neighbourhood(f)) for f in fsets}
+    nbhd = _neighbourhoods(g, fsets)
 
-    def families():
-        total = sum(comb(len(fsets), k) for k in range(1, s + 1))
-        if total <= budget:
-            for k in range(1, s + 1):
-                yield from combinations(fsets, k)
-            return None
-        if seed is None:
-            raise ValueError("sampling typicality requires an explicit seed")
-        rng = SplitMix64(seed)
-        for _ in range(samples):
-            k = 1 + rng.randrange(s)
-            yield tuple(rng.sample(fsets, min(k, len(fsets))))
+    def draw(rng):
+        k = 1 + rng.randrange(s)
+        return tuple(rng.sample(fsets, min(k, len(fsets))))
 
-    checked = 0
-    worst = Fraction(0)
-    witness = None
-    ok = True
-    for fam in families():
-        k = len(fam)
-        inter = nbhd[fam[0]]
-        for f in fam[1:]:
-            inter = inter & nbhd[f]
-        lhs = len(inter)
-        expected = d**k * n
-        checked += 1
-        if expected == 0:
-            if lhs != 0:
-                ok = False
-                witness = witness or (fam, lhs, expected)
-            continue
-        dev = abs(Fraction(lhs) / expected - 1)
-        if dev > worst:
-            worst = dev
-            if dev > k * c:
-                witness = (fam, lhs, expected)
-        if dev > k * c:
-            ok = False
-    exact = sum(comb(len(fsets), k) for k in range(1, s + 1)) <= budget
-    return TypicalityReport(
-        typical=ok, c=c, s=s, mode="plain", checked=checked,
-        worst_deviation=worst, witness=witness, exact=exact,
+    total, every = _subfamilies(fsets, s)
+    families, exact = _family_source(total, budget, every, draw, samples, seed)
+    cases = (
+        (len(fam), (fam,), _joint(nbhd, fam[1:], nbhd[fam[0]]), d ** len(fam) * n)
+        for fam in families
     )
+    return _typicality("plain", c, s, cases, exact)
 
 
 def is_typical_blowup(
@@ -751,7 +796,7 @@ def is_typical_blowup(
     if host_partition.t != h.n:
         raise ValueError("host partition must have one class per pattern vertex")
     part_of = host_partition.assignment()
-    classes = host_partition.parts
+    classes = [frozenset(part) for part in host_partition.parts]
     # class density per pattern edge: the host edges indexed by its classes
     dens = {
         f: partite_density(g, host_partition, [int(x in f) for x in range(h.n)])
@@ -763,50 +808,24 @@ def is_typical_blowup(
         fp = tuple(sorted(part_of[v] for v in e))
         if len(set(fp)) == len(fp):
             fsets.append((e, fp))
-    nbhd = {
-        e: frozenset(v for (v,) in g.neighbourhood(e)) for e, _ in fsets
-    }
-    checked = 0
-    worst = Fraction(0)
-    witness = None
-    ok = True
-    total = sum(comb(len(fsets), k) for k in range(1, s + 1))
-    if total > budget:
-        raise ValueError("exact blowup typicality above budget; reduce s or the host")
-    for k in range(1, s + 1):
-        for fam in combinations(fsets, k):
+    nbhd = _neighbourhoods(g, [e for e, _ in fsets])
+    total, families = _subfamilies(fsets, s)
+    _check_budget(total, budget, "exact blowup typicality above budget; reduce s or the host")
+
+    def cases():
+        for fam in families:
             footprints = [set(fp) for _, fp in fam]
             for x in range(h.n):
                 if any(x in fp for fp in footprints):
                     continue
-                involved = [
-                    tuple(sorted(fp | {x})) for fp in (frozenset(f) for _, f in fam)
-                ]
+                involved = [tuple(sorted(fp | {x})) for fp in footprints]
                 if any(f not in h.edges for f in involved):
                     continue
-                inter = set(classes[x])
-                for e, _ in fam:
-                    inter &= nbhd[e]
-                lhs = len(inter)
-                expected = Fraction(len(classes[x]))
-                for f in involved:
-                    expected *= dens[f]
-                checked += 1
-                if expected == 0:
-                    if lhs:
-                        ok = False
-                        witness = witness or (fam, x, lhs, expected)
-                    continue
-                dev = abs(Fraction(lhs) / expected - 1)
-                if dev > worst:
-                    worst = dev
-                if dev > k * c:
-                    ok = False
-                    witness = witness or (fam, x, lhs, expected)
-    return TypicalityReport(
-        typical=ok, c=c, s=s, mode="blowup", checked=checked,
-        worst_deviation=worst, witness=witness,
-    )
+                lhs = _joint(nbhd, (e for e, _ in fam), classes[x])
+                expected = prod((dens[f] for f in involved), start=Fraction(len(classes[x])))
+                yield len(fam), (fam, x), lhs, expected
+
+    return _typicality("blowup", c, s, cases())
 
 
 def is_typical_coloured(
@@ -845,52 +864,27 @@ def is_typical_coloured(
             total += prod_w
         return total
 
-    def tuples():
-        total = sum(
-            (len(fsets) * g.colours) ** k for k in range(1, s + 1)
-        )
-        if total <= budget:
-            for k in range(1, s + 1):
-                for fam in product(fsets, repeat=k):
-                    for cols in product(range(g.colours), repeat=k):
-                        yield fam, cols
-            return
-        if seed is None:
-            raise ValueError("sampling typicality requires an explicit seed")
-        rng = SplitMix64(seed)
-        for _ in range(samples):
-            k = 1 + rng.randrange(s)
-            fam = tuple(fsets[rng.randrange(len(fsets))] for _ in range(k))
-            cols = tuple(rng.randrange(g.colours) for _ in range(k))
-            yield fam, cols
-
-    checked = 0
-    worst = Fraction(0)
-    witness = None
-    ok = True
-    for fam, cols in tuples():
-        k = len(fam)
-        lhs = joint(fam, cols)
-        expected = Fraction(n)
-        for d in cols:
-            expected *= dens[d]
-        checked += 1
-        if expected == 0:
-            if lhs:
-                ok = False
-                witness = witness or (fam, cols, lhs, expected)
-            continue
-        dev = abs(Fraction(lhs) / expected - 1)
-        if dev > worst:
-            worst = dev
-        if dev > k * c:
-            ok = False
-            witness = witness or (fam, cols, lhs, expected)
-    exact = sum((len(fsets) * g.colours) ** k for k in range(1, s + 1)) <= budget
-    return TypicalityReport(
-        typical=ok, c=c, s=s, mode="coloured", checked=checked,
-        worst_deviation=worst, witness=witness, exact=exact,
+    every = (
+        (fam, cols)
+        for k in range(1, s + 1)
+        for fam in product(fsets, repeat=k)
+        for cols in product(range(g.colours), repeat=k)
     )
+
+    def draw(rng):
+        k = 1 + rng.randrange(s)
+        fam = tuple(fsets[rng.randrange(len(fsets))] for _ in range(k))
+        cols = tuple(rng.randrange(g.colours) for _ in range(k))
+        return fam, cols
+
+    total = sum((len(fsets) * g.colours) ** k for k in range(1, s + 1))
+    families, exact = _family_source(total, budget, every, draw, samples, seed)
+    cases = (
+        (len(fam), (fam, cols), joint(fam, cols),
+         prod((dens[d] for d in cols), start=Fraction(n)))
+        for fam, cols in families
+    )
+    return _typicality("coloured", c, s, cases, exact)
 
 
 def is_typical_hp(
@@ -906,61 +900,29 @@ def is_typical_hp(
     densities of the index classes hit, with both sides allowed to vanish
     when an index falls outside the pattern's realized index set."""
     c = Fraction(c)
-    I = set(index_set(h, pattern_partition))
-    dens = {i: partite_density(g, host_partition, i) for i in I}
+    dens = {
+        i: partite_density(g, host_partition, i)
+        for i in index_set(h, pattern_partition)
+    }
     fsets = list(combinations(range(g.n), g.r - 1))
-    nbhd = {f: frozenset(v for (v,) in g.neighbourhood(f)) for f in fsets}
-    checked = 0
-    worst = Fraction(0)
-    witness = None
-    ok = True
-    total = sum(comb(len(fsets), k) for k in range(1, s + 1)) * host_partition.t
-    if total > budget:
-        raise ValueError("exact index-partite typicality above budget")
-    basis = [
-        tuple(1 if k == j else 0 for k in range(host_partition.t))
-        for j in range(host_partition.t)
-    ]
-    for k in range(1, s + 1):
-        for fam in combinations(fsets, k):
-            for j in range(host_partition.t):
-                idxs = []
-                outside = False
-                for f in fam:
-                    i = tuple(
-                        a + b
-                        for a, b in zip(host_partition.index_vector(f), basis[j])
-                    )
-                    if i not in I:
-                        outside = True
-                        break
-                    idxs.append(i)
-                part = set(host_partition.parts[j])
-                inter = part
-                for f in fam:
-                    inter = inter & nbhd[f]
-                lhs = len(inter)
-                checked += 1
-                if outside:
-                    if lhs:
-                        ok = False
-                        witness = witness or (fam, j, lhs, Fraction(0))
-                    continue
-                expected = Fraction(len(part))
-                for i in idxs:
-                    expected *= dens[i]
-                if expected == 0:
-                    if lhs:
-                        ok = False
-                        witness = witness or (fam, j, lhs, expected)
-                    continue
-                dev = abs(Fraction(lhs) / expected - 1)
-                if dev > worst:
-                    worst = dev
-                if dev > k * c:
-                    ok = False
-                    witness = witness or (fam, j, lhs, expected)
-    return TypicalityReport(
-        typical=ok, c=c, s=s, mode="index-partite", checked=checked,
-        worst_deviation=worst, witness=witness,
-    )
+    nbhd = _neighbourhoods(g, fsets)
+    total, families = _subfamilies(fsets, s)
+    _check_budget(total * host_partition.t, budget, "exact index-partite typicality above budget")
+    parts = [frozenset(part) for part in host_partition.parts]
+
+    def cases():
+        for fam in families:
+            for j, part in enumerate(parts):
+                # the index of f + v for v in part j; outside the realized
+                # set the expectation is zero
+                idxs = [
+                    tuple(a + (q == j) for q, a in enumerate(host_partition.index_vector(f)))
+                    for f in fam
+                ]
+                if all(i in dens for i in idxs):
+                    expected = prod((dens[i] for i in idxs), start=Fraction(len(part)))
+                else:
+                    expected = Fraction(0)
+                yield len(fam), (fam, j), _joint(nbhd, fam, part), expected
+
+    return _typicality("index-partite", c, s, cases())

@@ -516,7 +516,8 @@ class VerificationReport:
 
 def verify_certificate(host, patterns, cert: Certificate, partition=None) -> VerificationReport:
     """Recompute every footprint from its embedding and compare the slot
-    sums against the host capacities exactly."""
+    sums against the host capacities exactly.  A copy whose pattern index
+    is not an int naming one of the patterns makes the certificate invalid."""
     if not isinstance(patterns, (list, tuple)):
         patterns = [patterns]
     atoms = host_atoms(host)
@@ -526,8 +527,13 @@ def verify_certificate(host, patterns, cert: Certificate, partition=None) -> Ver
         pattern_partition, host_partition = partition
         hp = host_partition.assignment()
         pp = pattern_partition.assignment()
+    pattern_atoms: dict = {}  # built on first use: patterns no copy names stay unchecked
     for (p_idx, images), w in zip(cert.embeddings, weights):
-        q, items = _pattern_atoms(patterns[p_idx])
+        if type(p_idx) is not int or not 0 <= p_idx < len(patterns):
+            return VerificationReport(valid=False, deficit=[("pattern", p_idx)])
+        if p_idx not in pattern_atoms:
+            pattern_atoms[p_idx] = _pattern_atoms(patterns[p_idx])
+        q, items = pattern_atoms[p_idx]
         if len(images) != q or len(set(images)) != q:
             return VerificationReport(valid=False, deficit=[("embedding", images)])
         if partition is not None:

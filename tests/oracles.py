@@ -6,7 +6,9 @@ and grid counts by plain backtracking over itertools combinations.  The
 reference degree queries scan every edge or arc on each call, the way the
 library counted degrees before its incidence index; the library must agree
 with them exactly.  `RefCoverSearch` is the solver's earlier exact-cover
-engine, kept verbatim as the reference for node counts and frontiers.
+engine, kept verbatim as the reference for node counts and frontiers, and
+the `ref_is_typical_*` functions are the earlier typicality checks, one
+loop per mode, kept verbatim as the reference for typicality reports.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
+
+from decomp_lab.complexes import TypicalityReport
+from decomp_lab.core import index_set, partite_density
+from decomp_lab.rng import SplitMix64
 
 
 def latin_square_count(n: int) -> int:
@@ -468,3 +474,300 @@ class RefCoverSearch:
             self._undo(trail)
             inner_replay = []
         return False
+
+
+# ---------------------------------------------------------------------------
+# reference typicality checks: one deviation/witness loop per mode, the way
+# the library checked typicality before its shared core.  The library must
+# give the same verdicts, counts, deviations and errors; the witnesses of
+# blowup, coloured and index-partite mode must match too.  Plain mode here
+# records a witness only when a failing family also sets a new worst
+# deviation, so it can report a failure with no witness.
+
+
+def ref_is_typical_plain(
+    g: Hypergraph,
+    c,
+    s: int,
+    budget: int = 200000,
+    samples: int = 2000,
+    seed: int | None = None,
+) -> TypicalityReport:
+    """Joint neighbourhoods of up to s many (r-1)-sets have near-expected size."""
+    c = Fraction(c)
+    n = g.n
+    d = g.density()
+    fsets = list(combinations(range(n), g.r - 1))
+    nbhd = {f: frozenset(v for (v,) in g.neighbourhood(f)) for f in fsets}
+
+    def families():
+        total = sum(comb(len(fsets), k) for k in range(1, s + 1))
+        if total <= budget:
+            for k in range(1, s + 1):
+                yield from combinations(fsets, k)
+            return None
+        if seed is None:
+            raise ValueError("sampling typicality requires an explicit seed")
+        rng = SplitMix64(seed)
+        for _ in range(samples):
+            k = 1 + rng.randrange(s)
+            yield tuple(rng.sample(fsets, min(k, len(fsets))))
+
+    checked = 0
+    worst = Fraction(0)
+    witness = None
+    ok = True
+    for fam in families():
+        k = len(fam)
+        inter = nbhd[fam[0]]
+        for f in fam[1:]:
+            inter = inter & nbhd[f]
+        lhs = len(inter)
+        expected = d**k * n
+        checked += 1
+        if expected == 0:
+            if lhs != 0:
+                ok = False
+                witness = witness or (fam, lhs, expected)
+            continue
+        dev = abs(Fraction(lhs) / expected - 1)
+        if dev > worst:
+            worst = dev
+            if dev > k * c:
+                witness = (fam, lhs, expected)
+        if dev > k * c:
+            ok = False
+    exact = sum(comb(len(fsets), k) for k in range(1, s + 1)) <= budget
+    return TypicalityReport(
+        typical=ok, c=c, s=s, mode="plain", checked=checked,
+        worst_deviation=worst, witness=witness, exact=exact,
+    )
+
+
+def ref_is_typical_blowup(
+    g: Hypergraph,
+    host_partition: Partition,
+    h: Hypergraph,
+    c,
+    s: int,
+    budget: int = 200000,
+) -> TypicalityReport:
+    """Blowup typicality: within-class joint neighbourhoods track the class
+    densities of the pattern edges involved."""
+    c = Fraction(c)
+    if host_partition.t != h.n:
+        raise ValueError("host partition must have one class per pattern vertex")
+    part_of = host_partition.assignment()
+    classes = host_partition.parts
+    # class density per pattern edge: the host edges indexed by its classes
+    dens = {
+        f: partite_density(g, host_partition, [int(x in f) for x in range(h.n)])
+        for f in h.edges
+    }
+    # candidate (r-1)-partite sets, grouped by footprint
+    fsets = []
+    for e in combinations(range(g.n), g.r - 1):
+        fp = tuple(sorted(part_of[v] for v in e))
+        if len(set(fp)) == len(fp):
+            fsets.append((e, fp))
+    nbhd = {
+        e: frozenset(v for (v,) in g.neighbourhood(e)) for e, _ in fsets
+    }
+    checked = 0
+    worst = Fraction(0)
+    witness = None
+    ok = True
+    total = sum(comb(len(fsets), k) for k in range(1, s + 1))
+    if total > budget:
+        raise ValueError("exact blowup typicality above budget; reduce s or the host")
+    for k in range(1, s + 1):
+        for fam in combinations(fsets, k):
+            footprints = [set(fp) for _, fp in fam]
+            for x in range(h.n):
+                if any(x in fp for fp in footprints):
+                    continue
+                involved = [
+                    tuple(sorted(fp | {x})) for fp in (frozenset(f) for _, f in fam)
+                ]
+                if any(f not in h.edges for f in involved):
+                    continue
+                inter = set(classes[x])
+                for e, _ in fam:
+                    inter &= nbhd[e]
+                lhs = len(inter)
+                expected = Fraction(len(classes[x]))
+                for f in involved:
+                    expected *= dens[f]
+                checked += 1
+                if expected == 0:
+                    if lhs:
+                        ok = False
+                        witness = witness or (fam, x, lhs, expected)
+                    continue
+                dev = abs(Fraction(lhs) / expected - 1)
+                if dev > worst:
+                    worst = dev
+                if dev > k * c:
+                    ok = False
+                    witness = witness or (fam, x, lhs, expected)
+    return TypicalityReport(
+        typical=ok, c=c, s=s, mode="blowup", checked=checked,
+        worst_deviation=worst, witness=witness,
+    )
+
+
+def ref_is_typical_coloured(
+    g: ColouredMultigraph,
+    c,
+    s: int,
+    budget: int = 200000,
+    samples: int = 2000,
+    seed: int | None = None,
+) -> TypicalityReport:
+    """Colour-weighted joint degrees track products of colour densities."""
+    c = Fraction(c)
+    n = g.n
+    dens = g.density_vector()
+    fsets = list(combinations(range(n), g.r - 1))
+    # vertex profiles: for f and colour d, weight of f+v edges in colour d
+    weight = {}
+    for e, vec in g.mult:
+        for f in combinations(e, g.r - 1):
+            rest = (set(e) - set(f)).pop()
+            weight[(f, rest)] = vec
+
+    def joint(fam, cols) -> int:
+        total = 0
+        for v in range(n):
+            prod_w = 1
+            for f, d in zip(fam, cols):
+                if v in f:
+                    prod_w = 0
+                    break
+                vec = weight.get((f, v))
+                if vec is None or not vec[d]:
+                    prod_w = 0
+                    break
+                prod_w *= vec[d]
+            total += prod_w
+        return total
+
+    def tuples():
+        total = sum(
+            (len(fsets) * g.colours) ** k for k in range(1, s + 1)
+        )
+        if total <= budget:
+            for k in range(1, s + 1):
+                for fam in product(fsets, repeat=k):
+                    for cols in product(range(g.colours), repeat=k):
+                        yield fam, cols
+            return
+        if seed is None:
+            raise ValueError("sampling typicality requires an explicit seed")
+        rng = SplitMix64(seed)
+        for _ in range(samples):
+            k = 1 + rng.randrange(s)
+            fam = tuple(fsets[rng.randrange(len(fsets))] for _ in range(k))
+            cols = tuple(rng.randrange(g.colours) for _ in range(k))
+            yield fam, cols
+
+    checked = 0
+    worst = Fraction(0)
+    witness = None
+    ok = True
+    for fam, cols in tuples():
+        k = len(fam)
+        lhs = joint(fam, cols)
+        expected = Fraction(n)
+        for d in cols:
+            expected *= dens[d]
+        checked += 1
+        if expected == 0:
+            if lhs:
+                ok = False
+                witness = witness or (fam, cols, lhs, expected)
+            continue
+        dev = abs(Fraction(lhs) / expected - 1)
+        if dev > worst:
+            worst = dev
+        if dev > k * c:
+            ok = False
+            witness = witness or (fam, cols, lhs, expected)
+    exact = sum((len(fsets) * g.colours) ** k for k in range(1, s + 1)) <= budget
+    return TypicalityReport(
+        typical=ok, c=c, s=s, mode="coloured", checked=checked,
+        worst_deviation=worst, witness=witness, exact=exact,
+    )
+
+
+def ref_is_typical_hp(
+    g: Hypergraph,
+    host_partition: Partition,
+    h: Hypergraph,
+    pattern_partition: Partition,
+    c,
+    s: int,
+    budget: int = 200000,
+) -> TypicalityReport:
+    """Index-partite typicality: per-part joint neighbourhoods track the
+    densities of the index classes hit, with both sides allowed to vanish
+    when an index falls outside the pattern's realized index set."""
+    c = Fraction(c)
+    I = set(index_set(h, pattern_partition))
+    dens = {i: partite_density(g, host_partition, i) for i in I}
+    fsets = list(combinations(range(g.n), g.r - 1))
+    nbhd = {f: frozenset(v for (v,) in g.neighbourhood(f)) for f in fsets}
+    checked = 0
+    worst = Fraction(0)
+    witness = None
+    ok = True
+    total = sum(comb(len(fsets), k) for k in range(1, s + 1)) * host_partition.t
+    if total > budget:
+        raise ValueError("exact index-partite typicality above budget")
+    basis = [
+        tuple(1 if k == j else 0 for k in range(host_partition.t))
+        for j in range(host_partition.t)
+    ]
+    for k in range(1, s + 1):
+        for fam in combinations(fsets, k):
+            for j in range(host_partition.t):
+                idxs = []
+                outside = False
+                for f in fam:
+                    i = tuple(
+                        a + b
+                        for a, b in zip(host_partition.index_vector(f), basis[j])
+                    )
+                    if i not in I:
+                        outside = True
+                        break
+                    idxs.append(i)
+                part = set(host_partition.parts[j])
+                inter = part
+                for f in fam:
+                    inter = inter & nbhd[f]
+                lhs = len(inter)
+                checked += 1
+                if outside:
+                    if lhs:
+                        ok = False
+                        witness = witness or (fam, j, lhs, Fraction(0))
+                    continue
+                expected = Fraction(len(part))
+                for i in idxs:
+                    expected *= dens[i]
+                if expected == 0:
+                    if lhs:
+                        ok = False
+                        witness = witness or (fam, j, lhs, expected)
+                    continue
+                dev = abs(Fraction(lhs) / expected - 1)
+                if dev > worst:
+                    worst = dev
+                if dev > k * c:
+                    ok = False
+                    witness = witness or (fam, j, lhs, expected)
+    return TypicalityReport(
+        typical=ok, c=c, s=s, mode="index-partite", checked=checked,
+        worst_deviation=worst, witness=witness,
+    )

@@ -176,6 +176,31 @@ def test_verify_cli_roundtrip(tmp_path, capsys):
     assert json.loads(out2)["valid"] is True
 
 
+def test_verify_cli_rejects_bad_pattern_index(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    for p_idx, code, valid in ((0, 0, True), (1, 1, False), (-1, 1, False)):
+        cert_path.write_text(json.dumps({
+            "type": "decomposition-certificate",
+            "copies": [{"pattern": p_idx, "images": [0, 1, 2]}],
+        }))
+        got, out = run_cli(
+            capsys, "verify", "--host", "k_n:3:2", "--pattern", "k_n:3:2",
+            "--certificate", str(cert_path),
+        )
+        doc = json.loads(out)
+        assert (got, doc["valid"]) == (code, valid)
+        assert doc["deficit"] == ([] if valid else [["'pattern'", repr(p_idx)]])
+
+
+def test_typicality_cli_reports_no_witness(capsys):
+    code, out = run_cli(
+        capsys, "typicality", "--host", "k_n:10", "--c", "9/100", "--s", "1"
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["typical"] is False and "witness" not in doc
+
+
 def test_check_master_cli(tmp_path, capsys):
     from decomp_lab.core import ColouredMultidigraph, Partition
 

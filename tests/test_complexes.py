@@ -1,9 +1,13 @@
 """Labelled complexes: adaptedness, orbits, extensions, typicality."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import oracles
+from decomp_lab import complexes
 from decomp_lab.complexes import (
     LabelledComplex,
     PermGroup,
@@ -12,6 +16,7 @@ from decomp_lab.complexes import (
     is_extendable,
     is_typical_blowup,
     is_typical_coloured,
+    is_typical_hp,
     is_typical_plain,
 )
 from decomp_lab.core import (
@@ -137,6 +142,22 @@ def test_extension_monte_carlo_within_three_stderr():
     assert abs(mc.estimate - exact) <= spread
 
 
+def test_extension_count_stderr_is_a_float():
+    phi = LabelledComplex.complete_complex(3, 7)
+    root = inj_from_pairs([(0, 0), (1, 1), (2, 2)])
+    ext = complete_extension(3, root, (0, 1, 2))
+    mixed = extension_count(phi, ext, exact_limit=0, samples=200, seed=42)
+    assert 0 < mixed.estimate < 7 ** 3 and type(mixed.estimate) is Fraction
+    assert type(mixed.stderr) is float and mixed.stderr > 0
+    # no room for a new vertex, so no sample hits: the degenerate branch
+    single = complete_extension(3, root, (0,))
+    degenerate = extension_count(
+        LabelledComplex.complete_complex(3, 3), single, exact_limit=0, samples=50, seed=1
+    )
+    assert degenerate.estimate == 0 and type(degenerate.stderr) is float
+    assert degenerate.stderr == 0.0
+
+
 def test_extension_monte_carlo_requires_seed():
     phi = LabelledComplex.complete_complex(3, 7)
     root = inj_from_pairs([(0, 0), (1, 1), (2, 2)])
@@ -153,9 +174,16 @@ def test_extendable_complete_complex():
     phi = LabelledComplex.complete_complex(q, 20)
     report = is_extendable(phi, Fraction(1, 2), s, root_limit=1)
     assert report.extendable
+    assert report.notes == ["roots subsampled: 1 of 6840 checked (stride 6840)"]
     phi_small = LabelledComplex.complete_complex(q, 18)
     report_small = is_extendable(phi_small, Fraction(1, 2), s, root_limit=1)
     assert not report_small.extendable
+    assert report_small.notes == ["roots subsampled: 1 of 4896 checked (stride 4896)"]
+    # 210 roots over a limit of 200 give stride 1: every root is checked
+    phi7 = LabelledComplex.complete_complex(q, 7)
+    for limit in (200, None):
+        report7 = is_extendable(phi7, Fraction(1, 2), s, templates=[(0,)], root_limit=limit)
+        assert report7.checked == 210 and report7.notes == []
 
 
 def test_extendable_fails_on_empty_complex():
@@ -260,3 +288,164 @@ def test_labelled_complex_json_roundtrip():
     again = LabelledComplex.from_json_dict(doc)
     for size in range(4):
         assert sorted(again.at_size(size)) == sorted(phi.at_size(size))
+
+
+# ---------------------------------------------------------------------------
+# typicality: one deviation/witness rule for every mode
+
+
+def _fails(k, c, lhs, expected) -> bool:
+    if expected == 0:
+        return lhs > 0
+    return abs(Fraction(lhs) / expected - 1) > k * c
+
+
+def test_typicality_plain_sampled_failure_has_witness():
+    c6 = Hypergraph.from_edges(6, 2, [(v, (v + 1) % 6) for v in range(6)])
+    rep = is_typical_plain(c6, Fraction(2, 5), 3, budget=10, samples=100, seed=1)
+    assert not rep.typical and not rep.exact
+    assert rep.witness is not None
+    fam, lhs, expected = rep.witness
+    nbhd = [{v for (v,) in c6.neighbourhood(f)} for f in fam]
+    assert lhs == len(set.intersection(*nbhd))
+    assert expected == c6.density() ** len(fam) * c6.n
+    assert _fails(len(fam), rep.c, lhs, expected)
+
+
+def _typicality_calls():
+    tri = Hypergraph.complete(3, 2)
+    host, hpart = blowup(tri, [3, 3, 3])
+    broken = Hypergraph.from_edges(host.n, 2, host.sorted_edges()[2:])
+    coloured = ColouredMultigraph.from_colour_classes(
+        6, 2, 2,
+        [[(0, 1), (2, 3), (4, 5), (0, 2), (1, 3)],
+         [(0, 3), (1, 2), (0, 4), (1, 4), (2, 4)]],
+    )
+    c6 = Hypergraph.from_edges(6, 2, [(v, (v + 1) % 6) for v in range(6)])
+    return {
+        "plain": lambda: is_typical_plain(c6, Fraction(1, 5), 2),
+        "plain-sampled": lambda: is_typical_plain(
+            c6, Fraction(1, 5), 3, budget=10, samples=60, seed=4
+        ),
+        "blowup": lambda: is_typical_blowup(broken, hpart, tri, Fraction(1, 100), 1),
+        "coloured": lambda: is_typical_coloured(coloured, Fraction(1, 10), 1),
+        "hp": lambda: is_typical_hp(
+            broken, hpart, tri, Partition.singletons(3), Fraction(1, 1000), 1
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_typicality_calls()))
+def test_typicality_witness_is_first_failing_case(monkeypatch, name):
+    streams = []
+    fold = complexes._typicality
+
+    def recording(mode, c, s, cases, exact=True):
+        streams.append(list(cases))
+        return fold(mode, c, s, streams[-1], exact)
+
+    monkeypatch.setattr(complexes, "_typicality", recording)
+    rep = _typicality_calls()[name]()
+    (cases,) = streams
+    failing = [
+        (*key, lhs, expected)
+        for k, key, lhs, expected in cases
+        if _fails(k, rep.c, lhs, expected)
+    ]
+    assert len(failing) > 1  # "first" is not trivially the only one
+    assert not rep.typical
+    assert rep.witness == failing[0]
+    assert rep.checked == len(cases)
+
+
+_REPORT_FIELDS = ("typical", "checked", "worst_deviation", "exact", "mode", "c", "s")
+
+
+def _typicality_outcome(fn, *args, witness=True, **kwargs):
+    """The report fields the library must keep, or the error raised."""
+    try:
+        rep = fn(*args, **kwargs)
+    except Exception as exc:  # the error itself is part of the outcome
+        return (type(exc).__name__, str(exc))
+    fields = tuple(getattr(rep, name) for name in _REPORT_FIELDS)
+    return fields + ((rep.witness,) if witness else ())
+
+
+def _same(lib, ref, *args, witness=True, **kwargs) -> bool:
+    return _typicality_outcome(lib, *args, witness=witness, **kwargs) == (
+        _typicality_outcome(ref, *args, witness=witness, **kwargs)
+    )
+
+
+def _random_graph(rng, n, r, p):
+    return Hypergraph.from_edges(
+        n, r, [e for e in combinations(range(n), r) if rng.random() < p]
+    )
+
+
+def _random_parts(rng, n, t):
+    parts = [[] for _ in range(t)]
+    for v in range(n):
+        parts[rng.randrange(t)].append(v)
+    return Partition.from_lists(parts)
+
+
+_CS = (Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_typicality_matches_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(3):
+        # plain: exact, sampled, sampling without a seed
+        r = rng.randint(1, 3)
+        g = _random_graph(rng, rng.randint(max(r, 3), 7), r, rng.random())
+        c, s = rng.choice(_CS), rng.randint(1, 3)
+        ref = oracles.ref_is_typical_plain
+        assert _same(is_typical_plain, ref, g, c, s, witness=False)
+        sampled = dict(budget=5, samples=30, seed=rng.randrange(1000))
+        assert _same(is_typical_plain, ref, g, c, s, witness=False, **sampled)
+        assert _same(is_typical_plain, ref, g, c, s, witness=False, budget=5)
+
+        # blowup: exact, over budget, a partition of the wrong size
+        m = rng.randint(2, 4)
+        h = _random_graph(rng, m, rng.randint(2, min(m, 3)), 0.8)
+        host, hpart = blowup(h, [rng.randint(1, 3) for _ in range(m)])
+        host = Hypergraph.from_edges(
+            host.n, host.r, [e for e in host.sorted_edges() if rng.random() < 0.8]
+        )
+        c, s = rng.choice(_CS), rng.randint(1, 2)
+        ref = oracles.ref_is_typical_blowup
+        assert _same(is_typical_blowup, ref, host, hpart, h, c, s)
+        assert _same(is_typical_blowup, ref, host, hpart, h, c, s, budget=3)
+        wrong = Partition.from_lists([list(range(host.n))])
+        assert _same(is_typical_blowup, ref, host, wrong, h, c, s)
+
+        # coloured: exact, sampled, sampling without a seed
+        r, colours = rng.randint(1, 3), rng.randint(1, 3)
+        n = rng.randint(max(r, 3), 6)
+        mult = {}
+        for e in combinations(range(n), r):
+            if rng.random() < 0.6:
+                vec = [rng.randint(0, 2) for _ in range(colours)]
+                vec[rng.randrange(colours)] += 1
+                mult[e] = vec
+        cg = ColouredMultigraph.from_dict(n, r, colours, mult)
+        c, s = rng.choice(_CS), rng.randint(1, 2)
+        ref = oracles.ref_is_typical_coloured
+        assert _same(is_typical_coloured, ref, cg, c, s)
+        sampled = dict(budget=5, samples=30, seed=rng.randrange(1000))
+        assert _same(is_typical_coloured, ref, cg, c, s, **sampled)
+        assert _same(is_typical_coloured, ref, cg, c, s, budget=5)
+
+        # index-partite: exact and over budget
+        r, t = rng.randint(2, 3), rng.randint(1, 3)
+        n = rng.randint(4, 7)
+        g = _random_graph(rng, n, r, rng.random())
+        m = rng.randint(r, 5)
+        h = _random_graph(rng, m, r, 0.7)
+        c, s = rng.choice(_CS), rng.randint(1, 2)
+        args = (g, _random_parts(rng, n, t), h, _random_parts(rng, m, t), c, s)
+        ref = oracles.ref_is_typical_hp
+        assert _same(is_typical_hp, ref, *args)
+        assert _same(is_typical_hp, ref, *args, budget=4)

@@ -119,6 +119,21 @@ def test_verify_rejects_missing_and_duplicated_copies():
     assert not rep2.valid and rep2.surplus
 
 
+def test_verify_rejects_pattern_indices_outside_the_pattern_list(monkeypatch):
+    host = Hypergraph.complete(7, 2)
+    cert = find_decomposition(host, TRIANGLE).certificate
+    builds = []
+    real = sv._pattern_atoms
+    monkeypatch.setattr(sv, "_pattern_atoms", lambda p: builds.append(p) or real(p))
+    assert verify_certificate(host, [TRIANGLE, host], cert).valid
+    assert builds == [TRIANGLE]  # once per pattern, not once per copy
+    (_, images), rest = cert.embeddings[0], cert.embeddings[1:]
+    for bad in (1, -1, 7, True, "0", 0.0, None):
+        broken = Certificate(footprint_indices=[], embeddings=[(bad, images)] + rest)
+        rep = verify_certificate(host, TRIANGLE, broken)
+        assert not rep.valid and rep.deficit == [("pattern", bad)]
+
+
 def test_verify_checks_partite_constraint():
     host, hpart = triangle_host(2)
     tri, tpart = triangle_pattern()
