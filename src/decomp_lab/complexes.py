@@ -627,11 +627,14 @@ def is_extendable(
 
     A zero completion count is never considered dense, so an empty complex
     reports non-extendable for any positive omega.  Above ``root_limit``
-    roots only every stride-th root is checked, and a note says how many.
+    roots only every stride-th root is checked, and a note says how many;
+    a ``root_limit`` below 1 raises ValueError.
     """
     omega = Fraction(omega)
     n = phi.vertex_count
     position_lists = templates if templates is not None else default_templates(phi.q, rank)
+    if root_limit is not None and root_limit < 1:
+        raise ValueError("root_limit must be at least 1")
     roots = sorted(phi.full_level())
     notes = []
     if root_limit is not None and len(roots) > root_limit:
@@ -900,6 +903,8 @@ def is_typical_hp(
     densities of the index classes hit, with both sides allowed to vanish
     when an index falls outside the pattern's realized index set."""
     c = Fraction(c)
+    if host_partition.t != pattern_partition.t:
+        raise ValueError("partitions have different part counts")
     dens = {
         i: partite_density(g, host_partition, i)
         for i in index_set(h, pattern_partition)

@@ -13,13 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .core import (
-    ColouredMultidigraph,
-    ColouredMultigraph,
-    Digraph,
-    Hypergraph,
-    Partition,
-)
+from .core import _Incidence
 from .intlattice import IncrementalLattice
 
 
@@ -35,56 +29,51 @@ class TimeBudgetExceeded(BudgetExceeded):
 # atomization
 
 
+def _slots(structure, role: str) -> list:
+    """(edge or arc, multiplicity vector, or None when uncoloured) pairs in
+    canonical order."""
+    if not isinstance(structure, _Incidence):
+        raise TypeError(f"unsupported {role} type {type(structure)!r}")
+    if hasattr(structure, "colours"):
+        return list(structure.mult)
+    return [(item, None) for item in sorted(item for item, _ in structure._entries())]
+
+
 def host_atoms(host) -> dict:
     """Column keys with capacities.  Edges and arcs are their own keys;
     coloured hosts key on (edge-or-arc, colour)."""
-    if isinstance(host, Hypergraph):
-        return {e: 1 for e in host.sorted_edges()}
-    if isinstance(host, ColouredMultigraph):
-        out = {}
-        for e, vec in host.mult:
+    out = {}
+    for item, vec in _slots(host, "host"):
+        if vec is None:
+            out[item] = 1
+        else:
             for d, m in enumerate(vec):
                 if m:
-                    out[(e, d)] = m
-        return out
-    if isinstance(host, Digraph):
-        return {a: 1 for a in host.sorted_arcs()}
-    if isinstance(host, ColouredMultidigraph):
-        out = {}
-        for a, vec in host.mult:
-            for d, m in enumerate(vec):
-                if m:
-                    out[(a, d)] = m
-        return out
-    raise TypeError(f"unsupported host type {type(host)!r}")
+                    out[(item, d)] = m
+    return out
+
+
+def _sorted_key(img) -> tuple:
+    return tuple(sorted(img))
 
 
 def _pattern_atoms(pattern) -> tuple[int, list]:
-    """(vertex count, [(pattern vertex tuple, atom key builder)]) where the
-    builder maps host images of the tuple to a column key."""
-    if isinstance(pattern, Hypergraph):
-        return pattern.n, [
-            (e, lambda img, e=e: tuple(sorted(img))) for e in pattern.sorted_edges()
-        ]
-    if isinstance(pattern, ColouredMultigraph):
-        items = []
-        for e, vec in pattern.mult:
-            if sum(vec) != 1:
-                raise ValueError("pattern edges must carry exactly one colour once")
-            d = vec.index(1)
-            items.append((e, lambda img, d=d: (tuple(sorted(img)), d)))
-        return pattern.n, items
-    if isinstance(pattern, Digraph):
-        return pattern.n, [(a, lambda img: tuple(img)) for a in pattern.sorted_arcs()]
-    if isinstance(pattern, ColouredMultidigraph):
-        items = []
-        for a, vec in pattern.mult:
-            if sum(vec) != 1:
-                raise ValueError("pattern arcs must carry exactly one colour once")
-            d = vec.index(1)
-            items.append((a, lambda img, d=d: (tuple(img), d)))
-        return pattern.n, items
-    raise TypeError(f"unsupported pattern type {type(pattern)!r}")
+    """(vertex count, [(pattern vertex tuple, atom key function)]) where the
+    function maps the tuple of host images of the vertex tuple to a column
+    key: the images themselves for arcs, sorted for edges, paired with the
+    colour for coloured patterns."""
+    slots = _slots(pattern, "pattern")
+    key = tuple if pattern._ordered else _sorted_key
+    items = []
+    for item, vec in slots:
+        if vec is None:
+            items.append((item, key))
+            continue
+        if sum(vec) != 1:
+            kind = "arcs" if pattern._ordered else "edges"
+            raise ValueError(f"pattern {kind} must carry exactly one colour once")
+        items.append((item, lambda img, d=vec.index(1): (key(img), d)))
+    return pattern.n, items
 
 
 # ---------------------------------------------------------------------------
@@ -249,20 +238,18 @@ class SolveResult:
         return self.status == "found"
 
 
-class _Timeout(Exception):
-    def __init__(self, frontier):
-        self.frontier = frontier
-
-
 class _CoverSearch:
     """Deterministic capacity-aware exact cover over a copy table.
 
     Rows are the bits of Python ints: ``masks[c]`` holds the rows covering
-    column c, and a node's alive rows are one int passed down the recursion,
-    so backtracking only restores the selected row's ``need`` entries.  When
-    the alive rows grow sparse in their int, a subtree renumbers them densely
-    in the same order; ``ids`` maps its row numbers back to footprint
-    indices, which selections, solutions and frontiers always use.
+    column c, and a node's alive rows are one int.  ``solutions`` walks the
+    search tree with an explicit stack, one frame per selected row holding
+    the parent node's state and place in its candidate list, so depth is
+    bounded only by memory and backtracking only restores the selected
+    row's ``need`` entries.  When the alive rows grow sparse in their int,
+    a subtree renumbers them densely in the same order; ``ids`` maps its
+    row numbers back to footprint indices, which selections, solutions and
+    frontiers always use.
 
     Counting each open column's alive rows through its mask costs a node
     about 40 ns per open column plus 1 ns per 30 bits of the alive int;
@@ -274,115 +261,132 @@ class _CoverSearch:
 
     def __init__(self, table: CopyTable):
         self.rows = table.footprints
-        self.need = list(table.capacities)
-        col_rows: list[list[int]] = [[] for _ in self.need]
+        self.capacities = list(table.capacities)
+        col_rows: list[list[int]] = [[] for _ in self.capacities]
         for r, fp in enumerate(self.rows):
             for c in fp:
                 col_rows[c].append(r)
         self.masks = [_mask(rows) for rows in col_rows]
         self.kill_cost = 1800 * max(map(len, self.rows), default=0) ** 3
-        self.selection: list[int] = []
         self.nodes = 0
         self.deadline = None
         self.node_budget = None
+        self.frontier: list | None = None
 
-    def _tick(self):
-        self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
-            raise _Timeout(list(self.selection))
-        if self.deadline is not None and self.nodes % 256 == 0:
-            if time.monotonic() > self.deadline:
-                raise _Timeout(list(self.selection))
+    def solutions(self, replay=None):
+        """Yield each solution's footprint indices in selection order.
 
-    def run(self, on_solution, replay=None):
-        """Search until on_solution returns True (then True) or the space is
-        exhausted (then False)."""
-        self.on_solution = on_solution
-        n = len(self.rows)
-        open_cols = [c for c, k in enumerate(self.need) if k > 0]
-        counts = [m.bit_count() for m in self.masks]
-        return self._search((1 << n) - 1, self.masks, range(n), open_cols, counts, replay or [])
-
-    def _search(self, alive, masks, ids, open_cols, counts, replay) -> bool:
-        self._tick()
-        if not open_cols:
-            return self.on_solution(list(self.selection))
-        n_alive = alive.bit_count()
-        if alive.bit_length() > 4 * n_alive + 64:
-            ids = [ids[i] for i in _bits(alive)]
-            alive, masks = (1 << len(ids)) - 1, [0] * len(masks)
-            for i, r in enumerate(ids):
-                for col in self.rows[r]:
-                    masks[col] |= 1 << i
-        # the column with the fewest alive rows, lowest index on ties; the two
-        # per-node costs of the class docstring, both times 30 * len(open_cols)
-        if counts is not None and (
-            len(open_cols) ** 2 * (1200 + alive.bit_length()) > self.kill_cost * n_alive
-        ):
-            c = min(open_cols, key=counts.__getitem__)
-            least = counts[c]
-        else:
-            counts = None
-            least = len(self.rows) + 1
-            for col in open_cols:
-                k = (masks[col] & alive).bit_count()
-                if k < least:
-                    c, least = col, k
-                    if not k:
-                        break
-        need = self.need
-        need_c = need[c]
-        if least < need_c:
-            return False
-        rows_c = masks[c] & alive
-        cands = _bits(rows_c)
-        start = 0
-        inner_replay = []
-        if replay:
-            targets = [ids[r] for r in cands]
-            if replay[0] in targets:
-                start = targets.index(replay[0])
-                inner_replay = replay[1:]
-        for pos in range(start, len(cands)):
-            if len(cands) - pos < need_c:
-                break  # fewer rows of c are left than c still needs
-            r = cands[pos]
-            # r is the lowest-indexed selected row covering c in this branch
-            sub = alive ^ (rows_c & ((2 << r) - 1))
-            fp = self.rows[ids[r]]
-            done = 0
-            viable = True
-            closed = False
-            for col in fp:
-                done += 1
-                k = need[col] - 1
-                need[col] = k
-                if k == 0:
-                    sub &= ~masks[col]
-                    closed = True
-                elif (masks[col] & sub).bit_count() < k:
-                    viable = False
-                    break
-            if viable:
-                self.selection.append(ids[r])
-                child_open = [x for x in open_cols if need[x]] if closed else open_cols
-                if counts is not None:
-                    killed = [self.rows[ids[k]] for k in _bits(alive ^ sub)]
-                    for kfp in killed:
-                        for col in kfp:
-                            counts[col] -= 1
-                viable = self._search(sub, masks, ids, child_open, counts, inner_replay)
-                if counts is not None:
+        ``replay`` is a frontier of an earlier stopped search: the walk
+        starts at the node it names, skipping every earlier branch.  When
+        the node budget or the deadline (checked every 256 nodes) runs
+        out, ``frontier`` becomes the selection leading to the node
+        reached and the generator returns; it stays None after an
+        exhausted search.
+        """
+        rows, need = self.rows, list(self.capacities)
+        node_budget, deadline = self.node_budget, self.deadline
+        n = len(rows)
+        alive, masks, ids = (1 << n) - 1, self.masks, range(n)
+        open_cols = [c for c, k in enumerate(need) if k > 0]
+        counts = [m.bit_count() for m in masks]
+        replay = replay or ()
+        selection: list[int] = []
+        stack: list[tuple] = []  # per selected row, its parent's state
+        self.frontier = None
+        while True:
+            # enter the node whose state the locals hold
+            self.nodes += 1
+            if (node_budget is not None and self.nodes > node_budget) or (
+                deadline is not None and self.nodes % 256 == 0 and time.monotonic() > deadline
+            ):
+                self.frontier = list(selection)
+                return
+            here, replay = replay, ()
+            cands, pos, need_c = (), 0, 1  # leaves and dead ends have no candidates
+            if not open_cols:
+                yield list(selection)
+            else:
+                n_alive = alive.bit_count()
+                if alive.bit_length() > 4 * n_alive + 64:
+                    ids = [ids[i] for i in _bits(alive)]
+                    alive, masks = (1 << len(ids)) - 1, [0] * len(masks)
+                    for i, r in enumerate(ids):
+                        for col in rows[r]:
+                            masks[col] |= 1 << i
+                # the column with the fewest alive rows, lowest index on ties; the
+                # two per-node costs of the class docstring, both times 30 * len(open_cols)
+                if counts is not None and (
+                    len(open_cols) ** 2 * (1200 + alive.bit_length()) > self.kill_cost * n_alive
+                ):
+                    c = min(open_cols, key=counts.__getitem__)
+                    least = counts[c]
+                else:
+                    counts = None
+                    least = n + 1
+                    for col in open_cols:
+                        k = (masks[col] & alive).bit_count()
+                        if k < least:
+                            c, least = col, k
+                            if not k:
+                                break
+                need_c = need[c]
+                if least >= need_c:
+                    rows_c = masks[c] & alive
+                    cands = _bits(rows_c)
+                    if here:
+                        targets = [ids[r] for r in cands]
+                        if here[0] in targets:
+                            pos = targets.index(here[0])
+                            replay = here[1:]
+            # select the next viable candidate, backtracking while there is none
+            while True:
+                if len(cands) - pos < need_c:  # too few rows of c are left
+                    if not stack:
+                        return
+                    frame = stack.pop()
+                    alive, masks, ids, open_cols, counts, cands, pos, rows_c, need_c, fp, killed = frame
+                    selection.pop()
+                    for col in fp:
+                        need[col] += 1
                     for kfp in killed:
                         for col in kfp:
                             counts[col] += 1
-                self.selection.pop()
-            for col in fp[:done]:
-                need[col] += 1
-            if viable:
-                return True
-            inner_replay = []
-        return False
+                    replay = ()
+                    continue
+                r = cands[pos]
+                pos += 1
+                # r is the lowest-indexed selected row covering c in this branch
+                sub = alive ^ (rows_c & ((2 << r) - 1))
+                fp = rows[ids[r]]
+                done = 0
+                viable = True
+                closed = False
+                for col in fp:
+                    done += 1
+                    k = need[col] - 1
+                    need[col] = k
+                    if k == 0:
+                        sub &= ~masks[col]
+                        closed = True
+                    elif (masks[col] & sub).bit_count() < k:
+                        viable = False
+                        break
+                if viable:
+                    break
+                for col in fp[:done]:
+                    need[col] += 1
+                replay = ()
+            killed = ()
+            if counts is not None:
+                killed = [rows[ids[k]] for k in _bits(alive ^ sub)]
+                for kfp in killed:
+                    for col in kfp:
+                        counts[col] -= 1
+            stack.append((alive, masks, ids, open_cols, counts, cands, pos, rows_c, need_c, fp, killed))
+            selection.append(ids[r])
+            alive = sub
+            if closed:
+                open_cols = [x for x in open_cols if need[x]]
 
 
 def _mask(bits: list[int]) -> int:
@@ -440,40 +444,17 @@ def find_decomposition(
     search = _CoverSearch(table)
     search.deadline = deadline
     search.node_budget = node_budget
-    solution: list | None = None
-
-    def on_solution(sel):
-        nonlocal solution
-        solution = sel
-        return True
-
-    try:
-        found = search.run(on_solution, replay=resume)
-    except _Timeout as t:
-        return SolveResult(
-            status="timeout",
-            certificate=None,
-            nodes=search.nodes,
-            elapsed=time.monotonic() - t0,
-            frontier=t.frontier,
-        )
-    if not found:
-        return SolveResult(
-            status="none",
-            certificate=None,
-            nodes=search.nodes,
-            elapsed=time.monotonic() - t0,
-        )
+    solution = next(search.solutions(resume), None)
+    elapsed = time.monotonic() - t0
+    if search.frontier is not None:
+        return SolveResult("timeout", None, search.nodes, elapsed, frontier=search.frontier)
+    if solution is None:
+        return SolveResult("none", None, search.nodes, elapsed)
     cert = Certificate(
         footprint_indices=sorted(solution),
         embeddings=[table.embeddings[r] for r in sorted(solution)],
     )
-    return SolveResult(
-        status="found",
-        certificate=cert,
-        nodes=search.nodes,
-        elapsed=time.monotonic() - t0,
-    )
+    return SolveResult("found", cert, search.nodes, elapsed)
 
 
 def count_decompositions(
@@ -490,16 +471,8 @@ def count_decompositions(
     table = table or enumerate_copies(host, patterns, partition, budget, deadline)
     search = _CoverSearch(table)
     search.deadline = deadline
-    count = 0
-
-    def on_solution(_sel):
-        nonlocal count
-        count += 1
-        return False
-
-    try:
-        search.run(on_solution)
-    except _Timeout:
+    count = sum(1 for _ in search.solutions())
+    if search.frontier is not None:
         raise TimeBudgetExceeded("counting hit the time budget")
     return count
 

@@ -161,6 +161,13 @@ def test_budget_env_var_limits_enumeration(monkeypatch, capsys):
     assert code2 == 0
 
 
+def test_solve_selects_more_copies_than_the_recursion_limit(capsys):
+    code, out = run_cli(capsys, "solve", "--host", "k_n:1200:1", "--pattern", "k_n:1:1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "found" and len(doc["certificate"]["copies"]) == 1200
+
+
 def test_verify_cli_roundtrip(tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     code, _ = run_cli(

@@ -186,6 +186,13 @@ def test_extendable_complete_complex():
         assert report7.checked == 210 and report7.notes == []
 
 
+def test_extendable_rejects_root_limit_below_one():
+    phi = LabelledComplex.complete_complex(3, 5)
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="root_limit"):
+            is_extendable(phi, Fraction(1, 2), 2, root_limit=limit)
+
+
 def test_extendable_fails_on_empty_complex():
     phi = LabelledComplex.complete_complex(3, 0)
     report = is_extendable(phi, Fraction(1, 2), 1)
@@ -267,6 +274,18 @@ def test_typicality_hp_mode():
         broken, hpart, tri, Partition.singletons(3), Fraction(1, 1000), 1
     )
     assert not rep2.typical
+
+
+def test_typicality_hp_rejects_mismatched_part_counts():
+    tri = Hypergraph.complete(3, 2)
+    host, hpart = blowup(tri, [2, 2, 2])  # three host parts, two pattern parts
+    with pytest.raises(ValueError, match="part counts"):
+        is_typical_hp(host, hpart, tri, Partition.from_lists([[0, 1], [2]]), Fraction(0), 1)
+    # two host parts, three pattern parts
+    g = Hypergraph.complete(6, 2)
+    two = Partition.from_lists([[0, 1, 2], [3, 4, 5]])
+    with pytest.raises(ValueError, match="part counts"):
+        is_typical_hp(g, two, tri, Partition.singletons(3), Fraction(0), 1)
 
 
 def test_extension_json_roundtrip():

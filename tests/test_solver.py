@@ -256,16 +256,24 @@ def _run(engine, table, node_budget=None, replay=None, count=False, kill_cost=No
     if kill_cost is not None:
         search.kill_cost = kill_cost
     solutions = []
+    if engine is oracles.RefCoverSearch:
 
-    def on_solution(sel):
+        def on_solution(sel):
+            solutions.append(sel)
+            return not count
+
+        try:
+            outcome = search.run(on_solution, replay)
+        except oracles.RefTimeout as stop:
+            outcome = ("timeout", stop.frontier)
+        return outcome, solutions, search.nodes
+    for sel in search.solutions(replay):
         solutions.append(sel)
-        return not count
-
-    try:
-        outcome = search.run(on_solution, replay)
-    except (sv._Timeout, oracles.RefTimeout) as stop:
-        outcome = ("timeout", stop.frontier)
-    return outcome, solutions, search.nodes
+        if not count:
+            break
+    if search.frontier is not None:
+        return ("timeout", search.frontier), solutions, search.nodes
+    return bool(solutions) and not count, solutions, search.nodes
 
 
 def _assert_same_search(table, budgets, resume_budget=None):
@@ -350,6 +358,25 @@ def test_time_budget_covers_copy_enumeration():
     again = find_decomposition(Hypergraph.complete(9, 2), TRIANGLE, resume=[])
     assert again.certificate.embeddings == full.certificate.embeddings
     assert again.nodes == full.nodes
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # one search level per selected copy, deeper than Python's default
+    # recursion limit of 1000
+    n = 1500
+    table = _table([(c,) for c in range(n)], [1] * n)
+    full = find_decomposition(None, None, table=table)
+    assert full.found and full.certificate.footprint_indices == list(range(n))
+    assert count_decompositions(None, None, table=table) == 1
+    cut = find_decomposition(None, None, table=table, node_budget=1200)
+    assert cut.status == "timeout" and len(cut.frontier) == 1200
+    resumed = find_decomposition(None, None, table=table, resume=cut.frontier)
+    assert resumed.certificate == full.certificate
+    # the deadline is checked every 256 nodes, and stops both the same way
+    late = find_decomposition(None, None, table=table, timeout=0)
+    assert (late.status, late.nodes, len(late.frontier)) == ("timeout", 256, 255)
+    with pytest.raises(TimeBudgetExceeded):
+        count_decompositions(None, None, table=table, timeout=0)
 
 
 def test_verify_partite_deficit_names_the_first_misplaced_vertex():
