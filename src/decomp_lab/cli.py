@@ -30,7 +30,6 @@ from .core import (
     Digraph,
     Hypergraph,
     Partition,
-    blowup,
     dumps_canonical,
 )
 from .intlattice import (
@@ -327,12 +326,8 @@ def cmd_nibble(args) -> int:
     pattern = parse_structure(args.pattern)
     if isinstance(pattern, dict):
         raise InputError("nibble takes a plain pattern spec")
-    bounds = nb.counting_bounds(
-        pattern,
-        args.blowup,
-        seed=args.seed,
-        stop_density=Fraction(args.stop_density) if args.stop_density else None,
-    )
+    stop_density = Fraction(args.stop_density) if args.stop_density else None
+    bounds, aux = nb._blowup_bounds(pattern, args.blowup, args.seed, stop_density)
     doc = {
         "command": "nibble",
         "pattern": args.pattern,
@@ -347,15 +342,7 @@ def cmd_nibble(args) -> int:
         "notes": bounds.notes,
     }
     if args.trajectory_out:
-        host, host_partition = blowup(pattern, [args.blowup] * pattern.n)
-        aux = nb.build_auxiliary(
-            host, pattern, (Partition.singletons(pattern.n), host_partition)
-        )
-        run = nb.random_greedy(
-            aux,
-            seed=args.seed,
-            stop_density=Fraction(args.stop_density) if args.stop_density else None,
-        )
+        run = nb.random_greedy(aux, seed=args.seed, stop_density=stop_density)
         with open(args.trajectory_out, "w", encoding="utf-8") as fh:
             fh.write(run.dump_jsonl() + "\n")
         doc["trajectory"] = args.trajectory_out

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, combinations, repeat
 
 from .core import Hypergraph, Partition, blowup
 from .rng import SplitMix64
@@ -59,12 +61,7 @@ def build_auxiliary(host, patterns, partition=None, budget: int = 10_000_000) ->
         for a in fp:
             incidence[a].append(cid)
     degrees = [len(lst) for lst in incidence]
-    pair_deg: dict = {}
-    for fp in table.footprints:
-        for i in range(len(fp)):
-            for j in range(i + 1, len(fp)):
-                key = (fp[i], fp[j])
-                pair_deg[key] = pair_deg.get(key, 0) + 1
+    pair_deg = Counter(chain.from_iterable(map(combinations, table.footprints, repeat(2))))
     return AuxiliaryMatchingInstance(
         atoms=table.atoms,
         copies=table.footprints,
@@ -205,6 +202,13 @@ def counting_bounds(
     all correction terms dropped (flagged); see default_count_stop for why
     the trajectory stops early by default.
     """
+    return _blowup_bounds(pattern, n, seed, stop_density)[0]
+
+
+def _blowup_bounds(
+    pattern: Hypergraph, n: int, seed: int, stop_density=None
+) -> tuple[CountingBounds, AuxiliaryMatchingInstance]:
+    """counting_bounds and the blowup auxiliary it ran on."""
     if stop_density is None:
         stop_density = default_count_stop(n)
     host, host_partition = blowup(pattern, [n] * pattern.n)
@@ -219,7 +223,7 @@ def counting_bounds(
     log_lower = 0.0
     for s in run.steps:
         log_lower += math.log(s.choices) - math.log(cells - s.step)
-    return CountingBounds(
+    bounds = CountingBounds(
         log_upper=log_upper,
         log_lower_estimate=log_lower,
         per_cell_upper=log_upper / cells,
@@ -232,3 +236,4 @@ def counting_bounds(
             f"stop={run.stop_reason}",
         ],
     )
+    return bounds, aux

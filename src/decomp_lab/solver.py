@@ -10,8 +10,10 @@ carrying a resumable frontier.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .core import _Incidence
 from .intlattice import IncrementalLattice
@@ -53,26 +55,30 @@ def host_atoms(host) -> dict:
     return out
 
 
-def _sorted_key(img) -> tuple:
-    return tuple(sorted(img))
+def _getter(verts):
+    """The function from a sequence to the tuple of its entries at verts."""
+    if len(verts) > 1:
+        return itemgetter(*verts)
+    return lambda seq: tuple(seq[x] for x in verts)
 
 
 def _pattern_atoms(pattern) -> tuple[int, list]:
     """(vertex count, [(pattern vertex tuple, atom key function)]) where the
-    function maps the tuple of host images of the vertex tuple to a column
-    key: the images themselves for arcs, sorted for edges, paired with the
-    colour for coloured patterns."""
+    function maps the host images of all pattern vertices, indexed by
+    pattern vertex, to the slot's column key: the images of the arc, the
+    sorted images of the edge, paired with the colour for coloured
+    patterns."""
     slots = _slots(pattern, "pattern")
-    key = tuple if pattern._ordered else _sorted_key
     items = []
     for item, vec in slots:
-        if vec is None:
-            items.append((item, key))
-            continue
-        if sum(vec) != 1:
-            kind = "arcs" if pattern._ordered else "edges"
-            raise ValueError(f"pattern {kind} must carry exactly one colour once")
-        items.append((item, lambda img, d=vec.index(1): (key(img), d)))
+        get = _getter(item)
+        key = get if pattern._ordered else (lambda seq, get=get: tuple(sorted(get(seq))))
+        if vec is not None:
+            if sum(vec) != 1:
+                kind = "arcs" if pattern._ordered else "edges"
+                raise ValueError(f"pattern {kind} must carry exactly one colour once")
+            key = lambda seq, key=key, d=vec.index(1): (key(seq), d)
+        items.append((item, key))
     return pattern.n, items
 
 
@@ -89,6 +95,139 @@ class CopyTable:
     multiplicities: list  # number of embeddings per footprint
 
 
+def _placements(plans, lookup, budget=math.inf, deadline=None):
+    """Yield (plan index, images, keys) for every placement of each plan in
+    turn whose slot keys ``lookup`` all finds.
+
+    A plan (order, ready, pools, after) places pattern vertex order[k] at
+    level k on the members of pools[order[k]] in pool order, skipping host
+    vertices already used and, when after[k] is not -1, every pool position
+    up to that of the vertex placed at level after[k]; ready[k] holds the
+    key functions of the slots whose last vertex is order[k].  ``images``
+    (host vertex per pattern vertex) and ``keys`` (the lookup results in
+    level order) are lists the walk reuses.  More than ``budget`` nodes
+    raise BudgetExceeded; passing the ``time.monotonic()`` instant
+    ``deadline``, checked every 1024 nodes and when the walk ends, raises
+    TimeBudgetExceeded.
+    """
+    nodes = 0
+    limit = budget if deadline is None else min(budget, 1024)  # next check
+    keys: list = []
+    used: set = set()
+
+    def level(k):
+        nonlocal nodes, limit
+        x = order[k]
+        pool = pools[x]
+        checks = ready[k]
+        start = at[after[k]] + 1 if after[k] >= 0 else 0
+        for i in range(start, len(pool)):
+            v = pool[i]
+            if v in used:
+                continue
+            nodes += 1
+            if nodes > limit:
+                if nodes > budget:
+                    raise BudgetExceeded(f"copy enumeration exceeded {budget} nodes")
+                if time.monotonic() > deadline:
+                    raise TimeBudgetExceeded("copy enumeration hit the time budget")
+                limit = min(budget, nodes + 1024)
+            images[x] = v
+            mark = len(keys)
+            for key in checks:
+                a = lookup(key(images))
+                if a is None:
+                    break
+                keys.append(a)
+            else:
+                if k == last:
+                    yield p, images, keys
+                else:
+                    at[k] = i
+                    used.add(v)
+                    yield from level(k + 1)
+                    used.discard(v)
+            del keys[mark:]
+
+    for p, (order, ready, pools, after) in enumerate(plans):
+        images = [None] * len(order)
+        at = [0] * len(order)  # pool position of the vertex placed per level
+        last = len(order) - 1
+        if order:
+            yield from level(0)
+        else:
+            yield p, images, keys
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeBudgetExceeded("copy enumeration hit the time budget")
+
+
+def _plan(pattern, part_of: dict | None, host_pools: list, deadline=None) -> tuple:
+    """(placement plan, embeddings per placement) for one pattern;
+    ``part_of`` maps each pattern vertex to its part (None: one part) and
+    ``host_pools[j]`` lists the host vertices of part j.
+
+    Vertices are placed in an order that closes edges early.  The
+    automorphisms of the pattern (the vertex permutations that keep every
+    vertex in its part and map slot keys, colours and orientation included,
+    onto slot keys) act freely on the placements and keep their footprints.
+    With O_k the images of order[k] under the automorphisms fixing
+    order[:k] pointwise, requiring the vertex placed at level k to follow, in
+    pool position, the vertex placed at each earlier level j with order[k]
+    in O_j keeps exactly the least placement of each orbit in walk order
+    (Puget, "Breaking symmetries in all different problems", IJCAI 2005),
+    and each stands for prod |O_k| embeddings.  That chain of constraints
+    closes under transitivity, so the latest such level j is the only one
+    checked.
+    """
+    q, items = _pattern_atoms(pattern)
+    if part_of is not None and len(part_of) != q:
+        raise ValueError("pattern partition does not match pattern order")
+    part = [0] * q if part_of is None else [part_of[x] for x in range(q)]
+    occurrences = [0] * q
+    for verts, _ in items:
+        for x in verts:
+            occurrences[x] += 1
+    order = sorted(range(q), key=lambda x: (-occurrences[x], x))
+    level_of = [0] * q
+    for k, x in enumerate(order):
+        level_of[x] = k
+    ready: list[list] = [[] for _ in range(q)]
+    for verts, key in items:
+        ready[max(level_of[x] for x in verts)].append(key)
+    own = {key(range(q)): i for i, (_, key) in enumerate(items)}
+    if len(own) < len(items):
+        raise ValueError("pattern covers one host slot twice")
+    orbits = _orbits(order, ready, part, own, deadline)
+    after = [max((j for j in range(k) if x in orbits[j]), default=-1) for k, x in enumerate(order)]
+    plan = (order, ready, [host_pools[part[x]] for x in range(q)], after)
+    return plan, math.prod(map(len, orbits))
+
+
+def _orbits(order, ready, part, own, deadline=None) -> list[list[int]]:
+    """O_k for each level k: the pattern vertices that an automorphism
+    fixing order[:k] pointwise maps order[k] to.
+
+    Each candidate image is decided by a search for one such automorphism,
+    a placement of the pattern on itself whose slot keys are all in ``own``,
+    which stops at the first one found; the group is never listed.
+    """
+    q = len(order)
+    pools = [[y for y in range(q) if part[y] == part[x]] for x in range(q)]
+    no_after = [-1] * q
+    orbits = []
+    for k, x in enumerate(order):
+        orbit = [x]
+        for y in order[k + 1 :]:
+            if part[y] == part[x]:
+                pools[x] = [y]
+                plans = [(order, ready, pools, no_after)]
+                if next(_placements(plans, own.get, deadline=deadline), None):
+                    orbit.append(y)
+        pools[x] = [x]
+        orbits.append(orbit)
+    return orbits
+
+
 def enumerate_copies(
     host, patterns, partition=None, budget: int = 10_000_000, deadline: float | None = None
 ) -> CopyTable:
@@ -96,91 +235,43 @@ def enumerate_copies(
 
     ``patterns`` is a single pattern or a list; ``partition`` an optional
     (pattern Partition, host Partition) pair constraining images partwise.
-    Footprints are deduplicated; each keeps a representative embedding and
-    an embedding count.  More than ``budget`` nodes raise BudgetExceeded;
-    passing the ``time.monotonic()`` instant ``deadline``, checked every
-    1024 nodes, raises TimeBudgetExceeded.
+    Footprints are deduplicated; each keeps a representative embedding (the
+    first in the walk order) and an embedding count.  The walk visits one
+    embedding per orbit of the pattern's automorphisms and counts it
+    |Aut(pattern)| times, so the table is the one that placing every
+    labelled embedding gives.  ``budget`` caps the nodes of that reduced
+    walk (one per host vertex tried at a level): more raise BudgetExceeded.
+    Passing the ``time.monotonic()`` instant ``deadline``, checked every
+    1024 nodes and when the walk ends, raises TimeBudgetExceeded.
     """
     if not isinstance(patterns, (list, tuple)):
         patterns = [patterns]
     atoms = host_atoms(host)
     atom_order = sorted(atoms, key=repr)
     atom_index = {a: i for i, a in enumerate(atom_order)}
-    n_host = host.n
-    part_pool = None
+    host_pools = [range(host.n)]
+    part_of = None
     if partition is not None:
         pattern_partition, host_partition = partition
+        if pattern_partition.t > host_partition.t:
+            raise ValueError("host partition has fewer parts than the pattern partition")
         part_of = pattern_partition.assignment()
-        pools = [list(p) for p in host_partition.parts]
-        part_pool = [pools[part_of[x]] for x in range(pattern_partition.ground_size)]
+        host_pools = [list(p) for p in host_partition.parts]
+    plans, multiplicities = [], []
+    for pattern in patterns:
+        plan, multiplicity = _plan(pattern, part_of, host_pools, deadline)
+        plans.append(plan)
+        multiplicities.append(multiplicity)
     found: dict[tuple, tuple] = {}
     counts: dict[tuple, int] = {}
-    nodes = 0
-    limit = budget if deadline is None else min(budget, 1024)  # next check
-    for p_idx, pattern in enumerate(patterns):
-        q, items = _pattern_atoms(pattern)
-        if part_pool is not None and len(part_pool) != q:
-            raise ValueError("pattern partition does not match pattern order")
-        # place vertices in an order that closes edges early
-        occurrences = {x: 0 for x in range(q)}
-        for verts, _ in items:
-            for x in verts:
-                occurrences[x] += 1
-        order = sorted(range(q), key=lambda x: (-occurrences[x], x))
-        placed_at = {x: k for k, x in enumerate(order)}
-        # atoms ready for checking once their last vertex is placed
-        ready: list[list] = [[] for _ in range(q)]
-        for verts, builder in items:
-            last = max(placed_at[x] for x in verts)
-            ready[last].append((verts, builder))
-        images = [None] * q
-        used = set()
-
-        def rec(k: int):
-            nonlocal nodes, limit
-            if k == q:
-                keys = []
-                ok = True
-                for verts, builder in items:
-                    key = builder(tuple(images[x] for x in verts))
-                    if key not in atoms:
-                        ok = False
-                        break
-                    keys.append(atom_index[key])
-                if ok:
-                    fp = tuple(sorted(keys))
-                    if len(set(fp)) != len(fp):
-                        raise ValueError("pattern covers one host slot twice")
-                    counts[fp] = counts.get(fp, 0) + 1
-                    if fp not in found:
-                        found[fp] = (p_idx, tuple(images))
-                return
-            x = order[k]
-            pool = part_pool[x] if part_pool is not None else range(n_host)
-            for v in pool:
-                if v in used:
-                    continue
-                nodes += 1
-                if nodes > limit:
-                    if nodes > budget:
-                        raise BudgetExceeded(f"copy enumeration exceeded {budget} nodes")
-                    if time.monotonic() > deadline:
-                        raise TimeBudgetExceeded("copy enumeration hit the time budget")
-                    limit = min(budget, nodes + 1024)
-                images[x] = v
-                ok = True
-                for verts, builder in ready[k]:
-                    key = builder(tuple(images[y] for y in verts))
-                    if key not in atoms:
-                        ok = False
-                        break
-                if ok:
-                    used.add(v)
-                    rec(k + 1)
-                    used.discard(v)
-            images[x] = None
-
-        rec(0)
+    for p_idx, images, keys in _placements(plans, atom_index.get, budget, deadline):
+        fp = tuple(sorted(keys))
+        count = counts.get(fp)
+        if count is None:
+            counts[fp] = multiplicities[p_idx]
+            found[fp] = (p_idx, tuple(images))
+        else:
+            counts[fp] = count + multiplicities[p_idx]
     order_fp = sorted(found)
     return CopyTable(
         atoms=atom_order,
@@ -515,8 +606,8 @@ def verify_certificate(host, patterns, cert: Certificate, partition=None) -> Ver
                     return VerificationReport(
                         valid=False, deficit=[("partite", (x, v))]
                     )
-        for verts, builder in items:
-            key = builder(tuple(images[x] for x in verts))
+        for _, key_of in items:
+            key = key_of(images)
             covered[key] = covered.get(key, 0) + w
     deficit = []
     surplus = []

@@ -6,7 +6,9 @@ and grid counts by plain backtracking over itertools combinations.  The
 reference degree queries scan every edge or arc on each call, the way the
 library counted degrees before its incidence index; the library must agree
 with them exactly.  `RefCoverSearch` is the solver's earlier exact-cover
-engine, kept verbatim as the reference for node counts and frontiers, and
+engine, kept verbatim as the reference for node counts and frontiers;
+`ref_enumerate_copies` is its earlier copy enumeration, which places every
+labelled embedding, kept verbatim as the reference for copy tables; and
 the `ref_is_typical_*` functions are the earlier typicality checks, one
 loop per mode, kept verbatim as the reference for typicality reports.
 """
@@ -19,8 +21,9 @@ from itertools import combinations, permutations, product
 from math import comb
 
 from decomp_lab.complexes import TypicalityReport
-from decomp_lab.core import index_set, partite_density
+from decomp_lab.core import _Incidence, index_set, partite_density
 from decomp_lab.rng import SplitMix64
+from decomp_lab.solver import BudgetExceeded, CopyTable, TimeBudgetExceeded
 
 
 def latin_square_count(n: int) -> int:
@@ -474,6 +477,163 @@ class RefCoverSearch:
             self._undo(trail)
             inner_replay = []
         return False
+
+
+# ---------------------------------------------------------------------------
+# reference copy enumeration: every labelled embedding is placed and its slot
+# keys are built again at the leaf, the way the solver enumerated before it
+# visited one embedding per pattern automorphism orbit.  The library must
+# give equal copy tables: atoms, capacities, footprint order, representative
+# embeddings and multiplicities.
+
+
+def _ref_slots(structure, role: str) -> list:
+    """(edge or arc, multiplicity vector, or None when uncoloured) pairs in
+    canonical order."""
+    if not isinstance(structure, _Incidence):
+        raise TypeError(f"unsupported {role} type {type(structure)!r}")
+    if hasattr(structure, "colours"):
+        return list(structure.mult)
+    return [(item, None) for item in sorted(item for item, _ in structure._entries())]
+
+
+def _ref_host_atoms(host) -> dict:
+    """Column keys with capacities.  Edges and arcs are their own keys;
+    coloured hosts key on (edge-or-arc, colour)."""
+    out = {}
+    for item, vec in _ref_slots(host, "host"):
+        if vec is None:
+            out[item] = 1
+        else:
+            for d, m in enumerate(vec):
+                if m:
+                    out[(item, d)] = m
+    return out
+
+
+def _ref_sorted_key(img) -> tuple:
+    return tuple(sorted(img))
+
+
+def _ref_pattern_atoms(pattern) -> tuple[int, list]:
+    """(vertex count, [(pattern vertex tuple, atom key function)]) where the
+    function maps the tuple of host images of the vertex tuple to a column
+    key: the images themselves for arcs, sorted for edges, paired with the
+    colour for coloured patterns."""
+    slots = _ref_slots(pattern, "pattern")
+    key = tuple if pattern._ordered else _ref_sorted_key
+    items = []
+    for item, vec in slots:
+        if vec is None:
+            items.append((item, key))
+            continue
+        if sum(vec) != 1:
+            kind = "arcs" if pattern._ordered else "edges"
+            raise ValueError(f"pattern {kind} must carry exactly one colour once")
+        items.append((item, lambda img, d=vec.index(1): (key(img), d)))
+    return pattern.n, items
+
+
+def ref_enumerate_copies(
+    host, patterns, partition=None, budget: int = 10_000_000, deadline: float | None = None
+) -> CopyTable:
+    """All pattern copies whose footprint fits inside the host.
+
+    ``patterns`` is a single pattern or a list; ``partition`` an optional
+    (pattern Partition, host Partition) pair constraining images partwise.
+    Footprints are deduplicated; each keeps a representative embedding and
+    an embedding count.  More than ``budget`` nodes raise BudgetExceeded;
+    passing the ``time.monotonic()`` instant ``deadline``, checked every
+    1024 nodes, raises TimeBudgetExceeded.
+    """
+    if not isinstance(patterns, (list, tuple)):
+        patterns = [patterns]
+    atoms = _ref_host_atoms(host)
+    atom_order = sorted(atoms, key=repr)
+    atom_index = {a: i for i, a in enumerate(atom_order)}
+    n_host = host.n
+    part_pool = None
+    if partition is not None:
+        pattern_partition, host_partition = partition
+        part_of = pattern_partition.assignment()
+        pools = [list(p) for p in host_partition.parts]
+        part_pool = [pools[part_of[x]] for x in range(pattern_partition.ground_size)]
+    found: dict[tuple, tuple] = {}
+    counts: dict[tuple, int] = {}
+    nodes = 0
+    limit = budget if deadline is None else min(budget, 1024)  # next check
+    for p_idx, pattern in enumerate(patterns):
+        q, items = _ref_pattern_atoms(pattern)
+        if part_pool is not None and len(part_pool) != q:
+            raise ValueError("pattern partition does not match pattern order")
+        # place vertices in an order that closes edges early
+        occurrences = {x: 0 for x in range(q)}
+        for verts, _ in items:
+            for x in verts:
+                occurrences[x] += 1
+        order = sorted(range(q), key=lambda x: (-occurrences[x], x))
+        placed_at = {x: k for k, x in enumerate(order)}
+        # atoms ready for checking once their last vertex is placed
+        ready: list[list] = [[] for _ in range(q)]
+        for verts, builder in items:
+            last = max(placed_at[x] for x in verts)
+            ready[last].append((verts, builder))
+        images = [None] * q
+        used = set()
+
+        def rec(k: int):
+            nonlocal nodes, limit
+            if k == q:
+                keys = []
+                ok = True
+                for verts, builder in items:
+                    key = builder(tuple(images[x] for x in verts))
+                    if key not in atoms:
+                        ok = False
+                        break
+                    keys.append(atom_index[key])
+                if ok:
+                    fp = tuple(sorted(keys))
+                    if len(set(fp)) != len(fp):
+                        raise ValueError("pattern covers one host slot twice")
+                    counts[fp] = counts.get(fp, 0) + 1
+                    if fp not in found:
+                        found[fp] = (p_idx, tuple(images))
+                return
+            x = order[k]
+            pool = part_pool[x] if part_pool is not None else range(n_host)
+            for v in pool:
+                if v in used:
+                    continue
+                nodes += 1
+                if nodes > limit:
+                    if nodes > budget:
+                        raise BudgetExceeded(f"copy enumeration exceeded {budget} nodes")
+                    if time.monotonic() > deadline:
+                        raise TimeBudgetExceeded("copy enumeration hit the time budget")
+                    limit = min(budget, nodes + 1024)
+                images[x] = v
+                ok = True
+                for verts, builder in ready[k]:
+                    key = builder(tuple(images[y] for y in verts))
+                    if key not in atoms:
+                        ok = False
+                        break
+                if ok:
+                    used.add(v)
+                    rec(k + 1)
+                    used.discard(v)
+            images[x] = None
+
+        rec(0)
+    order_fp = sorted(found)
+    return CopyTable(
+        atoms=atom_order,
+        capacities=[atoms[a] for a in atom_order],
+        footprints=order_fp,
+        embeddings=[found[fp] for fp in order_fp],
+        multiplicities=[counts[fp] for fp in order_fp],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import time
 
+from decomp_lab import nibble as nb
 from decomp_lab.cli import main
 from decomp_lab.core import dumps_canonical
 from decomp_lab.intlattice import matrix_to_json
@@ -126,6 +127,17 @@ def test_nibble_outputs_and_trajectory(tmp_path, capsys):
         "--seed", "42", "--trajectory-out", str(out_path),
     )
     assert out_path.read_text() == first  # reproducible byte-for-byte
+
+
+def test_nibble_builds_its_auxiliary_once(tmp_path, monkeypatch, capsys):
+    builds = []
+    real = nb.build_auxiliary
+    monkeypatch.setattr(nb, "build_auxiliary", lambda *a, **k: builds.append(a) or real(*a, **k))
+    argv = ("nibble", "--pattern", "triangle", "--blowup", "6", "--seed", "3")
+    for extra in ((), ("--stop-density", "1/2")):
+        code, out = run_cli(capsys, *argv, *extra, "--trajectory-out", str(tmp_path / "t.jsonl"))
+        assert code == 0 and len(builds) == 1
+        builds.clear()
 
 
 def test_encode_decode_roundtrip_via_files(tmp_path, capsys):

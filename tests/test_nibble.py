@@ -34,6 +34,14 @@ def test_auxiliary_statistics_complete_graph():
     assert aux.degree_min == aux.degree_max == 5
 
 
+def test_pair_degree_max_counts_the_copies_through_a_slot_pair():
+    # two adjacent edges of K_6 lie in 3 four-cycles, two disjoint ones in 2
+    c4 = Hypergraph.from_edges(4, 2, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    aux = build_auxiliary(Hypergraph.complete(6, 2), c4)
+    assert aux.pair_degree_max == 3
+    assert build_auxiliary(Hypergraph.complete(7, 2), TRIANGLE).pair_degree_max == 1
+
+
 def test_auxiliary_degenerate_single_copy():
     aux = build_auxiliary(TRIANGLE, TRIANGLE)
     assert aux.N == aux.R == 3

@@ -1,19 +1,25 @@
 """Exact-cover solver: search, counting, verification, integral oracle."""
 
+import math
 import random
 import time
+from itertools import combinations, permutations
 
 import pytest
 
 import oracles
 from decomp_lab import solver as sv
 from decomp_lab.core import (
+    ColouredMultidigraph,
     ColouredMultigraph,
     Digraph,
     Hypergraph,
     Partition,
+    blowup,
 )
 from decomp_lab.encodings import (
+    large_set_instance,
+    rainbow_family,
     resolvable_sts_instance,
     sudoku_host,
     sudoku_pattern,
@@ -344,7 +350,7 @@ def test_ladder_node_counts():
 
 def test_time_budget_covers_copy_enumeration():
     k4 = Hypergraph.complete(4, 3)
-    with pytest.raises(TimeBudgetExceeded):  # checked after 1024 nodes
+    with pytest.raises(TimeBudgetExceeded):  # checked every 1024 nodes and at the end
         enumerate_copies(Hypergraph.complete(12, 3), k4, deadline=time.monotonic() - 1)
     host = Hypergraph.complete(24, 3)  # seconds of enumeration unbounded
     t0 = time.monotonic()
@@ -392,3 +398,153 @@ def test_verify_partite_deficit_names_the_first_misplaced_vertex():
     assert not rep.valid
     assert rep.deficit == [("partite", (0, images[1]))]
     assert verify_certificate(host, tri, cert, (tpart, hpart)).valid
+
+
+# ---------------------------------------------------------------------------
+# copy enumeration: one embedding per automorphism orbit, the same tables
+
+
+def _random_structure(rng, kind: str, n: int, r: int, p: float, colours: int = 3, one_colour=False):
+    slots = list((combinations if kind in ("plain", "coloured") else permutations)(range(n), r))
+    chosen = [s for s in slots if rng.random() < p]
+    if kind == "plain":
+        return Hypergraph.from_edges(n, r, chosen)
+    if kind == "arcs":
+        return Digraph.from_arcs(n, r, chosen)
+    mult = {}
+    for s in chosen:
+        vec = [0] * colours
+        if one_colour:
+            vec[rng.randrange(colours)] = 1
+        else:
+            vec = [rng.randrange(3) for _ in range(colours)]
+        mult[s] = vec
+    cls = ColouredMultigraph if kind == "coloured" else ColouredMultidigraph
+    return cls.from_dict(n, r, colours, mult)
+
+
+def _random_partition(rng, n: int, t: int) -> Partition:
+    """t parts in a random order, each listed unsorted; a part may be empty."""
+    parts = [[] for _ in range(t)]
+    for v in rng.sample(range(n), n):
+        parts[rng.randrange(t)].append(v)
+    return Partition(tuple(tuple(part) for part in parts))
+
+
+def _assert_same_table(host, patterns, partition=None):
+    table = enumerate_copies(host, patterns, partition)
+    assert table == oracles.ref_enumerate_copies(host, patterns, partition)
+    return table
+
+
+def test_enumeration_matches_reference_on_the_ladder():
+    k3 = Hypergraph.complete(3, 2)
+    host, hpart = blowup(k3, [40] * 3)
+    _assert_same_table(host, k3, (Partition.singletons(3), hpart))
+    _assert_same_table(Hypergraph.complete(38, 2), k3)
+    _assert_same_table(Hypergraph.complete(16, 3), Hypergraph.complete(4, 3))
+    _assert_same_table(Hypergraph.complete(12, 3), Hypergraph.complete(4, 3))
+    for inst in (resolvable_sts_instance(9), resolvable_sts_instance(21), large_set_instance(7)):
+        _assert_same_table(inst.host, inst.pattern, (inst.pattern_partition, inst.host_partition))
+    for box in (2, 3):
+        host, hpart = sudoku_host(box)
+        sp, spart = sudoku_pattern()
+        _assert_same_table(host, sp, (spart, hpart))
+    for n in (6, 8):
+        _assert_same_table(Digraph.complete(n, 2), tight_cycle(3, 2))
+    rng = random.Random(10)
+    rainbow_host = _random_structure(rng, "coloured", 10, 2, 1.0, colours=4)
+    _assert_same_table(rainbow_host, rainbow_family(4))
+
+
+def test_enumeration_of_k30_3_by_k4_3_in_closed_form():
+    # every 4-set is one copy, with its sorted vertices as the first embedding
+    table = enumerate_copies(Hypergraph.complete(30, 3), Hypergraph.complete(4, 3))
+    index = {a: i for i, a in enumerate(table.atoms)}
+    quads = list(combinations(range(30), 4))
+    fps = sorted(tuple(sorted(index[t] for t in combinations(quad, 3))) for quad in quads)
+    rep = {tuple(sorted(index[t] for t in combinations(quad, 3))): quad for quad in quads}
+    assert table.footprints == fps
+    assert table.embeddings == [(0, rep[fp]) for fp in fps]
+    assert table.multiplicities == [24] * len(quads)
+
+
+def test_enumeration_matches_reference_on_random_hosts():
+    rng = random.Random(20261019)
+    shapes = set()
+    for _ in range(160):
+        kind = rng.choice(("plain", "arcs", "coloured", "coloured-arcs"))
+        r = rng.choice((2, 3)) if kind == "plain" else 2
+        n, q = rng.randint(r + 1, 7), rng.randint(r, min(5, r + 2))
+        host = _random_structure(rng, kind, n, r, rng.choice((0.6, 1.0)))
+        patterns = [
+            _random_structure(rng, kind, q, r, rng.choice((0.5, 1.0)), one_colour=True)
+            for _ in range(rng.randint(1, 3))
+        ]
+        partition = None
+        if rng.random() < 0.5:
+            t = rng.randint(1, q)
+            partition = (_random_partition(rng, q, t), _random_partition(rng, n, t))
+        table = _assert_same_table(host, patterns, partition)
+        shapes.add((kind, partition is None, bool(table.footprints)))
+    assert len(shapes) == 16  # every kind, with and without partitions, hits and misses
+
+
+def test_enumeration_matches_reference_on_repeats_isolated_vertices_and_unsorted_parts():
+    k5 = Hypergraph.complete(5, 2)
+    k3 = Hypergraph.complete(3, 2)
+    _assert_same_table(k5, [k3, k3])
+    _assert_same_table(Hypergraph.complete(6, 2), Hypergraph.from_edges(4, 2, [(0, 1)]))
+    _assert_same_table(k5, Hypergraph.from_edges(3, 2, []))
+    host, hpart = blowup(k3, [3] * 3)
+    unsorted = Partition(tuple(tuple(reversed(part)) for part in hpart.parts))
+    _assert_same_table(host, k3, (Partition.singletons(3), unsorted))
+    res = resolvable_sts_instance(9)
+    res_part = Partition(tuple(tuple(reversed(part)) for part in res.host_partition.parts))
+    _assert_same_table(res.host, res.pattern, (res.pattern_partition, res_part))
+
+
+def test_multiplicity_is_the_automorphism_count():
+    for q in (3, 4, 5):
+        table = enumerate_copies(Hypergraph.complete(7, 2), Hypergraph.complete(q, 2))
+        assert set(table.multiplicities) == {math.factorial(q)}
+    table = enumerate_copies(Digraph.complete(5, 2), tight_cycle(3, 2))
+    assert set(table.multiplicities) == {3}
+    rainbow = rainbow_family(3)[0]
+    host = ColouredMultigraph.from_dict(5, 2, 3, {e: (1, 1, 1) for e in combinations(range(5), 2)})
+    assert set(enumerate_copies(host, rainbow).multiplicities) == {1}
+    res = resolvable_sts_instance(9)
+    table = enumerate_copies(res.host, res.pattern, (res.pattern_partition, res.host_partition))
+    assert set(table.multiplicities) == {6}
+    host, hpart = sudoku_host(2)
+    sp, spart = sudoku_pattern()
+    assert set(enumerate_copies(host, sp, (spart, hpart)).multiplicities) == {1}
+
+
+def test_automorphism_orbits_of_k8_are_found_without_listing_the_group():
+    t0 = time.perf_counter()
+    _, multiplicity = sv._plan(Hypergraph.complete(8, 2), None, [range(8)])
+    assert time.perf_counter() - t0 < 0.1
+    assert multiplicity == math.factorial(8)
+
+
+def test_enumeration_budget_counts_reduced_walk_nodes():
+    # K_9 by triangles: 9 + C(9, 2) + C(9, 3) host vertices tried, where
+    # placing every labelled embedding tried 9 + 9 * 8 + 9 * 8 * 7
+    k9 = Hypergraph.complete(9, 2)
+    assert len(enumerate_copies(k9, TRIANGLE, budget=129).footprints) == 84
+    with pytest.raises(BudgetExceeded):
+        enumerate_copies(k9, TRIANGLE, budget=128)
+
+
+def test_host_partition_with_too_few_parts_is_rejected():
+    two_parts = Partition.from_lists([[0, 1], [2, 3]])
+    with pytest.raises(ValueError, match="fewer parts"):
+        enumerate_copies(Hypergraph.complete(4, 2), TRIANGLE, (Partition.singletons(3), two_parts))
+
+
+def test_pattern_with_two_equal_slots_is_rejected():
+    twice = ColouredMultigraph(3, 2, 1, (((0, 1), (1,)), ((0, 1), (1,))))
+    host = ColouredMultigraph.from_dict(3, 2, 1, {(0, 1): (2,)})
+    with pytest.raises(ValueError, match="twice"):
+        enumerate_copies(host, twice)
