@@ -362,9 +362,13 @@ class ColouredMultigraph(_Incidence):
     mult: tuple  # tuple[(edge, tuple[int]*colours), ...] sorted by edge
 
     def __post_init__(self):
+        seen = set()
         for e, vec in self.mult:
             if len(e) != self.r or len(set(e)) != self.r or tuple(sorted(e)) != e:
                 raise ValueError(f"bad edge {e}")
+            if e in seen:
+                raise ValueError(f"edge {e} given twice")
+            seen.add(e)
             if any(v < 0 or v >= self.n for v in e):
                 raise ValueError(f"edge {e} out of range")
             if len(vec) != self.colours:
@@ -520,9 +524,13 @@ class ColouredMultidigraph(_Incidence):
     _ordered = True
 
     def __post_init__(self):
+        seen = set()
         for a, vec in self.mult:
             if len(a) != self.r or len(set(a)) != self.r:
                 raise ValueError(f"bad arc {a}")
+            if a in seen:
+                raise ValueError(f"arc {a} given twice")
+            seen.add(a)
             if any(v < 0 or v >= self.n for v in a):
                 raise ValueError(f"arc {a} out of range")
             if len(vec) != self.colours or any(m < 0 for m in vec) or not any(vec):

@@ -104,14 +104,14 @@ def _phase_one(nvars: int, ineqs):
 
 
 def _pivot(tab, obj, basis, leave, enter):
+    """Normalize the pivot row and eliminate the entering column from every
+    other row and the objective, touching only the pivot row's nonzeros."""
     piv = tab[leave][enter]
-    tab[leave] = [x / piv for x in tab[leave]]
-    for i in range(len(tab)):
-        if i != leave and tab[i][enter]:
-            f = tab[i][enter]
-            tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-    if obj[enter]:
-        f = obj[enter]
-        for j in range(len(obj)):
-            obj[j] -= f * tab[leave][j]
+    pivot_row = tab[leave] = [x / piv if x else x for x in tab[leave]]
+    support = [(j, y) for j, y in enumerate(pivot_row) if y]
+    for row in tab + [obj]:
+        f = row[enter]
+        if f and row is not pivot_row:
+            for j, y in support:
+                row[j] -= f * y
     basis[leave] = enter

@@ -195,8 +195,6 @@ def _plan(pattern, part_of: dict | None, host_pools: list, deadline=None) -> tup
     for verts, key in items:
         ready[max(level_of[x] for x in verts)].append(key)
     own = {key(range(q)): i for i, (_, key) in enumerate(items)}
-    if len(own) < len(items):
-        raise ValueError("pattern covers one host slot twice")
     orbits = _orbits(order, ready, part, own, deadline)
     after = [max((j for j in range(k) if x in orbits[j]), default=-1) for k, x in enumerate(order)]
     plan = (order, ready, [host_pools[part[x]] for x in range(q)], after)

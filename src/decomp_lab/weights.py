@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 
 from .complexes import LabelledComplex, PermGroup
 from .core import (
@@ -26,6 +27,7 @@ from .core import (
     inj_domain,
 )
 from .intlattice import SpanChecker
+from .linprog import solve_feasibility
 
 
 def _zero(dim: int) -> tuple[int, ...]:
@@ -91,6 +93,29 @@ class WeightSystem:
 # ---------------------------------------------------------------------------
 # builders
 
+EdgeVector = dict  # Inj -> tuple[int]*dim, sparse
+
+
+def _lift(g, q: int, maps_at) -> EdgeVector:
+    """g's vector at the image of every labelled edge psi in maps_at(B), B
+    an r-subset of range(q): the multiplicity vector of a coloured
+    structure, (1,) for an edge or arc.  Ordered structures read psi's
+    values in label order, unordered ones sort them."""
+    if hasattr(g, "colours"):
+        vector_at = dict(g.mult)
+    else:
+        vector_at = dict.fromkeys((item for item, _ in g._entries()), (1,))
+    ordered = g._ordered
+    value = itemgetter(1)
+    out: EdgeVector = {}
+    for B in combinations(range(q), g.r):
+        for psi in maps_at(B):
+            image = tuple(map(value, psi)) if ordered else tuple(sorted(map(value, psi)))
+            vec = vector_at.get(image)
+            if vec is not None:
+                out[psi] = vec
+    return out
+
 
 def coloured_weight_system(
     patterns, partition: Partition | None = None
@@ -117,15 +142,12 @@ def coloured_weight_system(
         if partition is not None
         else PermGroup.symmetric(q)
     )
-    weight = {}
-    for tag, h in enumerate(patterns):
-        colour_of = {e: vec.index(1) for e, vec in h.mult}
-        for B in combinations(range(q), r):
-            for theta in group.restrictions(B):
-                image = tuple(sorted(v for _, v in theta))
-                d = colour_of.get(image)
-                if d is not None:
-                    weight[(tag, theta)] = _unit(dim, d)
+    # each pattern edge carries one unit colour vector: its weight
+    weight = {
+        (tag, theta): vec
+        for tag, h in enumerate(patterns)
+        for theta, vec in _lift(h, q, group.restrictions).items()
+    }
     return WeightSystem(group, r, dim, [f"pattern-{i}" for i in range(len(patterns))], weight)
 
 
@@ -137,16 +159,10 @@ def digraph_weight_system(pattern: Digraph, allow_non_simple: bool = False) -> W
     """
     if not allow_non_simple and not pattern.is_simple():
         raise ValueError("pattern digraph must be simple (distinct arc images)")
-    q = pattern.n
-    r = pattern.r
-    group = PermGroup.symmetric(q)
-    weight = {}
-    for B in combinations(range(q), r):
-        for theta in group.restrictions(B):
-            values = tuple(v for _, v in theta)  # ordered by label
-            if values in pattern.arcs:
-                weight[(0, theta)] = (1,)
-    return WeightSystem(group, r, 1, ["pattern-0"], weight)
+    group = PermGroup.symmetric(pattern.n)
+    lifted = _lift(pattern, pattern.n, group.restrictions)
+    weight = {(0, theta): vec for theta, vec in lifted.items()}
+    return WeightSystem(group, pattern.r, 1, ["pattern-0"], weight)
 
 
 def master_weight_system(
@@ -203,6 +219,7 @@ class TypeTable:
         self.system = system
         self.by_labels: dict[frozenset, list[TypeClass]] = {}
         self._type_of: dict[tuple, int] = {}
+        self._spans: dict[frozenset, tuple] = {}
         group = system.group
         for B in system.r_subsets():
             fb = frozenset(B)
@@ -234,6 +251,17 @@ class TypeTable:
             if not cls.is_zero
         ]
 
+    def atom_span(self, labels) -> tuple[tuple[int, ...], SpanChecker]:
+        """The nonzero type indices at B and one span checker of their
+        flattened vectors, in that order; built once per B."""
+        fb = frozenset(labels)
+        span = self._spans.get(fb)
+        if span is None:
+            nonzero = self.nonzero_classes(fb)
+            gens = [tuple(x for vec in cls.vector for x in vec) for _, cls in nonzero]
+            span = self._spans[fb] = (tuple(idx for idx, _ in nonzero), SpanChecker(gens))
+        return span
+
     def nonzero_level_maps(self, tag: int) -> list[tuple[Inj, int]]:
         """Every level map of the tagged complex whose type is nonzero,
         with its type index; this is the support a molecule can touch."""
@@ -253,24 +281,14 @@ def is_elementary(system: WeightSystem, types: TypeTable | None = None) -> bool:
     """Distinct nonzero atom vectors at each orbit shape must be independent."""
     types = types or TypeTable(system)
     for B in system.r_subsets():
-        vectors = {
-            tuple(x for vec in cls.vector for x in vec)
-            for _, cls in types.nonzero_classes(B)
-        }
-        if not vectors:
-            continue
-        rows = sorted(vectors)
-        checker = SpanChecker(rows)
-        rank = len(checker._pivots)
-        if rank != len(rows):
+        indices, span = types.atom_span(B)  # type vectors are distinct
+        if len(span._pivots) != len(indices):
             return False
     return True
 
 
 # ---------------------------------------------------------------------------
 # edge vectors, molecules, atom decompositions
-
-EdgeVector = dict  # Inj -> tuple[int]*dim, sparse
 
 
 def molecule(system: WeightSystem, tag: int, phi: Inj) -> EdgeVector:
@@ -319,32 +337,32 @@ def atom_decomposition(
     the coefficients are unique.
     """
     types = types or TypeTable(system)
-    group = system.group
-    dim = system.dim
     seen = set()
     terms = []
     for psi in sorted(J):
         if psi in seen:
             continue
-        B = inj_domain(psi)
-        sigmas = group.onto(B)
-        rep = min(inj_compose(psi, s) for s in sigmas)
-        B_rep = inj_domain(rep)
-        sig_rep = group.onto(B_rep)
-        members = [inj_compose(rep, s) for s in sig_rep]
-        seen.update(members)
-        target = []
-        for member in members:
-            target.extend(J.get(member, _zero(dim)))
-        nonzero = types.nonzero_classes(B_rep)
-        gens = [tuple(x for vec in cls.vector for x in vec) for _, cls in nonzero]
-        coeffs = SpanChecker(gens).membership(target)
-        if coeffs is None:
+        orbit = phi.orbit(psi, system.group)
+        seen.update(orbit)
+        rep = orbit[0]
+        target, pairs = _atom_coefficients(J, rep, system, types)
+        if pairs is None:
             return AtomDecomposition(terms=[], failed_orbit=(rep, tuple(target)))
-        for (idx, _cls), c in zip(nonzero, coeffs):
-            if c:
-                terms.append((rep, idx, c))
+        terms.extend((rep, idx, c) for idx, c in pairs if c)
     return AtomDecomposition(terms=terms)
+
+
+def _atom_coefficients(J: EdgeVector, psi: Inj, system: WeightSystem, types: TypeTable):
+    """(target, pairs): J over psi's orbit, flattened in the order of the
+    group maps onto psi's labels, and the (type index, coefficient) pairs
+    that write it in the atoms there, or None outside their span."""
+    B = inj_domain(psi)
+    target = []
+    for s in system.group.onto(B):
+        target.extend(J.get(inj_compose(psi, s), _zero(system.dim)))
+    indices, span = types.atom_span(B)
+    coeffs = span.membership(target)
+    return target, None if coeffs is None else list(zip(indices, coeffs))
 
 
 def dominates(
@@ -402,9 +420,9 @@ class LatticeChecker:
     """Precomputed orbit structure for repeated lattice-membership queries.
 
     The per-orbit generator matrices depend only on the complex, the group
-    and the weights, so they are built once; queries then flatten the
-    restriction sums of J to each orbit and delegate to exact span checks,
-    memoized per generator matrix.
+    and the weights, so they are built once, one span checker per distinct
+    matrix; queries then flatten the restriction sums of J to each orbit
+    and run its span check.  A query stores nothing on the checker.
     """
 
     def __init__(
@@ -422,99 +440,78 @@ class LatticeChecker:
         # extensions of theta' in the tagged complex at level B
         self._sharp_weight: dict = {}
         for (tag, theta), vec in system.weight.items():
-            B = inj_domain(theta)
-            dom = sorted(x for x, _ in theta)
-            for size in range(len(dom) + 1):
-                for sub in combinations(dom, size):
-                    key = (tag, tuple((x, dict(theta)[x]) for x in sub), B)
-                    cur = self._sharp_weight.get(key, _zero(self.dim))
-                    self._sharp_weight[key] = _vec_add(cur, vec)
-        levels = list(range(system.r + 1))
-        if include_high_levels:
-            levels = list(range(system.q + 1))
-        self.orbits = []  # (rep, [(sigma, member)], coords, span_key)
-        self._span_cache: dict[tuple, SpanChecker] = {}
-        self._verdict_cache: dict[tuple, tuple] = {}
+            _add_restrictions(self._sharp_weight, theta, vec, (tag,))
+        zero = _zero(self.dim)
+        levels = range((system.q if include_high_levels else system.r) + 1)
+        self.orbits = []  # (rep, [(member, B)], span checker)
+        spans: dict[tuple, SpanChecker] = {}
         ntags = len(system.tags)
         for size in levels:
             for orbit in phi.orbits_at_size(size, group):
                 rep = orbit[0]
                 B_rep = inj_domain(rep)
-                sig = group.onto(B_rep)
-                members = [(s, inj_compose(rep, s)) for s in sig]
                 coords = []
-                for s, member in members:
+                for s in group.onto(B_rep):
+                    member = inj_compose(rep, s)
                     dom = inj_domain(member)
                     for B in self.r_subsets:
                         if dom <= B:
                             coords.append((s, member, B))
-                gens = []
-                for tag in range(ntags):
-                    for theta0 in group.restrictions(B_rep):
-                        partial = tuple(
-                            sorted(
-                                (dict(theta0)[x], dict(rep)[x])
-                                for x in sorted(B_rep)
-                            )
-                        )
-                        if not phi.full_embedding_exists(partial):
-                            continue
+                at = dict(rep)
+                gens = set()
+                for theta0 in group.restrictions(B_rep):
+                    # rep o theta0^-1 must extend to a top-level labelled edge
+                    if not phi.full_embedding_exists(tuple(sorted((y, at[x]) for x, y in theta0))):
+                        continue
+                    keys = [(inj_compose(theta0, s), B) for s, _member, B in coords]
+                    for tag in range(ntags):
                         row = []
-                        for s, _member, B in coords:
-                            row.extend(
-                                self._sharp_weight.get(
-                                    (tag, inj_compose(theta0, s), B),
-                                    _zero(self.dim),
-                                )
-                            )
-                        gens.append(tuple(row))
-                gens = sorted(set(gens))
-                span_key = tuple(gens)
-                if span_key not in self._span_cache:
-                    self._span_cache[span_key] = SpanChecker(list(gens))
-                self.orbits.append((rep, members, coords, span_key))
+                        for sub, B in keys:
+                            row.extend(self._sharp_weight.get((tag, sub, B), zero))
+                        gens.add(tuple(row))
+                key = tuple(sorted(gens))
+                if key not in spans:
+                    spans[key] = SpanChecker(key)
+                self.orbits.append((rep, [(m, B) for _s, m, B in coords], spans[key]))
 
     def check(self, J: EdgeVector) -> LatticeReport:
-        dim = self.dim
+        zero = _zero(self.dim)
         sharp: dict = {}
         for psi, vec in J.items():
-            B = inj_domain(psi)
-            if B not in self.r_subsets:
+            if inj_domain(psi) not in self.r_subsets:
                 raise ValueError("edge vector supported outside the r-level")
-            dom = sorted(x for x, _ in psi)
-            lookup = dict(psi)
-            for size in range(len(dom) + 1):
-                for sub in combinations(dom, size):
-                    key = (tuple((x, lookup[x]) for x in sub), B)
-                    cur = sharp.get(key, _zero(dim))
-                    sharp[key] = _vec_add(cur, vec)
+            _add_restrictions(sharp, psi, vec)
         checked = 0
-        for rep, members, coords, span_key in self.orbits:
+        for rep, coords, span in self.orbits:
             target = []
-            for _s, member, B in coords:
-                target.extend(sharp.get((member, B), _zero(dim)))
-            target_t = tuple(target)
+            for key in coords:
+                target.extend(sharp.get(key, zero))
             checked += 1
-            cache_key = (span_key, target_t)
-            hit = self._verdict_cache.get(cache_key)
-            if hit is None:
-                witness = self._span_cache[span_key].membership(list(target_t))
-                hit = (witness is not None, witness)
-                self._verdict_cache[cache_key] = hit
-            ok, witness = hit
-            if not ok:
+            if span.membership(target) is None:
                 return LatticeReport(
                     member=False,
                     failing_orbit=OrbitVerdict(
                         representative=rep,
                         ok=False,
                         witness=None,
-                        target=target_t,
-                        generator_count=len(span_key),
+                        target=tuple(target),
+                        generator_count=len(span.generators),
                     ),
                     orbits_checked=checked,
                 )
         return LatticeReport(member=True, failing_orbit=None, orbits_checked=checked)
+
+
+def _add_restrictions(out: dict, psi: Inj, vec, head: tuple = ()) -> None:
+    """Add vec to out at (*head, sub, B) for every restriction sub of psi,
+    with B psi's label set."""
+    B = inj_domain(psi)
+    psi = tuple(sorted(psi))
+    for size in range(len(psi) + 1):
+        for sub in combinations(psi, size):
+            key = (*head, sub, B)
+            cur = out.get(key)
+            out[key] = vec if cur is None else _vec_add(cur, vec)
 
 
 def lattice_membership(
@@ -533,27 +530,13 @@ def lattice_membership(
 def coloured_edge_vector(g: ColouredMultigraph, phi: LabelledComplex) -> EdgeVector:
     """Every labelled edge of the complex carries the multiplicity vector of
     its image edge."""
-    by_image = {e: vec for e, vec in g.mult}
-    out: EdgeVector = {}
-    for B in combinations(range(phi.q), g.r):
-        for psi in phi.level(B):
-            image = tuple(sorted(v for _, v in psi))
-            vec = by_image.get(image)
-            if vec is not None:
-                out[psi] = vec
-    return out
+    return _lift(g, phi.q, phi.level)
 
 
 def digraph_edge_vector(g: Digraph, phi: LabelledComplex) -> EdgeVector:
     """Indicator of order-preserving lifts: a labelled edge is in the lift
     iff reading its values in label order gives an arc."""
-    out: EdgeVector = {}
-    for B in combinations(range(phi.q), g.r):
-        for psi in phi.level(B):
-            values = tuple(v for _, v in psi)
-            if values in g.arcs:
-                out[psi] = (1,)
-    return out
+    return _lift(g, phi.q, phi.level)
 
 
 def master_edge_vector(
@@ -608,6 +591,46 @@ class RegularityReport:
     notes: list[str] = field(default_factory=list)
 
 
+def _box(system: WeightSystem, phi: LabelledComplex, omega: Fraction) -> tuple:
+    """The (lo, hi) bounds omega n^(r-q) and n^(r-q) / omega on every
+    molecule weight, n the vertex count."""
+    scale = Fraction(phi.vertex_count) ** (system.r - system.q)
+    return omega * scale, scale / omega
+
+
+def _typed_incidence(copies, system: WeightSystem, types: TypeTable):
+    """(copy, (emb o theta, type index)) for every (tag, emb) copy and every
+    level map theta of nonzero type in the tagged complex: a molecule
+    contributes at every member of every orbit it touches, via the
+    basepoint-changed type."""
+    support = {tag: types.nonzero_level_maps(tag) for tag in range(len(system.tags))}
+    for copy in copies:
+        tag, emb = copy
+        for theta, tindex in support[tag]:
+            yield copy, (inj_compose(emb, theta), tindex)
+
+
+def _member_coefficients(
+    J: EdgeVector, system: WeightSystem, phi: LabelledComplex, types: TypeTable
+):
+    """(member, type index) -> J's atom coefficient at every member of every
+    orbit J touches, or None when one lies outside the atom span."""
+    coeffs: dict = {}
+    seen = set()
+    for psi in J:
+        if psi in seen:
+            continue
+        orbit = phi.orbit(psi, system.group)
+        seen.update(orbit)
+        for member in orbit:
+            _, pairs = _atom_coefficients(J, member, system, types)
+            if pairs is None:
+                return None
+            for idx, coef in pairs:
+                coeffs[(member, idx)] = coef
+    return coeffs
+
+
 def verify_regularity_witness(
     y: dict,
     J: EdgeVector,
@@ -624,52 +647,20 @@ def verify_regularity_witness(
     indexed by copies whose molecules J dominates.
     """
     c = Fraction(c)
-    omega = Fraction(omega)
     types = types or TypeTable(system)
-    n = phi.vertex_count
-    lo = omega * Fraction(n) ** (system.r - system.q)
-    hi = Fraction(n) ** (system.r - system.q) / omega
+    lo, hi = _box(system, phi, Fraction(omega))
     box_violations = 0
     for (tag, emb), weight in y.items():
         if not dominates(J, system, phi, tag, emb, types):
             raise ValueError(f"witness indexed by a copy J does not dominate: {emb}")
         if not (lo <= Fraction(weight) <= hi):
             box_violations += 1
-    # typed degree sums: a molecule contributes at every member of every
-    # orbit it touches, via the basepoint-changed type
     partial: dict = {}
-    support = {
-        tag: types.nonzero_level_maps(tag) for tag in range(len(system.tags))
-    }
-    for (tag, emb), weight in y.items():
-        for theta, tindex in support[tag]:
-            key = (inj_compose(emb, theta), tindex)
-            partial[key] = partial.get(key, Fraction(0)) + Fraction(weight)
-    # atom coefficients of J at every labelled edge of the support levels
-    group = system.group
-    dim = system.dim
-    coeffs: dict = {}
-    seen = set()
-    for psi in J:
-        if psi in seen:
-            continue
-        B = inj_domain(psi)
-        sigmas = group.onto(B)
-        members = [inj_compose(psi, s) for s in sigmas]
-        seen.update(members)
-        for member in members:
-            Bm = inj_domain(member)
-            sig_m = system.group.onto(Bm)
-            target = []
-            for s in sig_m:
-                target.extend(J.get(inj_compose(member, s), _zero(dim)))
-            nonzero = types.nonzero_classes(Bm)
-            gens = [tuple(x for vec in cls.vector for x in vec) for _, cls in nonzero]
-            sol = SpanChecker(gens).membership(target)
-            if sol is None:
-                raise ValueError("J is not atom-decomposable; no witness can verify")
-            for (idx, _cls), coef in zip(nonzero, sol):
-                coeffs[(member, idx)] = coef
+    for copy, key in _typed_incidence(y, system, types):
+        partial[key] = partial.get(key, Fraction(0)) + Fraction(y[copy])
+    coeffs = _member_coefficients(J, system, phi, types)
+    if coeffs is None:
+        raise ValueError("J is not atom-decomposable; no witness can verify")
     worst = Fraction(0)
     band_violations = 0
     checked = 0
@@ -709,14 +700,9 @@ def search_regularity_witness(
     Enumerates dominated molecules (bounded by ``molecule_budget``) and
     solves the band/box system exactly.
     """
-    from .linprog import solve_feasibility
-
     c = Fraction(c)
-    omega = Fraction(omega)
     types = TypeTable(system)
-    n = phi.vertex_count
-    lo = omega * Fraction(n) ** (system.r - system.q)
-    hi = Fraction(n) ** (system.r - system.q) / omega
+    lo, hi = _box(system, phi, Fraction(omega))
     copies = []
     for tag in range(len(system.tags)):
         for emb in sorted(phi.full_level()):
@@ -724,50 +710,21 @@ def search_regularity_witness(
                 copies.append((tag, emb))
                 if len(copies) > molecule_budget:
                     raise ValueError("molecule budget exceeded")
-    # typed incidence
-    rows: dict = {}
-    support = {
-        tag: types.nonzero_level_maps(tag) for tag in range(len(system.tags))
-    }
-    for col, (tag, emb) in enumerate(copies):
-        for theta, tindex in support[tag]:
-            rows.setdefault((inj_compose(emb, theta), tindex), []).append(col)
-    # coefficients of J
-    dec = atom_decomposition(J, system, phi, types)
-    if not dec.ok:
+    coeffs = _member_coefficients(J, system, phi, types)
+    if coeffs is None:
         return None
-    group = system.group
-    coeffs: dict = {}
-    for rep, tindex, coef in dec.terms:
-        B = inj_domain(rep)
-        cls = types.classes(B)[tindex]
-        for s in group.onto(B):
-            member = inj_compose(rep, s)
-            # coefficient transported along the orbit: resolve per member
-            coeffs[(member, tindex)] = None
-    for member, tindex in list(coeffs):
-        Bm = inj_domain(member)
-        sig_m = group.onto(Bm)
-        target = []
-        for s in sig_m:
-            target.extend(J.get(inj_compose(member, s), _zero(system.dim)))
-        nonzero = types.nonzero_classes(Bm)
-        gens = [tuple(x for vec in cl.vector for x in vec) for _, cl in nonzero]
-        sol = SpanChecker(gens).membership(target)
-        for (idx, _cl), coef in zip(nonzero, sol):
-            coeffs[(member, idx)] = coef
+    rows: dict = {}
+    for copy, key in _typed_incidence(copies, system, types):
+        rows.setdefault(key, []).append(copy)
+    col = {copy: i for i, copy in enumerate(copies)}
     constraints = []
-    keys = sorted(set(rows) | {k for k, v in coeffs.items() if v})
-    for key in keys:
-        cols = rows.get(key, [])
-        coef = Fraction(coeffs.get(key) or 0)
+    for key in sorted(set(rows) | {k for k, v in coeffs.items() if v}):
         vec = [Fraction(0)] * len(copies)
-        for col in cols:
-            vec[col] += 1
-        constraints.append((vec, (1 - c) * coef, (1 + c) * coef))
-    sol = solve_feasibility(
-        len(copies), [(lo, hi)] * len(copies), constraints
-    )
+        for copy in rows.get(key, ()):
+            vec[col[copy]] += 1
+        coef = coeffs.get(key, 0)
+        constraints.append((vec, *sorted(((1 - c) * coef, (1 + c) * coef))))
+    sol = solve_feasibility(len(copies), [(lo, hi)] * len(copies), constraints)
     if sol is None:
         return None
     return {copies[i]: sol[i] for i in range(len(copies))}

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to pin expected values.
 
-Nothing here touches the package's solver or lattice code paths: Latin
-squares are enumerated row by row, triple systems (undirected and cyclic)
-and grid counts by plain backtracking over itertools combinations.  The
+The counting oracles touch none of the package's solver or lattice code
+paths: Latin squares are enumerated row by row, triple systems (undirected
+and cyclic) and grid counts by plain backtracking over itertools
+combinations.  The
 reference degree queries scan every edge or arc on each call, the way the
 library counted degrees before its incidence index; the library must agree
 with them exactly.  `RefCoverSearch` is the solver's earlier exact-cover
@@ -10,7 +11,10 @@ engine, kept verbatim as the reference for node counts and frontiers;
 `ref_enumerate_copies` is its earlier copy enumeration, which places every
 labelled embedding, kept verbatim as the reference for copy tables; and
 the `ref_is_typical_*` functions are the earlier typicality checks, one
-loop per mode, kept verbatim as the reference for typicality reports.
+loop per mode, kept verbatim as the reference for typicality reports; and
+`RefLatticeChecker` with the other `ref_*` weight functions is the earlier
+weights module, one lift and one span checker per use, kept verbatim as
+the reference for weights, edge vectors, lattice and regularity reports.
 """
 
 from __future__ import annotations
@@ -20,10 +24,32 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
 
-from decomp_lab.complexes import TypicalityReport
-from decomp_lab.core import _Incidence, index_set, partite_density
+from decomp_lab.complexes import LabelledComplex, PermGroup, TypicalityReport
+from decomp_lab.core import (
+    ColouredMultigraph,
+    Digraph,
+    Partition,
+    _Incidence,
+    index_set,
+    inj_compose,
+    inj_domain,
+    partite_density,
+)
+from decomp_lab.intlattice import SpanChecker
+from decomp_lab.linprog import solve_feasibility
 from decomp_lab.rng import SplitMix64
 from decomp_lab.solver import BudgetExceeded, CopyTable, TimeBudgetExceeded
+from decomp_lab.weights import (
+    AtomDecomposition,
+    EdgeVector,
+    LatticeReport,
+    OrbitVerdict,
+    RegularityReport,
+    TypeTable,
+    WeightSystem,
+    edge_vector_add,
+    molecule,
+)
 
 
 def latin_square_count(n: int) -> int:
@@ -931,3 +957,443 @@ def ref_is_typical_hp(
         typical=ok, c=c, s=s, mode="index-partite", checked=checked,
         worst_deviation=worst, witness=witness,
     )
+
+
+# ---------------------------------------------------------------------------
+# reference weight systems, edge vectors, atom decompositions, lattice
+# checks and regularity witnesses: one lift loop per builder and per host
+# encoding, one span checker built per orbit and per query, and a lattice
+# checker that memoizes every verdict, the way the weights module worked
+# before its shared lift, atom spans and restriction sums.  The library
+# must give equal weights, edge vectors, decomposition terms, lattice
+# reports, regularity reports, witnesses and errors.
+
+
+def _zero(dim: int) -> tuple[int, ...]:
+    return (0,) * dim
+
+
+def _unit(dim: int, d: int) -> tuple[int, ...]:
+    return tuple(1 if k == d else 0 for k in range(dim))
+
+
+def _vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def ref_coloured_weight_system(
+    patterns, partition: Partition | None = None
+) -> WeightSystem:
+    """One tag per coloured pattern; an r-level map gets the unit vector of
+    the colour its image carries in that pattern.
+
+    With a label partition the group is the part stabilizer, otherwise
+    the full symmetric group.
+    """
+    if not patterns:
+        raise ValueError("empty pattern family")
+    q = patterns[0].n
+    r = patterns[0].r
+    dim = patterns[0].colours
+    for h in patterns:
+        if (h.n, h.r, h.colours) != (q, r, dim):
+            raise ValueError("patterns disagree on (q, r, colours)")
+        for e, vec in h.mult:
+            if sum(vec) != 1:
+                raise ValueError(f"pattern edge {e} must carry exactly one colour once")
+    group = (
+        PermGroup.part_stabilizer(partition)
+        if partition is not None
+        else PermGroup.symmetric(q)
+    )
+    weight = {}
+    for tag, h in enumerate(patterns):
+        colour_of = {e: vec.index(1) for e, vec in h.mult}
+        for B in combinations(range(q), r):
+            for theta in group.restrictions(B):
+                image = tuple(sorted(v for _, v in theta))
+                d = colour_of.get(image)
+                if d is not None:
+                    weight[(tag, theta)] = _unit(dim, d)
+    return WeightSystem(group, r, dim, [f"pattern-{i}" for i in range(len(patterns))], weight)
+
+
+def ref_digraph_weight_system(pattern: Digraph, allow_non_simple: bool = False) -> WeightSystem:
+    """Indicator weights on order-preserving lifts of the pattern's arcs.
+
+    Non-simple patterns (repeated arc images) generally break atom
+    independence and are rejected unless explicitly allowed for diagnosis.
+    """
+    if not allow_non_simple and not pattern.is_simple():
+        raise ValueError("pattern digraph must be simple (distinct arc images)")
+    q = pattern.n
+    r = pattern.r
+    group = PermGroup.symmetric(q)
+    weight = {}
+    for B in combinations(range(q), r):
+        for theta in group.restrictions(B):
+            values = tuple(v for _, v in theta)  # ordered by label
+            if values in pattern.arcs:
+                weight[(0, theta)] = (1,)
+    return WeightSystem(group, r, 1, ["pattern-0"], weight)
+
+
+def ref_atom_decomposition(
+    J: EdgeVector, system: WeightSystem, phi: LabelledComplex, types: TypeTable | None = None
+) -> AtomDecomposition:
+    """Express J orbit-by-orbit as integer combinations of typed atoms.
+
+    Fails (returning the offending orbit) when some orbit restriction lies
+    outside the integer span of the atoms there; with an elementary system
+    the coefficients are unique.
+    """
+    types = types or TypeTable(system)
+    group = system.group
+    dim = system.dim
+    seen = set()
+    terms = []
+    for psi in sorted(J):
+        if psi in seen:
+            continue
+        B = inj_domain(psi)
+        sigmas = group.onto(B)
+        rep = min(inj_compose(psi, s) for s in sigmas)
+        B_rep = inj_domain(rep)
+        sig_rep = group.onto(B_rep)
+        members = [inj_compose(rep, s) for s in sig_rep]
+        seen.update(members)
+        target = []
+        for member in members:
+            target.extend(J.get(member, _zero(dim)))
+        nonzero = types.nonzero_classes(B_rep)
+        gens = [tuple(x for vec in cls.vector for x in vec) for _, cls in nonzero]
+        coeffs = SpanChecker(gens).membership(target)
+        if coeffs is None:
+            return AtomDecomposition(terms=[], failed_orbit=(rep, tuple(target)))
+        for (idx, _cls), c in zip(nonzero, coeffs):
+            if c:
+                terms.append((rep, idx, c))
+    return AtomDecomposition(terms=terms)
+
+
+def _ref_dominates(
+    J: EdgeVector,
+    system: WeightSystem,
+    phi: LabelledComplex,
+    tag: int,
+    embedding: Inj,
+    types: TypeTable | None = None,
+) -> bool:
+    """True when J minus the molecule of (tag, embedding) is a nonnegative
+    integer combination of atoms."""
+    diff = edge_vector_add(J, molecule(system, tag, embedding), system.dim, sign=-1)
+    dec = ref_atom_decomposition(diff, system, phi, types)
+    return dec.ok and all(c >= 0 for _, _, c in dec.terms)
+
+
+class RefLatticeChecker:
+    """Precomputed orbit structure for repeated lattice-membership queries.
+
+    The per-orbit generator matrices depend only on the complex, the group
+    and the weights, so they are built once; queries then flatten the
+    restriction sums of J to each orbit and delegate to exact span checks,
+    memoized per generator matrix.
+    """
+
+    def __init__(
+        self,
+        system: WeightSystem,
+        phi: LabelledComplex,
+        include_high_levels: bool = False,
+    ) -> None:
+        self.system = system
+        self.phi = phi
+        self.dim = system.dim
+        self.r_subsets = [frozenset(B) for B in system.r_subsets()]
+        group = system.group
+        # lifted generator sums: (tag, theta', B) -> sum of weights over
+        # extensions of theta' in the tagged complex at level B
+        self._sharp_weight: dict = {}
+        for (tag, theta), vec in system.weight.items():
+            B = inj_domain(theta)
+            dom = sorted(x for x, _ in theta)
+            for size in range(len(dom) + 1):
+                for sub in combinations(dom, size):
+                    key = (tag, tuple((x, dict(theta)[x]) for x in sub), B)
+                    cur = self._sharp_weight.get(key, _zero(self.dim))
+                    self._sharp_weight[key] = _vec_add(cur, vec)
+        levels = list(range(system.r + 1))
+        if include_high_levels:
+            levels = list(range(system.q + 1))
+        self.orbits = []  # (rep, [(sigma, member)], coords, span_key)
+        self._span_cache: dict[tuple, SpanChecker] = {}
+        self._verdict_cache: dict[tuple, tuple] = {}
+        ntags = len(system.tags)
+        for size in levels:
+            for orbit in phi.orbits_at_size(size, group):
+                rep = orbit[0]
+                B_rep = inj_domain(rep)
+                sig = group.onto(B_rep)
+                members = [(s, inj_compose(rep, s)) for s in sig]
+                coords = []
+                for s, member in members:
+                    dom = inj_domain(member)
+                    for B in self.r_subsets:
+                        if dom <= B:
+                            coords.append((s, member, B))
+                gens = []
+                for tag in range(ntags):
+                    for theta0 in group.restrictions(B_rep):
+                        partial = tuple(
+                            sorted(
+                                (dict(theta0)[x], dict(rep)[x])
+                                for x in sorted(B_rep)
+                            )
+                        )
+                        if not phi.full_embedding_exists(partial):
+                            continue
+                        row = []
+                        for s, _member, B in coords:
+                            row.extend(
+                                self._sharp_weight.get(
+                                    (tag, inj_compose(theta0, s), B),
+                                    _zero(self.dim),
+                                )
+                            )
+                        gens.append(tuple(row))
+                gens = sorted(set(gens))
+                span_key = tuple(gens)
+                if span_key not in self._span_cache:
+                    self._span_cache[span_key] = SpanChecker(list(gens))
+                self.orbits.append((rep, members, coords, span_key))
+
+    def check(self, J: EdgeVector) -> LatticeReport:
+        dim = self.dim
+        sharp: dict = {}
+        for psi, vec in J.items():
+            B = inj_domain(psi)
+            if B not in self.r_subsets:
+                raise ValueError("edge vector supported outside the r-level")
+            dom = sorted(x for x, _ in psi)
+            lookup = dict(psi)
+            for size in range(len(dom) + 1):
+                for sub in combinations(dom, size):
+                    key = (tuple((x, lookup[x]) for x in sub), B)
+                    cur = sharp.get(key, _zero(dim))
+                    sharp[key] = _vec_add(cur, vec)
+        checked = 0
+        for rep, members, coords, span_key in self.orbits:
+            target = []
+            for _s, member, B in coords:
+                target.extend(sharp.get((member, B), _zero(dim)))
+            target_t = tuple(target)
+            checked += 1
+            cache_key = (span_key, target_t)
+            hit = self._verdict_cache.get(cache_key)
+            if hit is None:
+                witness = self._span_cache[span_key].membership(list(target_t))
+                hit = (witness is not None, witness)
+                self._verdict_cache[cache_key] = hit
+            ok, witness = hit
+            if not ok:
+                return LatticeReport(
+                    member=False,
+                    failing_orbit=OrbitVerdict(
+                        representative=rep,
+                        ok=False,
+                        witness=None,
+                        target=target_t,
+                        generator_count=len(span_key),
+                    ),
+                    orbits_checked=checked,
+                )
+        return LatticeReport(member=True, failing_orbit=None, orbits_checked=checked)
+
+
+def ref_coloured_edge_vector(g: ColouredMultigraph, phi: LabelledComplex) -> EdgeVector:
+    """Every labelled edge of the complex carries the multiplicity vector of
+    its image edge."""
+    by_image = {e: vec for e, vec in g.mult}
+    out: EdgeVector = {}
+    for B in combinations(range(phi.q), g.r):
+        for psi in phi.level(B):
+            image = tuple(sorted(v for _, v in psi))
+            vec = by_image.get(image)
+            if vec is not None:
+                out[psi] = vec
+    return out
+
+
+def ref_digraph_edge_vector(g: Digraph, phi: LabelledComplex) -> EdgeVector:
+    """Indicator of order-preserving lifts: a labelled edge is in the lift
+    iff reading its values in label order gives an arc."""
+    out: EdgeVector = {}
+    for B in combinations(range(phi.q), g.r):
+        for psi in phi.level(B):
+            values = tuple(v for _, v in psi)
+            if values in g.arcs:
+                out[psi] = (1,)
+    return out
+
+
+def ref_verify_regularity_witness(
+    y: dict,
+    J: EdgeVector,
+    system: WeightSystem,
+    phi: LabelledComplex,
+    c,
+    omega,
+    types: TypeTable | None = None,
+) -> RegularityReport:
+    """Check a molecule weighting: box constraints on each weight and the
+    typed degree sums within (1 +- c) of J's atom coefficients.
+
+    ``y`` maps (tag, full embedding) to a rational weight and must be
+    indexed by copies whose molecules J dominates.
+    """
+    c = Fraction(c)
+    omega = Fraction(omega)
+    types = types or TypeTable(system)
+    n = phi.vertex_count
+    lo = omega * Fraction(n) ** (system.r - system.q)
+    hi = Fraction(n) ** (system.r - system.q) / omega
+    box_violations = 0
+    for (tag, emb), weight in y.items():
+        if not _ref_dominates(J, system, phi, tag, emb, types):
+            raise ValueError(f"witness indexed by a copy J does not dominate: {emb}")
+        if not (lo <= Fraction(weight) <= hi):
+            box_violations += 1
+    # typed degree sums: a molecule contributes at every member of every
+    # orbit it touches, via the basepoint-changed type
+    partial: dict = {}
+    support = {
+        tag: types.nonzero_level_maps(tag) for tag in range(len(system.tags))
+    }
+    for (tag, emb), weight in y.items():
+        for theta, tindex in support[tag]:
+            key = (inj_compose(emb, theta), tindex)
+            partial[key] = partial.get(key, Fraction(0)) + Fraction(weight)
+    # atom coefficients of J at every labelled edge of the support levels
+    group = system.group
+    dim = system.dim
+    coeffs: dict = {}
+    seen = set()
+    for psi in J:
+        if psi in seen:
+            continue
+        B = inj_domain(psi)
+        sigmas = group.onto(B)
+        members = [inj_compose(psi, s) for s in sigmas]
+        seen.update(members)
+        for member in members:
+            Bm = inj_domain(member)
+            sig_m = system.group.onto(Bm)
+            target = []
+            for s in sig_m:
+                target.extend(J.get(inj_compose(member, s), _zero(dim)))
+            nonzero = types.nonzero_classes(Bm)
+            gens = [tuple(x for vec in cls.vector for x in vec) for _, cls in nonzero]
+            sol = SpanChecker(gens).membership(target)
+            if sol is None:
+                raise ValueError("J is not atom-decomposable; no witness can verify")
+            for (idx, _cls), coef in zip(nonzero, sol):
+                coeffs[(member, idx)] = coef
+    worst = Fraction(0)
+    band_violations = 0
+    checked = 0
+    keys = set(partial) | set(coeffs)
+    for key in keys:
+        expected = Fraction(coeffs.get(key, 0))
+        got = partial.get(key, Fraction(0))
+        checked += 1
+        if expected == 0:
+            if got != 0:
+                band_violations += 1
+                worst = max(worst, Fraction(1))
+            continue
+        dev = abs(got / expected - 1)
+        worst = max(worst, dev)
+        if dev > c:
+            band_violations += 1
+    return RegularityReport(
+        regular=(box_violations == 0 and band_violations == 0),
+        worst_ratio=worst,
+        box_violations=box_violations,
+        band_violations=band_violations,
+        checked=checked,
+    )
+
+
+def ref_search_regularity_witness(
+    J: EdgeVector,
+    system: WeightSystem,
+    phi: LabelledComplex,
+    c,
+    omega,
+    molecule_budget: int = 10000,
+):
+    """Rational feasibility fallback: find a witness weighting or None.
+
+    Enumerates dominated molecules (bounded by ``molecule_budget``) and
+    solves the band/box system exactly.
+    """
+    c = Fraction(c)
+    omega = Fraction(omega)
+    types = TypeTable(system)
+    n = phi.vertex_count
+    lo = omega * Fraction(n) ** (system.r - system.q)
+    hi = Fraction(n) ** (system.r - system.q) / omega
+    copies = []
+    for tag in range(len(system.tags)):
+        for emb in sorted(phi.full_level()):
+            if _ref_dominates(J, system, phi, tag, emb, types):
+                copies.append((tag, emb))
+                if len(copies) > molecule_budget:
+                    raise ValueError("molecule budget exceeded")
+    # typed incidence
+    rows: dict = {}
+    support = {
+        tag: types.nonzero_level_maps(tag) for tag in range(len(system.tags))
+    }
+    for col, (tag, emb) in enumerate(copies):
+        for theta, tindex in support[tag]:
+            rows.setdefault((inj_compose(emb, theta), tindex), []).append(col)
+    # coefficients of J
+    dec = ref_atom_decomposition(J, system, phi, types)
+    if not dec.ok:
+        return None
+    group = system.group
+    coeffs: dict = {}
+    for rep, tindex, coef in dec.terms:
+        B = inj_domain(rep)
+        cls = types.classes(B)[tindex]
+        for s in group.onto(B):
+            member = inj_compose(rep, s)
+            # coefficient transported along the orbit: resolve per member
+            coeffs[(member, tindex)] = None
+    for member, tindex in list(coeffs):
+        Bm = inj_domain(member)
+        sig_m = group.onto(Bm)
+        target = []
+        for s in sig_m:
+            target.extend(J.get(inj_compose(member, s), _zero(system.dim)))
+        nonzero = types.nonzero_classes(Bm)
+        gens = [tuple(x for vec in cl.vector for x in vec) for _, cl in nonzero]
+        sol = SpanChecker(gens).membership(target)
+        for (idx, _cl), coef in zip(nonzero, sol):
+            coeffs[(member, idx)] = coef
+    constraints = []
+    keys = sorted(set(rows) | {k for k, v in coeffs.items() if v})
+    for key in keys:
+        cols = rows.get(key, [])
+        coef = Fraction(coeffs.get(key) or 0)
+        vec = [Fraction(0)] * len(copies)
+        for col in cols:
+            vec[col] += 1
+        constraints.append((vec, (1 - c) * coef, (1 + c) * coef))
+    sol = solve_feasibility(
+        len(copies), [(lo, hi)] * len(copies), constraints
+    )
+    if sol is None:
+        return None
+    return {copies[i]: sol[i] for i in range(len(copies))}

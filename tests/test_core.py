@@ -158,6 +158,23 @@ def test_multiplicity_weighted_degrees():
     assert g.size() == 3
 
 
+def test_coloured_multigraph_rejects_repeated_edge():
+    # a repeated edge made multiplicity() and size() disagree
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) given twice"):
+        ColouredMultigraph(3, 2, 2, (((0, 1), (1, 0)), ((0, 1), (0, 2))))
+    # distinct edges need not come sorted
+    g = ColouredMultigraph(3, 2, 2, (((1, 2), (1, 0)), ((0, 1), (0, 2))))
+    assert g.multiplicity((0, 1)) == (0, 2) and g.size() == 3
+
+
+def test_coloured_multidigraph_rejects_repeated_arc():
+    with pytest.raises(ValueError, match=r"arc \(0, 1\) given twice"):
+        ColouredMultidigraph(3, 2, 2, (((0, 1), (1, 0)), ((0, 1), (0, 2))))
+    # an arc and its reverse are distinct arcs
+    g = ColouredMultidigraph(3, 2, 2, (((1, 0), (1, 0)), ((0, 1), (0, 2))))
+    assert g.multiplicity((0, 1)) == (0, 2) and g.colour_size(0) == 1
+
+
 def test_digraph_degree_vectors():
     kd4 = Digraph.complete(4, 2)
     assert kd4.degree_vector((0,)) == (3, 3)

@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
+import oracles
 from decomp_lab.complexes import LabelledComplex, PermGroup
 from decomp_lab.core import (
     ColouredMultidigraph,
@@ -380,3 +381,158 @@ def test_regularity_witness_uniform_blowup_closed_form():
         y, J, ws, phi, c=0, omega=Fraction(1, 2 * n * n)
     )
     assert rep.regular and rep.worst_ratio == 0
+
+
+# ---------------------------------------------------------------------------
+# equivalence with the earlier weights module (tests/oracles.py)
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return "ok", f(*args, **kwargs)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _random_digraph(rng, n):
+    return Digraph.from_arcs(n, 2, [a for a in permutations(range(n), 2) if rng.random() < 0.5])
+
+
+def _random_coloured(rng, n, colours):
+    classes = [[] for _ in range(colours)]
+    for e in combinations(range(n), 2):
+        for _ in range(rng.choice((0, 0, 1, 1, 2))):
+            classes[rng.randrange(colours)].append(e)
+    return ColouredMultigraph.from_colour_classes(n, 2, colours, classes)
+
+
+def _equivalence_families():
+    """(weight system, reference system, encoder, reference encoder, random
+    host maker, complexes) for each family the equivalence tests cover."""
+    for q in (3, 4):
+        cyc = tight_cycle(q, 2)
+        phis = [LabelledComplex.complete_complex(q, n) for n in range(q, q + 2)]
+        yield (
+            digraph_weight_system(cyc), oracles.ref_digraph_weight_system(cyc),
+            digraph_edge_vector, oracles.ref_digraph_edge_vector,
+            _random_digraph, phis,
+        )
+    for colours in (3, 4):
+        fam = rainbow_family(colours)
+        phis = [LabelledComplex.complete_complex(3, n) for n in (3, 4, 5)]
+        yield (
+            coloured_weight_system(fam), oracles.ref_coloured_weight_system(fam),
+            coloured_edge_vector, oracles.ref_coloured_edge_vector,
+            lambda rng, n, colours=colours: _random_coloured(rng, n, colours), phis,
+        )
+    phis = [partite_complex(a, b) for a, b in ((2, 1), (2, 2), (3, 1), (3, 2))]
+    yield (
+        coloured_weight_system([PARTITE_PATTERN], partition=LABEL_PARTS),
+        oracles.ref_coloured_weight_system([PARTITE_PATTERN], partition=LABEL_PARTS),
+        coloured_edge_vector, oracles.ref_coloured_edge_vector,
+        lambda rng, n: _random_coloured(rng, n, 3), phis,
+    )
+
+
+def _queries(rng, ws, phi, host):
+    """Edge vectors to query: the host's, a random integer combination of
+    molecules (a lattice member), and that combination with one labelled
+    edge disturbed."""
+    embeddings = sorted(phi.full_level())
+    J = {}
+    for _ in range(3):
+        mol = molecule(ws, rng.randrange(len(ws.tags)), rng.choice(embeddings))
+        w = rng.randint(-1, 2)
+        J = edge_vector_add(J, {k: tuple(w * x for x in v) for k, v in mol.items()}, ws.dim)
+    bumped = dict(J)
+    psi = rng.choice(sorted(phi.level(rng.choice(ws.r_subsets()))))
+    bumped[psi] = tuple(x + rng.randint(0, 1) for x in bumped.get(psi, (0,) * ws.dim))
+    return [host, J, bumped]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_weights_match_reference(seed):
+    rng = random.Random(seed)
+    seen = set()
+    for ws, ref_ws, encode, ref_encode, make_host, phis in _equivalence_families():
+        assert list(ws.weight.items()) == list(ref_ws.weight.items())
+        assert is_elementary(ws)
+        types = TypeTable(ws)
+        for phi in phis:
+            checkers = [
+                (LatticeChecker(ws, phi, high), oracles.RefLatticeChecker(ws, phi, high))
+                for high in (False, True)
+            ]
+            host = make_host(rng, phi.vertex_count)
+            J_host = encode(host, phi)
+            assert J_host == ref_encode(host, phi)
+            queries = _queries(rng, ws, phi, J_host)
+            searched = rng.randrange(len(queries))
+            for i, J in enumerate(queries):
+                for lib, ref in checkers:
+                    rep = lib.check(J)
+                    assert rep.to_json_dict() == ref.check(J).to_json_dict()
+                    seen.add(("member", rep.member))
+                dec = atom_decomposition(J, ws, phi, types)
+                ref_dec = oracles.ref_atom_decomposition(J, ws, phi, types)
+                assert (dec.terms, dec.failed_orbit) == (ref_dec.terms, ref_dec.failed_orbit)
+                seen.add(("decomposable", dec.ok))
+                # a few copies J dominates, one possibly not, random weights
+                embeddings = sorted(phi.full_level())
+                y = {}
+                for _ in range(3):
+                    copy = (rng.randrange(len(ws.tags)), rng.choice(embeddings))
+                    if rng.random() < 0.2 or dominates(J, ws, phi, *copy, types):
+                        y[copy] = Fraction(rng.randint(0, 4), rng.randint(1, 4) * phi.vertex_count)
+                args = (y, J, ws, phi, Fraction(rng.randint(0, 2), 4), Fraction(1, 20), types)
+                got = _outcome(verify_regularity_witness, *args)
+                assert got == _outcome(oracles.ref_verify_regularity_witness, *args)
+                seen.add(("verify", got[0], got[1].regular if got[0] == "ok" else got[1]))
+                if i == searched and phi.vertex_count <= ws.q + 1:
+                    args = (J, ws, phi, Fraction(1, 4), Fraction(1, 20))
+                    got = _outcome(search_regularity_witness, *args)
+                    assert got == _outcome(oracles.ref_search_regularity_witness, *args)
+                    seen.add(("search", got[0], got[1] is not None))
+                    if got[1] is not None:
+                        args = (got[1], *args)
+                        got = _outcome(verify_regularity_witness, *args)
+                        assert got == _outcome(oracles.ref_verify_regularity_witness, *args)
+                        seen.add(("verify", got[0], got[1].regular))
+            off = {((0, 0),): (1,) * ws.dim}  # off the r-level
+            for lib, ref in checkers:
+                assert _outcome(lib.check, off) == _outcome(ref.check, off)
+        # the first copy J dominates exhausts a zero molecule budget
+        phi = phis[0]
+        J = molecule(ws, 0, min(phi.full_level()))
+        args = (J, ws, phi, 1, Fraction(1, 20))
+        got = _outcome(search_regularity_witness, *args, molecule_budget=0)
+        assert got == _outcome(oracles.ref_search_regularity_witness, *args, molecule_budget=0)
+        assert got == ("error", "molecule budget exceeded")
+    assert {("member", True), ("member", False)} <= seen
+    assert {("decomposable", True), ("decomposable", False)} <= seen
+    assert {
+        ("verify", "ok", True),
+        ("verify", "ok", False),
+        ("verify", "error", "J is not atom-decomposable; no witness can verify"),
+    } <= seen
+    assert any(key[:2] == ("verify", "error") and "does not dominate" in key[2] for key in seen)
+    assert {("search", "ok", True), ("search", "ok", False)} <= seen
+
+
+def test_lattice_checker_keeps_no_per_query_state():
+    ws = coloured_weight_system(rainbow_family(3))
+    phi = LabelledComplex.complete_complex(3, 4)
+    checker = LatticeChecker(ws, phi, include_high_levels=True)
+
+    def sizes():
+        return {k: len(v) for k, v in vars(checker).items() if hasattr(v, "__len__")}
+
+    before = sizes()
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(30):
+        J_host = coloured_edge_vector(_random_coloured(rng, 4, 3), phi)
+        for J in _queries(rng, ws, phi, J_host):
+            verdicts.add(checker.check(J).member)
+    assert verdicts == {True, False}
+    assert sizes() == before
