@@ -53,6 +53,9 @@ class PermGroup:
                     raise ValueError("element set is not closed under composition")
         self.elements = tuple(sorted(elems))
         self._index = {s: i for i, s in enumerate(self.elements)}
+        # per label set, at most 2**degree entries each
+        self._restrictions: dict[frozenset, tuple[Inj, ...]] = {}
+        self._onto: dict[frozenset, tuple[Inj, ...]] = {}
 
     @classmethod
     def symmetric(cls, q: int) -> "PermGroup":
@@ -105,18 +108,23 @@ class PermGroup:
 
     def restrictions(self, labels) -> tuple[Inj, ...]:
         """All restrictions of group elements to a fixed domain."""
-        labels = tuple(sorted(labels))
-        out = {tuple((x, s[x]) for x in labels) for s in self.elements}
-        return tuple(sorted(out))
+        key = frozenset(labels)
+        if key not in self._restrictions:
+            domain = sorted(key)
+            out = {tuple((x, s[x]) for x in domain) for s in self.elements}
+            self._restrictions[key] = tuple(sorted(out))
+        return self._restrictions[key]
 
     def onto(self, labels) -> tuple[Inj, ...]:
         """All restrictions of group elements mapping onto a fixed image set."""
         target = frozenset(labels)
-        out = set()
-        for s in self.elements:
-            domain = sorted(x for x in range(self.degree) if s[x] in target)
-            out.add(tuple((x, s[x]) for x in domain))
-        return tuple(sorted(out))
+        if target not in self._onto:
+            out = set()
+            for s in self.elements:
+                domain = sorted(x for x in range(self.degree) if s[x] in target)
+                out.add(tuple((x, s[x]) for x in domain))
+            self._onto[target] = tuple(sorted(out))
+        return self._onto[target]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations, repeat
 
 from .core import Hypergraph, Partition, blowup
@@ -34,7 +35,6 @@ class AuxiliaryMatchingInstance:
     degree_min: int
     degree_max: int
     degree_avg: Fraction
-    pair_degree_max: int
     incidence: list  # atom index -> tuple of copy ids
 
     @property
@@ -45,9 +45,16 @@ class AuxiliaryMatchingInstance:
     def R(self) -> int:
         return self.copy_size
 
+    @cached_property
+    def pair_degree_max(self) -> int:
+        """The most copies through one pair of slots, counted on first read."""
+        pair_deg = Counter(chain.from_iterable(map(combinations, self.copies, repeat(2))))
+        return max(pair_deg.values()) if pair_deg else 0
+
 
 def build_auxiliary(host, patterns, partition=None, budget: int = 10_000_000) -> AuxiliaryMatchingInstance:
-    """Exact degree and pair-degree statistics for the copy hypergraph."""
+    """The copy hypergraph with its exact degree statistics; the pair
+    degree is counted when first read."""
     table: CopyTable = enumerate_copies(host, patterns, partition, budget=budget)
     if any(cap != 1 for cap in table.capacities):
         raise ValueError("matching instances need capacity-1 hosts")
@@ -61,7 +68,6 @@ def build_auxiliary(host, patterns, partition=None, budget: int = 10_000_000) ->
         for a in fp:
             incidence[a].append(cid)
     degrees = [len(lst) for lst in incidence]
-    pair_deg = Counter(chain.from_iterable(map(combinations, table.footprints, repeat(2))))
     return AuxiliaryMatchingInstance(
         atoms=table.atoms,
         copies=table.footprints,
@@ -70,7 +76,6 @@ def build_auxiliary(host, patterns, partition=None, budget: int = 10_000_000) ->
         degree_min=min(degrees) if degrees else 0,
         degree_max=max(degrees) if degrees else 0,
         degree_avg=Fraction(sum(degrees), N) if N else Fraction(0),
-        pair_degree_max=max(pair_deg.values()) if pair_deg else 0,
         incidence=[tuple(lst) for lst in incidence],
     )
 

@@ -82,6 +82,32 @@ def _pattern_atoms(pattern) -> tuple[int, list]:
     return pattern.n, items
 
 
+def _rest_index(keys, ordered: bool, coloured: bool) -> dict:
+    """The rest map of the column keys ``keys``, each column its position:
+    for every key and every vertex v of its edge or arc, the triple (v's
+    position in the arc, or None for an edge; the colour, or None when
+    uncoloured; the edge or arc without v) maps to {v: column}.  The
+    column of a slot closed by placing v is then one lookup of v in the
+    map of the slot's other images."""
+    index: dict = {}
+    for column, key in enumerate(keys):
+        item, colour = key if coloured else (key, None)
+        for i, v in enumerate(item):
+            rest = (i if ordered else None, colour, item[:i] + item[i + 1 :])
+            index.setdefault(rest, {})[v] = column
+    return index
+
+
+def _rest_key(verts, x, ordered: bool, colour):
+    """The function from the host images of all pattern vertices to the
+    rest-map key (see _rest_index) of the slot on ``verts`` less x."""
+    i = verts.index(x)
+    get = _getter(verts[:i] + verts[i + 1 :])
+    if ordered:
+        return lambda seq: (i, colour, get(seq))
+    return lambda seq: (None, colour, tuple(sorted(get(seq))))
+
+
 # ---------------------------------------------------------------------------
 # copy enumeration
 
@@ -95,31 +121,35 @@ class CopyTable:
     multiplicities: list  # number of embeddings per footprint
 
 
-def _placements(plans, lookup, budget=math.inf, deadline=None):
+def _placements(plans, index, budget=math.inf, deadline=None):
     """Yield (plan index, images, keys) for every placement of each plan in
-    turn whose slot keys ``lookup`` all finds.
+    turn whose slots all have columns in the rest map ``index``.
 
     A plan (order, ready, pools, after) places pattern vertex order[k] at
     level k on the members of pools[order[k]] in pool order, skipping host
     vertices already used and, when after[k] is not -1, every pool position
-    up to that of the vertex placed at level after[k]; ready[k] holds the
-    key functions of the slots whose last vertex is order[k].  ``images``
-    (host vertex per pattern vertex) and ``keys`` (the lookup results in
-    level order) are lists the walk reuses.  More than ``budget`` nodes
-    raise BudgetExceeded; passing the ``time.monotonic()`` instant
-    ``deadline``, checked every 1024 nodes and when the walk ends, raises
-    TimeBudgetExceeded.
+    up to that of the vertex placed at level after[k]; ready[k] holds, for
+    each slot whose last vertex is order[k], the function from ``images``
+    to the slot's rest key.  Entering level k resolves those keys to their
+    {vertex: column} maps once, and each candidate then looks itself up in
+    them; a key missing from ``index`` gives an empty map, so its candidates
+    fail but still count as nodes.  ``images`` (host vertex per pattern
+    vertex) and ``keys`` (the columns found, in level order) are lists the
+    walk reuses.  More than ``budget`` nodes raise BudgetExceeded; passing
+    the ``time.monotonic()`` instant ``deadline``, checked every 1024 nodes
+    and when the walk ends, raises TimeBudgetExceeded.
     """
     nodes = 0
     limit = budget if deadline is None else min(budget, 1024)  # next check
     keys: list = []
     used: set = set()
+    empty: dict = {}
 
     def level(k):
         nonlocal nodes, limit
         x = order[k]
         pool = pools[x]
-        checks = ready[k]
+        columns = [index.get(rest(images), empty) for rest in ready[k]]
         start = at[after[k]] + 1 if after[k] >= 0 else 0
         for i in range(start, len(pool)):
             v = pool[i]
@@ -134,8 +164,8 @@ def _placements(plans, lookup, budget=math.inf, deadline=None):
                 limit = min(budget, nodes + 1024)
             images[x] = v
             mark = len(keys)
-            for key in checks:
-                a = lookup(key(images))
+            for column in columns:
+                a = column.get(v)
                 if a is None:
                     break
                 keys.append(a)
@@ -164,7 +194,9 @@ def _placements(plans, lookup, budget=math.inf, deadline=None):
 def _plan(pattern, part_of: dict | None, host_pools: list, deadline=None) -> tuple:
     """(placement plan, embeddings per placement) for one pattern;
     ``part_of`` maps each pattern vertex to its part (None: one part) and
-    ``host_pools[j]`` lists the host vertices of part j.
+    ``host_pools[j]`` lists the host vertices of part j.  The plan's
+    ready[k] holds the rest-key functions (see _rest_key) of the slots that
+    placing order[k] closes.
 
     Vertices are placed in an order that closes edges early.  The
     automorphisms of the pattern (the vertex permutations that keep every
@@ -191,23 +223,28 @@ def _plan(pattern, part_of: dict | None, host_pools: list, deadline=None) -> tup
     level_of = [0] * q
     for k, x in enumerate(order):
         level_of[x] = k
+    coloured = hasattr(pattern, "colours")
+    own = [key(range(q)) for _, key in items]
     ready: list[list] = [[] for _ in range(q)]
-    for verts, key in items:
-        ready[max(level_of[x] for x in verts)].append(key)
-    own = {key(range(q)): i for i, (_, key) in enumerate(items)}
-    orbits = _orbits(order, ready, part, own, deadline)
+    for (verts, _), key in zip(items, own):
+        x = max(verts, key=level_of.__getitem__)
+        colour = key[1] if coloured else None
+        ready[level_of[x]].append(_rest_key(verts, x, pattern._ordered, colour))
+    own_index = _rest_index(own, pattern._ordered, coloured)
+    orbits = _orbits(order, ready, part, own_index, deadline)
     after = [max((j for j in range(k) if x in orbits[j]), default=-1) for k, x in enumerate(order)]
     plan = (order, ready, [host_pools[part[x]] for x in range(q)], after)
     return plan, math.prod(map(len, orbits))
 
 
-def _orbits(order, ready, part, own, deadline=None) -> list[list[int]]:
+def _orbits(order, ready, part, own_index, deadline=None) -> list[list[int]]:
     """O_k for each level k: the pattern vertices that an automorphism
     fixing order[:k] pointwise maps order[k] to.
 
     Each candidate image is decided by a search for one such automorphism,
-    a placement of the pattern on itself whose slot keys are all in ``own``,
-    which stops at the first one found; the group is never listed.
+    a placement of the pattern on itself whose slots all have columns in
+    ``own_index``, the rest map of the pattern's own slot keys, which stops
+    at the first one found; the group is never listed.
     """
     q = len(order)
     pools = [[y for y in range(q) if part[y] == part[x]] for x in range(q)]
@@ -219,7 +256,7 @@ def _orbits(order, ready, part, own, deadline=None) -> list[list[int]]:
             if part[y] == part[x]:
                 pools[x] = [y]
                 plans = [(order, ready, pools, no_after)]
-                if next(_placements(plans, own.get, deadline=deadline), None):
+                if next(_placements(plans, own_index, deadline=deadline), None):
                     orbit.append(y)
         pools[x] = [x]
         orbits.append(orbit)
@@ -240,13 +277,14 @@ def enumerate_copies(
     labelled embedding gives.  ``budget`` caps the nodes of that reduced
     walk (one per host vertex tried at a level): more raise BudgetExceeded.
     Passing the ``time.monotonic()`` instant ``deadline``, checked every
-    1024 nodes and when the walk ends, raises TimeBudgetExceeded.
+    1024 nodes and when the walk ends, raises TimeBudgetExceeded.  Pattern
+    arcs go only onto host arcs and pattern edges only onto host edges.
     """
     if not isinstance(patterns, (list, tuple)):
         patterns = [patterns]
     atoms = host_atoms(host)
     atom_order = sorted(atoms, key=repr)
-    atom_index = {a: i for i, a in enumerate(atom_order)}
+    index = _rest_index(atom_order, host._ordered, hasattr(host, "colours"))
     host_pools = [range(host.n)]
     part_of = None
     if partition is not None:
@@ -262,7 +300,7 @@ def enumerate_copies(
         multiplicities.append(multiplicity)
     found: dict[tuple, tuple] = {}
     counts: dict[tuple, int] = {}
-    for p_idx, images, keys in _placements(plans, atom_index.get, budget, deadline):
+    for p_idx, images, keys in _placements(plans, index, budget, deadline):
         fp = tuple(sorted(keys))
         count = counts.get(fp)
         if count is None:

@@ -15,13 +15,18 @@ loop per mode, kept verbatim as the reference for typicality reports; and
 `RefLatticeChecker` with the other `ref_*` weight functions is the earlier
 weights module, one lift and one span checker per use, kept verbatim as
 the reference for weights, edge vectors, lattice and regularity reports.
+`ref_restrictions` and `ref_onto` are the earlier `PermGroup` methods,
+which rebuilt their result from every group element on each call, and
+`ref_pair_degree_max` is the auxiliary's earlier pair degree, counted when
+the auxiliary was built; both are kept verbatim as references.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product, repeat
 from math import comb
 
 from decomp_lab.complexes import LabelledComplex, PermGroup, TypicalityReport
@@ -1397,3 +1402,30 @@ def ref_search_regularity_witness(
     if sol is None:
         return None
     return {copies[i]: sol[i] for i in range(len(copies))}
+
+
+# ---------------------------------------------------------------------------
+# reference group restrictions and auxiliary pair degree
+
+
+def ref_restrictions(group: PermGroup, labels) -> tuple:
+    """All restrictions of group elements to a fixed domain."""
+    labels = tuple(sorted(labels))
+    out = {tuple((x, s[x]) for x in labels) for s in group.elements}
+    return tuple(sorted(out))
+
+
+def ref_onto(group: PermGroup, labels) -> tuple:
+    """All restrictions of group elements mapping onto a fixed image set."""
+    target = frozenset(labels)
+    out = set()
+    for s in group.elements:
+        domain = sorted(x for x in range(group.degree) if s[x] in target)
+        out.add(tuple((x, s[x]) for x in domain))
+    return tuple(sorted(out))
+
+
+def ref_pair_degree_max(footprints) -> int:
+    """The most copies through one pair of slots, from the copies' footprints."""
+    pair_deg = Counter(chain.from_iterable(map(combinations, footprints, repeat(2))))
+    return max(pair_deg.values()) if pair_deg else 0

@@ -73,6 +73,25 @@ def test_deleting_one_labelled_edge_breaks_adaptedness():
     assert phi.is_restriction_closed()
 
 
+def test_group_restrictions_are_memoized_per_label_set():
+    groups = (
+        PermGroup.symmetric(4),
+        PermGroup.part_stabilizer(Partition.from_lists([[0, 2], [1, 3, 4]])),
+    )
+    for group in groups:
+        subsets = [
+            set(labels) for k in range(group.degree + 1) for labels in combinations(range(group.degree), k)
+        ]
+        for labels in subsets:
+            restrictions, onto = group.restrictions(labels), group.onto(labels)
+            assert restrictions == oracles.ref_restrictions(group, labels)
+            assert onto == oracles.ref_onto(group, labels)
+            # a second call with the labels in another order reads the memo
+            assert group.restrictions(sorted(labels, reverse=True)) is restrictions
+            assert group.onto(tuple(labels)) is onto
+        assert len(group._restrictions) == len(group._onto) == len(subsets)
+
+
 def test_orbits_full_symmetric_group():
     phi = LabelledComplex.complete_complex(3, 4)
     s3 = PermGroup.symmetric(3)

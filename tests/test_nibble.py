@@ -1,10 +1,15 @@
 """Random greedy matching process: exactness, reproducibility, bounds."""
 
+import hashlib
 import math
+import random
+from dataclasses import asdict
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import oracles
 from decomp_lab.core import Hypergraph, Partition, blowup
 from decomp_lab.nibble import (
     build_auxiliary,
@@ -42,6 +47,28 @@ def test_pair_degree_max_counts_the_copies_through_a_slot_pair():
     assert build_auxiliary(Hypergraph.complete(7, 2), TRIANGLE).pair_degree_max == 1
 
 
+def test_pair_degree_is_counted_on_first_read():
+    aux = partite_aux(4)
+    assert "pair_degree_max" not in vars(aux)
+    assert aux.pair_degree_max == oracles.ref_pair_degree_max(aux.copies) == 1
+    assert "pair_degree_max" in vars(aux)
+    rng = random.Random(9)
+    c4 = Hypergraph.from_edges(4, 2, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    path = Hypergraph.from_edges(3, 2, [(0, 1), (1, 2)])
+    seen = set()
+    for _ in range(12):
+        r = rng.choice((2, 3))
+        n = rng.randint(r + 2, 8)
+        edges = [e for e in combinations(range(n), r) if rng.random() < 0.7]
+        host = Hypergraph.from_edges(n, r, edges)
+        for pattern in (TRIANGLE, c4, path) if r == 2 else (Hypergraph.complete(4, 3),):
+            aux = build_auxiliary(host, pattern)
+            want = oracles.ref_pair_degree_max(aux.copies)
+            assert aux.pair_degree_max == want
+            seen.add(want)
+    assert {0, 1}.issubset(seen) and max(seen) > 1
+
+
 def test_auxiliary_degenerate_single_copy():
     aux = build_auxiliary(TRIANGLE, TRIANGLE)
     assert aux.N == aux.R == 3
@@ -49,6 +76,29 @@ def test_auxiliary_degenerate_single_copy():
     run = random_greedy(aux, seed=1)
     assert len(run.matching) == 1
     assert run.stop_reason == "exhausted"
+
+
+def test_greedy_runs_and_bounds_match_pinned_values():
+    # copy ids follow footprint order, so these pins also guard copy enumeration
+    run = random_greedy(partite_aux(6), seed=42)
+    digest = hashlib.sha256(run.dump_jsonl().encode()).hexdigest()
+    assert digest == "72a1e6579ed35604b7cc7f38718f27a294eed5dbbfc66d657cd7baba61a62523"
+    aux = build_auxiliary(Hypergraph.complete(13, 2), TRIANGLE)
+    run = random_greedy(aux, seed=7, stop_density=Fraction(1, 2))
+    assert run.stop_reason == "density"
+    assert run.matching == [167, 22, 258, 139, 0, 148, 33, 232, 229, 244, 49, 265, 184, 91]
+    digest = hashlib.sha256(run.dump_jsonl().encode()).hexdigest()
+    assert digest == "930884684f471150450b3323f528653b9136a1b8118edf9427cbde1c33d45815"
+    assert asdict(counting_bounds(TRIANGLE, 12, seed=5)) == {
+        "log_upper": 69.82655756947204,
+        "log_lower_estimate": 2.484906649788,
+        "per_cell_upper": 0.4849066497880003,
+        "per_cell_lower": 0.017256296179083332,
+        "cells": 144,
+        "steps_run": 1,
+        "o_terms_dropped": True,
+        "notes": ["asymptotic correction terms dropped; desk-scale estimate only", "stop=density"],
+    }
 
 
 def test_step_zero_stop():

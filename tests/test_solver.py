@@ -537,6 +537,29 @@ def test_enumeration_budget_counts_reduced_walk_nodes():
         enumerate_copies(k9, TRIANGLE, budget=128)
 
 
+def test_enumeration_budget_counts_candidates_that_close_no_host_slot():
+    # an isolated vertex closes no edge, yet every vertex tried after it
+    # costs a node: K_6 plus an isolated vertex by triangles, the isolated
+    # vertex last or first
+    for isolated, least in ((6, 63), (0, 48)):
+        k6 = [e for e in combinations(range(7), 2) if isolated not in e]
+        host = Hypergraph.from_edges(7, 2, k6)
+        assert len(enumerate_copies(host, TRIANGLE, budget=least).footprints) == 20
+        with pytest.raises(BudgetExceeded):
+            enumerate_copies(host, TRIANGLE, budget=least - 1)
+
+
+def test_pattern_arcs_go_only_onto_host_arcs():
+    # slot kinds must agree: no copies across edges and arcs, or across
+    # coloured and uncoloured slots
+    assert not enumerate_copies(Digraph.complete(4, 2), TRIANGLE).footprints
+    assert not enumerate_copies(Hypergraph.complete(4, 2), tight_cycle(3, 2)).footprints
+    rainbow = rainbow_family(3)[0]
+    assert not enumerate_copies(Hypergraph.complete(4, 2), rainbow).footprints
+    host = ColouredMultigraph.from_dict(4, 2, 1, {e: (1,) for e in combinations(range(4), 2)})
+    assert not enumerate_copies(host, TRIANGLE).footprints
+
+
 def test_host_partition_with_too_few_parts_is_rejected():
     two_parts = Partition.from_lists([[0, 1], [2, 3]])
     with pytest.raises(ValueError, match="fewer parts"):
