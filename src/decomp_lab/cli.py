@@ -140,6 +140,30 @@ def load_structure(doc: dict):
     raise InputError(f"unrecognized structure document type {t!r}")
 
 
+_STRUCTURES = (Hypergraph, ColouredMultigraph, Digraph, ColouredMultidigraph)
+
+# what parse_structure returns for an instance spec and for a family spec
+_SPEC_KINDS = {dict: "instance", list: "pattern family"}
+
+
+def _kind_name(kind) -> str:
+    return _SPEC_KINDS.get(kind, kind.__name__)
+
+
+def _spec(spec: str | None, role: str, *kinds):
+    """The object that spec names, which must be of one of kinds (dict for
+    an instance spec, list for a pattern family); a missing spec or one of
+    another kind is an input error."""
+    if spec is None:
+        raise InputError(f"missing {role} spec")
+    obj = parse_structure(spec)
+    if not isinstance(obj, kinds):
+        wanted = ", ".join(map(_kind_name, kinds))
+        got = _kind_name(type(obj))
+        raise InputError(f"{role} spec {spec!r} is of kind {got}; expected: {wanted}")
+    return obj
+
+
 def _as_instance(obj):
     """Normalize a parsed spec into (host, patterns, partition-or-None)."""
     if isinstance(obj, dict):
@@ -148,6 +172,15 @@ def _as_instance(obj):
             partition = (obj["pattern_partition"], obj["host_partition"])
         return obj["host"], obj["pattern"], partition
     return obj, None, None
+
+
+def _host_and_pattern(args):
+    """(host, pattern or family, partition or None) from --host, which may
+    name an instance, and --pattern, which overrides the instance's."""
+    host, pattern, partition = _as_instance(_spec(args.host, "host", dict, *_STRUCTURES))
+    if args.pattern or pattern is None:
+        pattern = _spec(args.pattern, "pattern", list, *_STRUCTURES)
+    return host, pattern, partition
 
 
 def _emit(doc: dict, fmt: str, out=None) -> None:
@@ -171,39 +204,37 @@ def cmd_check(args) -> int:
         rep = dv.steiner_divisible(n, q, r, lam)
         doc["check"] = "block-size divisibility for (n, q, r, lambda) designs"
     elif kind == "h":
-        host = parse_structure(args.host)
-        pattern = parse_structure(args.pattern)
+        host = _spec(args.host, "host", Hypergraph)
+        pattern = _spec(args.pattern, "pattern", Hypergraph)
         rep = dv.h_divisible(host, pattern)
         doc["check"] = "per-level degree gcd divisibility"
     elif kind == "hp":
-        spec = parse_structure(args.host)
-        host, pattern, partition = _as_instance(spec)
-        if args.pattern:
-            pattern = parse_structure(args.pattern)
-        if args.host_partition or args.pattern_partition:
+        host, pattern, partition = _as_instance(_spec(args.host, "host", dict, Hypergraph))
+        if args.pattern or pattern is None:
+            pattern = _spec(args.pattern, "pattern", Hypergraph)
+        if partition is None or args.host_partition or args.pattern_partition:
             partition = (
-                parse_structure(args.pattern_partition),
-                parse_structure(args.host_partition),
+                _spec(args.pattern_partition, "pattern partition", Partition),
+                _spec(args.host_partition, "host partition", Partition),
             )
         rep = dv.hp_divisible(host, partition[1], pattern, partition[0])
         doc["check"] = "partite index-vector lattice divisibility"
     elif kind == "coloured":
-        host = parse_structure(args.host)
-        family = parse_structure(args.pattern)
+        host = _spec(args.host, "host", ColouredMultigraph)
+        family = _spec(args.pattern, "pattern", list)
         rep = dv.coloured_divisible(host, family)
         doc["check"] = "colour degree-vector lattice divisibility"
     elif kind == "digraph":
-        host = parse_structure(args.host)
-        pattern = parse_structure(args.pattern)
+        host = _spec(args.host, "host", Digraph)
+        pattern = _spec(args.pattern, "pattern", Digraph)
         rep = dv.digraph_divisible(host, pattern)
         doc["check"] = "positional degree-vector lattice divisibility"
     elif kind == "master":
-        host = parse_structure(args.host)
-        pattern = parse_structure(args.pattern)
-        patterns = pattern if isinstance(pattern, list) else [pattern]
-        host_partition = parse_structure(args.host_partition)
-        pattern_partition = parse_structure(args.pattern_partition)
-        rep = dv.master_divisible(host, host_partition, patterns, pattern_partition)
+        host = _spec(args.host, "host", ColouredMultidigraph)
+        pattern = _spec(args.pattern, "pattern", ColouredMultidigraph)
+        host_partition = _spec(args.host_partition, "host partition", Partition)
+        pattern_partition = _spec(args.pattern_partition, "pattern partition", Partition)
+        rep = dv.master_divisible(host, host_partition, [pattern], pattern_partition)
         doc["check"] = "coloured directed partite degree-vector lattice divisibility"
     else:
         raise InputError(f"unknown check kind {kind!r}")
@@ -217,10 +248,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    spec = parse_structure(args.host)
-    host, pattern, partition = _as_instance(spec)
-    if args.pattern:
-        pattern = parse_structure(args.pattern)
+    host, pattern, partition = _host_and_pattern(args)
     if not args.partite:
         partition = None
     result = sv.find_decomposition(
@@ -243,10 +271,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_count(args) -> int:
-    spec = parse_structure(args.host)
-    host, pattern, partition = _as_instance(spec)
-    if args.pattern:
-        pattern = parse_structure(args.pattern)
+    host, pattern, partition = _host_and_pattern(args)
     if not args.partite:
         partition = None
     doc = {"command": "count", "host": args.host, "pattern": args.pattern}
@@ -265,10 +290,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = parse_structure(args.host)
-    host, pattern, partition = _as_instance(spec)
-    if args.pattern:
-        pattern = parse_structure(args.pattern)
+    host, pattern, partition = _host_and_pattern(args)
     with open(args.certificate, encoding="utf-8") as fh:
         cert = sv.Certificate.from_json_dict(json.load(fh))
     rep = sv.verify_certificate(host, pattern, cert, partition if args.partite else None)
@@ -323,9 +345,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_nibble(args) -> int:
-    pattern = parse_structure(args.pattern)
-    if isinstance(pattern, dict):
-        raise InputError("nibble takes a plain pattern spec")
+    pattern = _spec(args.pattern, "pattern", Hypergraph)
     stop_density = Fraction(args.stop_density) if args.stop_density else None
     bounds, aux = nb._blowup_bounds(pattern, args.blowup, args.seed, stop_density)
     doc = {
@@ -351,8 +371,9 @@ def cmd_nibble(args) -> int:
 
 
 def cmd_typicality(args) -> int:
-    spec = parse_structure(args.host)
-    host, pattern, partition = _as_instance(spec)
+    # blowup and hp read the pattern and partitions of an instance spec
+    kinds = {"plain": (dict, Hypergraph), "coloured": (ColouredMultigraph,)}.get(args.mode, (dict,))
+    host, pattern, partition = _as_instance(_spec(args.host, "host", *kinds))
     c = Fraction(args.c)
     if args.mode == "plain":
         rep = is_typical_plain(host, c, args.s, seed=args.seed)

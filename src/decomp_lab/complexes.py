@@ -657,25 +657,17 @@ def is_extendable(
     if not roots:
         notes.append("no root embeddings exist at the top level")
         ok = False
-    for positions in position_lists:
-        for root in roots:
-            ext = complete_extension(phi.q, root, positions)
-            res = extension_count(phi, ext)
-            threshold = omega * Fraction(n) ** ext.new_count
-            checked += 1
-            dense = res.value >= threshold and res.value > 0
-            if worst is None or Fraction(res.value) - threshold < worst[0] - worst[1]:
-                worst = (Fraction(res.value), threshold, positions)
-            if not dense:
-                ok = False
-    for ext in extra_templates:
+    # (extension, description): the library templates at every root, then the extras
+    library = ((complete_extension(phi.q, root, p), p) for p in position_lists for root in roots)
+    extra = ((ext, ext.new_vertices) for ext in extra_templates)
+    for ext, description in chain(library, extra):
         res = extension_count(phi, ext)
         threshold = omega * Fraction(n) ** ext.new_count
         checked += 1
         if not (res.value >= threshold and res.value > 0):
             ok = False
         if worst is None or Fraction(res.value) - threshold < worst[0] - worst[1]:
-            worst = (Fraction(res.value), threshold, ext.new_vertices)
+            worst = (Fraction(res.value), threshold, description)
     return ExtendabilityReport(
         extendable=ok, omega=omega, rank=rank, checked=checked, worst=worst, notes=notes
     )

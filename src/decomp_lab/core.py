@@ -5,10 +5,18 @@ sorted duplicate-free tuples, arcs as tuples of distinct vertices indexed by
 position, and partial injections ("labelled edges") as tuples of
 (label, vertex) pairs sorted by label.  All values are immutable after
 construction and all operations are pure, so everything here is safe to
-share across threads.  Every degree, neighbourhood and density query reads
-a per-level incidence index that each structure builds in one pass on
-first use and memoizes; an index is stored only once it is complete, so a
-race between threads at worst builds it twice.
+share across threads.
+
+Every structure lists its slots the same way: ``slots()`` gives its edges
+or arcs in sorted order, each paired with its multiplicity vector, or with
+None when the structure is uncoloured.  Two class flags say how to read a
+slot: ``_ordered`` (arcs, whose positions matter, against sorted edges)
+and ``_coloured`` (multiplicity vectors over ``colours``).  Code that
+takes any of the four types reads it through these three names.  Every
+degree, neighbourhood and density query reads a per-level incidence index
+that each structure builds from its slots in one pass on first use and
+memoizes; an index is stored only once it is complete, so a race between
+threads at worst builds it twice.
 """
 
 from __future__ import annotations
@@ -74,28 +82,29 @@ def injections(i: int, n: int) -> list[tuple]:
 
 
 class _Incidence:
-    """Degree queries shared by the four structure types.
+    """Slots and degree queries shared by the four structure types.
 
-    Level i of the index maps each i-element sub-placement of an edge or
-    arc to the entries that contain it: the edges or arcs themselves, or
-    for coloured structures their stored (edge or arc, multiplicity
-    vector) pairs.  Unordered structures key a sub-placement by its sorted
-    vertex subset, ordered ones by its (position, vertex) pairs sorted by
-    position.
+    ``slots()`` lists a structure's edges or arcs; ``_ordered`` says whether
+    they are arcs (position matters) and ``_coloured`` whether each carries
+    a multiplicity vector over the colours.  Level i of the index maps each
+    i-element sub-placement of an edge or arc to the entries that contain
+    it: the edges or arcs themselves, or for coloured structures their
+    (edge or arc, multiplicity vector) slots.  Unordered structures key a
+    sub-placement by its sorted vertex subset, ordered ones by its
+    (position, vertex) pairs sorted by position.
     """
 
     _ordered = False
-
-    def _entries(self):
-        """(edge or arc, index entry) pairs."""
-        return ((pair[0], pair) for pair in self.mult)
+    _coloured = False
 
     def _incidence(self, level: int) -> dict:
         memo = self.__dict__.setdefault("_incidence_memo", {})
         index = memo.get(level)
         if index is None:
             index = {}
-            for item, entry in self._entries():
+            for slot in self.slots():
+                item = slot[0]
+                entry = slot if self._coloured else item
                 slots = tuple(enumerate(item)) if self._ordered else item
                 for key in combinations(slots, level):
                     index.setdefault(key, []).append(entry)
@@ -252,8 +261,9 @@ class Hypergraph(_Incidence):
     def sorted_edges(self) -> list[tuple]:
         return sorted(self.edges)
 
-    def _entries(self):
-        return ((e, e) for e in self.edges)
+    def slots(self) -> list[tuple]:
+        """(edge, None) pairs in sorted edge order."""
+        return [(e, None) for e in sorted(self.edges)]
 
     def neighbourhood(self, e) -> set:
         """Sets f disjoint from e with e u f an edge."""
@@ -353,24 +363,30 @@ def partite_density(g: Hypergraph, p_host: Partition, i) -> Fraction:
 
 
 @dataclass(frozen=True)
-class ColouredMultigraph(_Incidence):
-    """r-multigraph with [D]-coloured edges stored as multiplicity vectors."""
+class _Coloured(_Incidence):
+    """[D]-coloured r-multigraph or multidigraph: each edge or arc carries a
+    nonzero multiplicity vector over the colours.  Subclasses set
+    ``_ordered`` and the JSON ``_type``."""
 
     n: int
     r: int
     colours: int
-    mult: tuple  # tuple[(edge, tuple[int]*colours), ...] sorted by edge
+    mult: tuple  # tuple[(edge or arc, tuple[int]*colours), ...] sorted
+
+    _coloured = True
+    _type = ""
 
     def __post_init__(self):
+        kind = "arc" if self._ordered else "edge"
         seen = set()
-        for e, vec in self.mult:
-            if len(e) != self.r or len(set(e)) != self.r or tuple(sorted(e)) != e:
-                raise ValueError(f"bad edge {e}")
-            if e in seen:
-                raise ValueError(f"edge {e} given twice")
-            seen.add(e)
-            if any(v < 0 or v >= self.n for v in e):
-                raise ValueError(f"edge {e} out of range")
+        for item, vec in self.mult:
+            if len(item) != self.r or len(set(item)) != self.r or item != self._key(item):
+                raise ValueError(f"bad {kind} {item}")
+            if item in seen:
+                raise ValueError(f"{kind} {item} given twice")
+            seen.add(item)
+            if any(v < 0 or v >= self.n for v in item):
+                raise ValueError(f"{kind} {item} out of range")
             if len(vec) != self.colours:
                 raise ValueError("multiplicity vector has wrong length")
             if any(m < 0 for m in vec):
@@ -379,40 +395,75 @@ class ColouredMultigraph(_Incidence):
                 raise ValueError("zero multiplicity vectors are not stored")
 
     @classmethod
-    def from_dict(cls, n: int, r: int, colours: int, mult: dict) -> "ColouredMultigraph":
+    def _key(cls, item) -> tuple:
+        """The stored form of an edge (sorted) or arc (as given)."""
+        item = tuple(map(int, item))
+        return item if cls._ordered else tuple(sorted(item))
+
+    @classmethod
+    def from_dict(cls, n: int, r: int, colours: int, mult: dict):
         items = []
-        for e, vec in mult.items():
+        for item, vec in mult.items():
             vec = tuple(int(m) for m in vec)
             if any(vec):
-                items.append((tuple(sorted(map(int, e))), vec))
+                items.append((cls._key(item), vec))
         return cls(n, r, colours, tuple(sorted(items)))
 
     @classmethod
-    def from_colour_classes(cls, n: int, r: int, colours: int, classes) -> "ColouredMultigraph":
-        """classes[d] is an iterable of edges of colour d (repeats add up)."""
+    def from_colour_classes(cls, n: int, r: int, colours: int, classes):
+        """classes[d] is an iterable of edges or arcs of colour d (repeats
+        add up)."""
         mult: dict[tuple, list[int]] = {}
         for d, cl in enumerate(classes):
-            for e in cl:
-                key = tuple(sorted(map(int, e)))
-                mult.setdefault(key, [0] * colours)[d] += 1
+            for item in cl:
+                mult.setdefault(cls._key(item), [0] * colours)[d] += 1
         return cls.from_dict(n, r, colours, mult)
 
-    def multiplicity(self, e) -> tuple[int, ...]:
-        key = tuple(sorted(map(int, e)))
-        for edge, vec in self.mult:
-            if edge == key:
-                return vec
-        return (0,) * self.colours
+    def slots(self) -> list[tuple]:
+        """(edge or arc, multiplicity vector) pairs in sorted order."""
+        return sorted(self.mult)
 
-    def edges(self) -> list[tuple]:
-        return [e for e, _ in self.mult]
+    @cached_property
+    def _vectors(self) -> dict:
+        return dict(self.mult)
+
+    def multiplicity(self, item) -> tuple[int, ...]:
+        return self._vectors.get(self._key(item), (0,) * self.colours)
 
     def size(self) -> int:
-        """Total edge count, multiplicity-weighted."""
+        """Total edge or arc count, multiplicity-weighted."""
         return sum(sum(vec) for _, vec in self.mult)
 
     def colour_size(self, d: int) -> int:
         return sum(vec[d] for _, vec in self.mult)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "type": self._type,
+            "n": self.n,
+            "r": self.r,
+            "colours": self.colours,
+            "mult": {",".join(map(str, item)): list(vec) for item, vec in self.mult},
+        }
+
+    @classmethod
+    def from_json_dict(cls, doc: dict):
+        if doc.get("type") != cls._type:
+            raise ValueError(f"not a {cls._type} document")
+        mult = {
+            tuple(int(v) for v in key.split(",")): vec
+            for key, vec in doc["mult"].items()
+        }
+        return cls.from_dict(doc["n"], doc["r"], doc["colours"], mult)
+
+
+class ColouredMultigraph(_Coloured):
+    """r-multigraph with [D]-coloured edges stored as multiplicity vectors."""
+
+    _type = "coloured-multigraph"
+
+    def edges(self) -> list[tuple]:
+        return [e for e, _ in self.mult]
 
     def degree_vector(self, e) -> tuple[int, ...]:
         """Component d = multiplicity-weighted number of colour-d edges over e."""
@@ -427,25 +478,6 @@ class ColouredMultigraph(_Incidence):
     def density(self) -> Fraction:
         total = comb(self.n, self.r)
         return Fraction(self.size(), total) if total else Fraction(0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "coloured-multigraph",
-            "n": self.n,
-            "r": self.r,
-            "colours": self.colours,
-            "mult": {",".join(map(str, e)): list(vec) for e, vec in self.mult},
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ColouredMultigraph":
-        if doc.get("type") != "coloured-multigraph":
-            raise ValueError("not a coloured-multigraph document")
-        mult = {
-            tuple(int(v) for v in key.split(",")): vec
-            for key, vec in doc["mult"].items()
-        }
-        return cls.from_dict(doc["n"], doc["r"], doc["colours"], mult)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +521,9 @@ class Digraph(_Incidence):
         images = [frozenset(a) for a in self.arcs]
         return len(set(images)) == len(images)
 
-    def _entries(self):
-        return ((a, a) for a in self.arcs)
+    def slots(self) -> list[tuple]:
+        """(arc, None) pairs in sorted arc order."""
+        return [(a, None) for a in sorted(self.arcs)]
 
     def degree_vector(self, psi) -> tuple[int, ...]:
         """Coordinate pi (injections [i]->[r], lex order): arcs with positions
@@ -512,63 +545,14 @@ class Digraph(_Incidence):
         return cls.from_arcs(doc["n"], doc["r"], doc["arcs"])
 
 
-@dataclass(frozen=True)
-class ColouredMultidigraph(_Incidence):
+class ColouredMultidigraph(_Coloured):
     """[D]-coloured r-multidigraph: arc -> multiplicity vector."""
 
-    n: int
-    r: int
-    colours: int
-    mult: tuple  # tuple[(arc, tuple[int]*colours), ...] sorted
-
     _ordered = True
-
-    def __post_init__(self):
-        seen = set()
-        for a, vec in self.mult:
-            if len(a) != self.r or len(set(a)) != self.r:
-                raise ValueError(f"bad arc {a}")
-            if a in seen:
-                raise ValueError(f"arc {a} given twice")
-            seen.add(a)
-            if any(v < 0 or v >= self.n for v in a):
-                raise ValueError(f"arc {a} out of range")
-            if len(vec) != self.colours or any(m < 0 for m in vec) or not any(vec):
-                raise ValueError("bad multiplicity vector")
-
-    @classmethod
-    def from_dict(cls, n: int, r: int, colours: int, mult: dict) -> "ColouredMultidigraph":
-        items = []
-        for a, vec in mult.items():
-            vec = tuple(int(m) for m in vec)
-            if any(vec):
-                items.append((tuple(map(int, a)), vec))
-        return cls(n, r, colours, tuple(sorted(items)))
-
-    @classmethod
-    def from_colour_classes(cls, n: int, r: int, colours: int, classes) -> "ColouredMultidigraph":
-        mult: dict[tuple, list[int]] = {}
-        for d, cl in enumerate(classes):
-            for a in cl:
-                key = tuple(map(int, a))
-                mult.setdefault(key, [0] * colours)[d] += 1
-        return cls.from_dict(n, r, colours, mult)
-
-    def multiplicity(self, a) -> tuple[int, ...]:
-        key = tuple(map(int, a))
-        for arc, vec in self.mult:
-            if arc == key:
-                return vec
-        return (0,) * self.colours
+    _type = "coloured-multidigraph"
 
     def arcs(self) -> list[tuple]:
         return [a for a, _ in self.mult]
-
-    def colour_size(self, d: int) -> int:
-        return sum(vec[d] for _, vec in self.mult)
-
-    def size(self) -> int:
-        return sum(sum(vec) for _, vec in self.mult)
 
     def degree_vector(self, psi) -> tuple[int, ...]:
         """Coordinates (d, pi) with d major, pi in lex order over injections
@@ -576,25 +560,6 @@ class ColouredMultidigraph(_Incidence):
         placement pi -> psi."""
         sums = [_colour_sums(pairs, self.colours) for pairs in self._placements(psi)]
         return tuple(s[d] for d in range(self.colours) for s in sums)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "coloured-multidigraph",
-            "n": self.n,
-            "r": self.r,
-            "colours": self.colours,
-            "mult": {",".join(map(str, a)): list(vec) for a, vec in self.mult},
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ColouredMultidigraph":
-        if doc.get("type") != "coloured-multidigraph":
-            raise ValueError("not a coloured-multidigraph document")
-        mult = {
-            tuple(int(v) for v in key.split(",")): vec
-            for key, vec in doc["mult"].items()
-        }
-        return cls.from_dict(doc["n"], doc["r"], doc["colours"], mult)
 
 
 # ---------------------------------------------------------------------------

@@ -121,31 +121,13 @@ def hp_divisible(
     bad = is_index_blowup(g, host_partition, I)
     if bad is not None:
         raise ValueError(f"host edge {bad} has an index outside the pattern index set")
-    failures = []
-    span_cache: dict[tuple, SpanChecker] = {}
-    for level in range(g.r + 1):
-        by_index: dict[tuple, list] = {}
-        for f in combinations(range(h.n), level):
-            by_index.setdefault(pattern_partition.index_vector(f), []).append(
-                pattern_degree_vector(h, pattern_partition, f, I)
-            )
-        found = None
-        for e in combinations(range(g.n), level):
-            ie = host_partition.index_vector(e)
-            gens = by_index.get(ie, [])
-            key = (ie, level)
-            checker = span_cache.get(key)
-            if checker is None:
-                checker = SpanChecker(sorted(set(map(tuple, gens))))
-                span_cache[key] = checker
-            vec = host_degree_vector(g, host_partition, e, I)
-            if checker.membership(vec) is None:
-                found = LevelFailure(
-                    level, e, f"span of pattern degree vectors at index {ie}", vec
-                )
-                break
-        if found:
-            failures.append(found)
+    failures = _span_scan(
+        g,
+        _pattern_span((h,), pattern_partition, g.r + 1),
+        lambda e: host_degree_vector(g, host_partition, e, I),
+        host_partition.index_vector,
+        "span of pattern degree vectors at index {}",
+    )
     return _report("hp", failures, range(g.r + 1))
 
 
@@ -189,21 +171,48 @@ def _partial_transversals(classes, footprint):
 _PATTERN_SPANS = 64
 
 
+# The span of no generators, for a level or part index no pattern reaches:
+# it holds the zero vector only.
+_NO_SPAN = SpanChecker(())
+
+
 @lru_cache(maxsize=_PATTERN_SPANS)
-def _pattern_span(patterns, levels: int) -> tuple[SpanChecker, ...]:
-    """Per level i < levels, the span of the level-i pattern degree vectors
-    of a simple Digraph (one per injection [i] -> V) or of a tuple of
-    ColouredMultigraphs (one per i-set of the first pattern's vertex range).
-    One entry holds every level, so a check hashes the family once."""
-    spans = []
-    for level in range(levels):
-        if isinstance(patterns, Digraph):
-            gens = {patterns.degree_vector(t) for t in injections(level, patterns.n)}
-        else:
-            q = patterns[0].n
-            gens = {h.degree_vector(f) for h in patterns for f in combinations(range(q), level)}
-        spans.append(SpanChecker(sorted(gens)))
-    return tuple(spans)
+def _pattern_span(patterns, partition, levels: int) -> dict:
+    """(level, part index or None) -> the span of the level-i pattern degree
+    vectors, for every level i < levels.  Each pattern of the tuple
+    ``patterns`` gives one vector per i-set of its vertices, or per
+    injection [i] -> V when it is ordered; with a pattern ``partition`` the
+    vectors are grouped by the part index of that vertex set, and a plain
+    hypergraph's vector counts its containing edges per index of the
+    pattern's index set.  One entry holds every level, so a check hashes
+    the family once."""
+    gens: dict = {}
+    for h in patterns:
+        plain = not (h._ordered or h._coloured)
+        index = index_set(h, partition) if plain else None
+        for level in range(levels):
+            subsets = injections(level, h.n) if h._ordered else combinations(range(h.n), level)
+            for f in subsets:
+                key = (level, None if partition is None else partition.index_vector(f))
+                vec = pattern_degree_vector(h, partition, f, index) if plain else h.degree_vector(f)
+                gens.setdefault(key, set()).add(vec)
+    return {key: SpanChecker(sorted(vectors)) for key, vectors in gens.items()}
+
+
+def _span_scan(g, spans, degree, index_of, expected: str) -> list[LevelFailure]:
+    """Per level i <= g.r, the first i-set e of host vertices, in
+    lexicographic order, whose vector degree(e) leaves spans[(i, part
+    index)], the part index being index_of(e), or None without index_of.
+    The failure's expected text is ``expected`` formatted with that index."""
+    failures = []
+    for level in range(g.r + 1):
+        for e in combinations(range(g.n), level):
+            idx = None if index_of is None else index_of(e)
+            vec = degree(e)
+            if spans.get((level, idx), _NO_SPAN).membership(vec) is None:
+                failures.append(LevelFailure(level, e, expected.format(idx), vec))
+                break
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -213,23 +222,14 @@ def _pattern_span(patterns, levels: int) -> tuple[SpanChecker, ...]:
 def coloured_divisible(g: ColouredMultigraph, patterns) -> DivisibilityReport:
     """Colour degree vectors lie in the span of all pattern colour degree
     vectors of the same level."""
-    if not isinstance(patterns, tuple):
-        patterns = tuple(patterns)
+    patterns = tuple(patterns)
     if not patterns:
         raise ValueError("empty pattern family")
     for h in patterns:
         if h.r != g.r or h.colours != g.colours:
             raise ValueError("pattern family mismatches host")
-    failures = []
-    for level, checker in enumerate(_pattern_span(patterns, g.r + 1)):
-        found = None
-        for e in combinations(range(g.n), level):
-            vec = g.degree_vector(e)
-            if checker.membership(vec) is None:
-                found = LevelFailure(level, e, "span of pattern colour degrees", vec)
-                break
-        if found:
-            failures.append(found)
+    spans = _pattern_span(patterns, None, g.r + 1)
+    failures = _span_scan(g, spans, g.degree_vector, None, "span of pattern colour degrees")
     return _report("coloured", failures, range(g.r + 1))
 
 
@@ -326,17 +326,8 @@ def digraph_divisible(g: Digraph, h: Digraph) -> DivisibilityReport:
         raise ValueError("uniformities differ")
     if not h.is_simple():
         raise ValueError("pattern digraph must be simple")
-    failures = []
-    for i, checker in enumerate(_pattern_span(h, g.r + 1)):
-        found = None
-        for image in combinations(range(g.n), i):
-            psi = tuple(image)  # increasing representative of the coset
-            vec = g.degree_vector(psi)
-            if checker.membership(vec) is None:
-                found = LevelFailure(i, psi, "span of pattern positional degrees", vec)
-                break
-        if found:
-            failures.append(found)
+    spans = _pattern_span((h,), None, g.r + 1)
+    failures = _span_scan(g, spans, g.degree_vector, None, "span of pattern positional degrees")
     return _report("digraph", failures, range(g.r + 1))
 
 
@@ -503,10 +494,8 @@ def master_divisible(
     """Coloured positional degree vectors against index-matched pattern
     generators, plus the support condition that every host arc places its
     position blocks into the matching host parts in ascending order."""
-    info = canonical_family_check(patterns, pattern_partition)
-    q = patterns[0].n
+    canonical_family_check(patterns, pattern_partition)
     failures = []
-    notes = []
     # support: arcs must be block-ascending for their image index
     for arc, vec in g.mult:
         idx = host_partition.index_vector(arc)
@@ -527,30 +516,12 @@ def master_divisible(
                     )
                 )
                 break
-    if failures:
-        return _report("master", failures, range(g.r + 1), notes)
-    span_cache: dict[tuple, SpanChecker] = {}
-    for i in range(g.r + 1):
-        found = None
-        for image in combinations(range(g.n), i):
-            psi = tuple(image)
-            idx = host_partition.index_vector(image)
-            key = (i, idx)
-            checker = span_cache.get(key)
-            if checker is None:
-                gens = set()
-                for h in patterns:
-                    for theta in injections(i, q):
-                        if pattern_partition.index_vector(set(theta)) == idx:
-                            gens.add(h.degree_vector(theta))
-                checker = SpanChecker(sorted(gens))
-                span_cache[key] = checker
-            vec = g.degree_vector(psi)
-            if checker.membership(vec) is None:
-                found = LevelFailure(
-                    i, psi, f"span of pattern degree vectors at index {idx}", vec
-                )
-                break
-        if found:
-            failures.append(found)
-    return _report("master", failures, range(g.r + 1), notes)
+    if not failures:
+        failures = _span_scan(
+            g,
+            _pattern_span(tuple(patterns), pattern_partition, g.r + 1),
+            g.degree_vector,
+            host_partition.index_vector,
+            "span of pattern degree vectors at index {}",
+        )
+    return _report("master", failures, range(g.r + 1))

@@ -500,11 +500,3 @@ def lift_edge(e, q: int, mode: str = "unordered") -> list[tuple]:
         raise ValueError("mode must be 'unordered' or 'ordered'")
     return sorted(out)
 
-
-def lift_host(g, q: int):
-    """Disjoint-union lift of a whole host: edge/arc -> its labelled edges."""
-    if isinstance(g, Hypergraph):
-        return {e: lift_edge(e, q, "unordered") for e in g.sorted_edges()}
-    if isinstance(g, Digraph):
-        return {a: lift_edge(a, q, "ordered") for a in g.sorted_arcs()}
-    raise TypeError("lift_host expects a hypergraph or digraph")

@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .core import _Incidence
 from .intlattice import IncrementalLattice
 
 
@@ -31,21 +30,11 @@ class TimeBudgetExceeded(BudgetExceeded):
 # atomization
 
 
-def _slots(structure, role: str) -> list:
-    """(edge or arc, multiplicity vector, or None when uncoloured) pairs in
-    canonical order."""
-    if not isinstance(structure, _Incidence):
-        raise TypeError(f"unsupported {role} type {type(structure)!r}")
-    if hasattr(structure, "colours"):
-        return list(structure.mult)
-    return [(item, None) for item in sorted(item for item, _ in structure._entries())]
-
-
 def host_atoms(host) -> dict:
     """Column keys with capacities.  Edges and arcs are their own keys;
     coloured hosts key on (edge-or-arc, colour)."""
     out = {}
-    for item, vec in _slots(host, "host"):
+    for item, vec in host.slots():
         if vec is None:
             out[item] = 1
         else:
@@ -68,9 +57,8 @@ def _pattern_atoms(pattern) -> tuple[int, list]:
     pattern vertex, to the slot's column key: the images of the arc, the
     sorted images of the edge, paired with the colour for coloured
     patterns."""
-    slots = _slots(pattern, "pattern")
     items = []
-    for item, vec in slots:
+    for item, vec in pattern.slots():
         get = _getter(item)
         key = get if pattern._ordered else (lambda seq, get=get: tuple(sorted(get(seq))))
         if vec is not None:
@@ -223,7 +211,7 @@ def _plan(pattern, part_of: dict | None, host_pools: list, deadline=None) -> tup
     level_of = [0] * q
     for k, x in enumerate(order):
         level_of[x] = k
-    coloured = hasattr(pattern, "colours")
+    coloured = pattern._coloured
     own = [key(range(q)) for _, key in items]
     ready: list[list] = [[] for _ in range(q)]
     for (verts, _), key in zip(items, own):
@@ -284,7 +272,7 @@ def enumerate_copies(
         patterns = [patterns]
     atoms = host_atoms(host)
     atom_order = sorted(atoms, key=repr)
-    index = _rest_index(atom_order, host._ordered, hasattr(host, "colours"))
+    index = _rest_index(atom_order, host._ordered, host._coloured)
     host_pools = [range(host.n)]
     part_of = None
     if partition is not None:

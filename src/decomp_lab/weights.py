@@ -101,10 +101,7 @@ def _lift(g, q: int, maps_at) -> EdgeVector:
     an r-subset of range(q): the multiplicity vector of a coloured
     structure, (1,) for an edge or arc.  Ordered structures read psi's
     values in label order, unordered ones sort them."""
-    if hasattr(g, "colours"):
-        vector_at = dict(g.mult)
-    else:
-        vector_at = dict.fromkeys((item for item, _ in g._entries()), (1,))
+    vector_at = {item: (1,) if vec is None else vec for item, vec in g.slots()}
     ordered = g._ordered
     value = itemgetter(1)
     out: EdgeVector = {}

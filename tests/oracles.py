@@ -18,7 +18,10 @@ the reference for weights, edge vectors, lattice and regularity reports.
 `ref_restrictions` and `ref_onto` are the earlier `PermGroup` methods,
 which rebuilt their result from every group element on each call, and
 `ref_pair_degree_max` is the auxiliary's earlier pair degree, counted when
-the auxiliary was built; both are kept verbatim as references.
+the auxiliary was built; both are kept verbatim as references.  The
+`ref_*_divisible` lattice checkers are the earlier divisibility module, one
+level loop and one span cache per checker, kept verbatim as the reference
+for divisibility reports.
 """
 
 from __future__ import annotations
@@ -26,19 +29,33 @@ from __future__ import annotations
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations, permutations, product, repeat
 from math import comb
 
 from decomp_lab.complexes import LabelledComplex, PermGroup, TypicalityReport
 from decomp_lab.core import (
+    ColouredMultidigraph,
     ColouredMultigraph,
     Digraph,
+    Hypergraph,
     Partition,
     _Incidence,
+    host_degree_vector,
     index_set,
     inj_compose,
     inj_domain,
+    injections,
+    is_index_blowup,
     partite_density,
+    pattern_degree_vector,
+)
+from decomp_lab.divisibility import (
+    DivisibilityReport,
+    LevelFailure,
+    _position_blocks,
+    _report,
+    canonical_family_check,
 )
 from decomp_lab.intlattice import SpanChecker
 from decomp_lab.linprog import solve_feasibility
@@ -525,7 +542,8 @@ def _ref_slots(structure, role: str) -> list:
         raise TypeError(f"unsupported {role} type {type(structure)!r}")
     if hasattr(structure, "colours"):
         return list(structure.mult)
-    return [(item, None) for item in sorted(item for item, _ in structure._entries())]
+    items = structure.arcs if structure._ordered else structure.edges
+    return [(item, None) for item in sorted(items)]
 
 
 def _ref_host_atoms(host) -> dict:
@@ -1429,3 +1447,176 @@ def ref_pair_degree_max(footprints) -> int:
     """The most copies through one pair of slots, from the copies' footprints."""
     pair_deg = Counter(chain.from_iterable(map(combinations, footprints, repeat(2))))
     return max(pair_deg.values()) if pair_deg else 0
+
+
+# ---------------------------------------------------------------------------
+# reference lattice divisibility: the earlier checkers, one level loop each,
+# with local span caches in the index-partite ones and a pattern-lattice LRU
+# of their own, kept verbatim as the reference for divisibility reports.
+
+
+@lru_cache(maxsize=64)
+def _ref_pattern_span(patterns, levels: int) -> tuple[SpanChecker, ...]:
+    """Per level i < levels, the span of the level-i pattern degree vectors
+    of a simple Digraph (one per injection [i] -> V) or of a tuple of
+    ColouredMultigraphs (one per i-set of the first pattern's vertex range).
+    One entry holds every level, so a check hashes the family once."""
+    spans = []
+    for level in range(levels):
+        if isinstance(patterns, Digraph):
+            gens = {patterns.degree_vector(t) for t in injections(level, patterns.n)}
+        else:
+            q = patterns[0].n
+            gens = {h.degree_vector(f) for h in patterns for f in combinations(range(q), level)}
+        spans.append(SpanChecker(sorted(gens)))
+    return tuple(spans)
+
+
+def ref_hp_divisible(
+    g: Hypergraph,
+    host_partition: Partition,
+    h: Hypergraph,
+    pattern_partition: Partition,
+) -> DivisibilityReport:
+    """Host degree vectors lie in the integer span of the pattern degree
+    vectors with matching part index, at every level."""
+    if g.r != h.r:
+        raise ValueError("uniformities differ")
+    if host_partition.t != pattern_partition.t:
+        raise ValueError("partitions have different part counts")
+    I = index_set(h, pattern_partition)
+    bad = is_index_blowup(g, host_partition, I)
+    if bad is not None:
+        raise ValueError(f"host edge {bad} has an index outside the pattern index set")
+    failures = []
+    span_cache: dict[tuple, SpanChecker] = {}
+    for level in range(g.r + 1):
+        by_index: dict[tuple, list] = {}
+        for f in combinations(range(h.n), level):
+            by_index.setdefault(pattern_partition.index_vector(f), []).append(
+                pattern_degree_vector(h, pattern_partition, f, I)
+            )
+        found = None
+        for e in combinations(range(g.n), level):
+            ie = host_partition.index_vector(e)
+            gens = by_index.get(ie, [])
+            key = (ie, level)
+            checker = span_cache.get(key)
+            if checker is None:
+                checker = SpanChecker(sorted(set(map(tuple, gens))))
+                span_cache[key] = checker
+            vec = host_degree_vector(g, host_partition, e, I)
+            if checker.membership(vec) is None:
+                found = LevelFailure(
+                    level, e, f"span of pattern degree vectors at index {ie}", vec
+                )
+                break
+        if found:
+            failures.append(found)
+    return _report("hp", failures, range(g.r + 1))
+
+
+def ref_coloured_divisible(g: ColouredMultigraph, patterns) -> DivisibilityReport:
+    """Colour degree vectors lie in the span of all pattern colour degree
+    vectors of the same level."""
+    if not isinstance(patterns, tuple):
+        patterns = tuple(patterns)
+    if not patterns:
+        raise ValueError("empty pattern family")
+    for h in patterns:
+        if h.r != g.r or h.colours != g.colours:
+            raise ValueError("pattern family mismatches host")
+    failures = []
+    for level, checker in enumerate(_ref_pattern_span(patterns, g.r + 1)):
+        found = None
+        for e in combinations(range(g.n), level):
+            vec = g.degree_vector(e)
+            if checker.membership(vec) is None:
+                found = LevelFailure(level, e, "span of pattern colour degrees", vec)
+                break
+        if found:
+            failures.append(found)
+    return _report("coloured", failures, range(g.r + 1))
+
+
+def ref_digraph_divisible(g: Digraph, h: Digraph) -> DivisibilityReport:
+    """Positional degree vectors lie in the span of the pattern's, at every
+    level, checked on one injection per image set (the symmetry reduction)."""
+    if g.r != h.r:
+        raise ValueError("uniformities differ")
+    if not h.is_simple():
+        raise ValueError("pattern digraph must be simple")
+    failures = []
+    for i, checker in enumerate(_ref_pattern_span(h, g.r + 1)):
+        found = None
+        for image in combinations(range(g.n), i):
+            psi = tuple(image)  # increasing representative of the coset
+            vec = g.degree_vector(psi)
+            if checker.membership(vec) is None:
+                found = LevelFailure(i, psi, "span of pattern positional degrees", vec)
+                break
+        if found:
+            failures.append(found)
+    return _report("digraph", failures, range(g.r + 1))
+
+
+def ref_master_divisible(
+    g: ColouredMultidigraph,
+    host_partition: Partition,
+    patterns,
+    pattern_partition: Partition,
+) -> DivisibilityReport:
+    """Coloured positional degree vectors against index-matched pattern
+    generators, plus the support condition that every host arc places its
+    position blocks into the matching host parts in ascending order."""
+    info = canonical_family_check(patterns, pattern_partition)
+    q = patterns[0].n
+    failures = []
+    notes = []
+    # support: arcs must be block-ascending for their image index
+    for arc, vec in g.mult:
+        idx = host_partition.index_vector(arc)
+        try:
+            blocks = _position_blocks(idx, g.r)
+        except ValueError:
+            failures.append(LevelFailure(g.r, arc, "index consistent with arity", idx))
+            continue
+        for j, block in enumerate(blocks):
+            part = set(host_partition.parts[j])
+            if not {arc[pos] for pos in block} <= part:
+                failures.append(
+                    LevelFailure(
+                        g.r,
+                        arc,
+                        f"position block {j} inside host part {j}",
+                        idx,
+                    )
+                )
+                break
+    if failures:
+        return _report("master", failures, range(g.r + 1), notes)
+    span_cache: dict[tuple, SpanChecker] = {}
+    for i in range(g.r + 1):
+        found = None
+        for image in combinations(range(g.n), i):
+            psi = tuple(image)
+            idx = host_partition.index_vector(image)
+            key = (i, idx)
+            checker = span_cache.get(key)
+            if checker is None:
+                gens = set()
+                for h in patterns:
+                    for theta in injections(i, q):
+                        if pattern_partition.index_vector(set(theta)) == idx:
+                            gens.add(h.degree_vector(theta))
+                checker = SpanChecker(sorted(gens))
+                span_cache[key] = checker
+            vec = g.degree_vector(psi)
+            if checker.membership(vec) is None:
+                found = LevelFailure(
+                    i, psi, f"span of pattern degree vectors at index {idx}", vec
+                )
+                break
+        if found:
+            failures.append(found)
+    return _report("master", failures, range(g.r + 1), notes)

@@ -3,6 +3,8 @@
 import json
 import time
 
+import pytest
+
 from decomp_lab import nibble as nb
 from decomp_lab.cli import main
 from decomp_lab.core import dumps_canonical
@@ -95,6 +97,24 @@ def test_text_and_json_verdicts_agree(capsys):
 def test_input_error_exit_code(capsys):
     code = main(["solve", "--host", "nonsense:3"])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "solve --host rainbow:4 --pattern triangle",
+        "solve --host k_n:7 --pattern k3n:2",
+        "count --host triangle",
+        "check --kind h --host k_n:7",
+        "check --kind coloured --host k_n:5 --pattern rainbow:3",
+        "check --kind hp --host k_n:6 --pattern triangle",
+        "typicality --host k_n:6 --mode hp --c 1",
+    ],
+)
+def test_missing_or_wrong_kind_spec_is_an_input_error(argv, capsys):
+    # a missing spec, or one naming the wrong kind of structure
+    assert main(argv.split()) == 3
+    assert capsys.readouterr().err.startswith("input error: ")
 
 
 def test_lattice_subcommand(tmp_path, capsys):

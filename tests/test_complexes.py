@@ -1,6 +1,7 @@
 """Labelled complexes: adaptedness, orbits, extensions, typicality."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -228,6 +229,42 @@ def test_extendable_fails_on_empty_part():
     phi = LabelledComplex.complete_partite(lp, hp2)
     report = is_extendable(phi, Fraction(1, 100), 1)
     assert not report.extendable  # the lone class vertex blocks extensions
+
+
+def _extendable_with_extra(templates, extra):
+    phi = LabelledComplex.complete_complex(3, 20)
+    root = sorted(phi.full_level())[0]
+    return is_extendable(
+        phi, Fraction(1, 2), 2, templates=templates,
+        extra_templates=[extra(root)], root_limit=1,
+    )
+
+
+def test_extendable_worst_case_from_extra_template():
+    # one new vertex: 17 completions against 10; the library template
+    # (0, 1, 2) clears its threshold by more (4080 against 4000)
+    report = _extendable_with_extra(
+        [(0, 1, 2)], lambda root: complete_extension(3, root, (0,))
+    )
+    assert report == complexes.ExtendabilityReport(
+        extendable=True, omega=Fraction(1, 2), rank=2, checked=2,
+        worst=(Fraction(17), Fraction(10), ((0, 1),)),
+        notes=["roots subsampled: 1 of 6840 checked (stride 6840)"],
+    )
+
+
+def test_extendable_failing_extra_template():
+    # an edge restricted to no host edge leaves no completion at all
+    def blocked(root):
+        ext = complete_extension(3, root, (0,))
+        return replace(ext, restrictions=((ext.edges[0], frozenset()),))
+
+    report = _extendable_with_extra([(0,)], blocked)
+    assert report == complexes.ExtendabilityReport(
+        extendable=False, omega=Fraction(1, 2), rank=2, checked=2,
+        worst=(Fraction(0), Fraction(10), ((0, 1),)),
+        notes=["roots subsampled: 1 of 6840 checked (stride 6840)"],
+    )
 
 
 def test_typicality_complete_graph_boundary():

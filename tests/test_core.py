@@ -378,6 +378,26 @@ def test_bench_trace_targets_resolve(monkeypatch):
         assert callable(getattr(owner, attr, None)), name
 
 
+def test_slots_match_reference():
+    rng = random.Random(1729)
+    for _ in range(20):
+        n, r, colours = rng.randint(3, 6), rng.randint(2, 3), rng.randint(1, 3)
+        edges = [e for e in combinations(range(n), r) if rng.random() < 0.5]
+        arcs = [a for a in permutations(range(n), r) if rng.random() < 0.3]
+        structures = [
+            Hypergraph.from_edges(n, r, edges),
+            Digraph.from_arcs(n, r, arcs),
+            ColouredMultigraph.from_colour_classes(
+                n, r, colours, [rng.sample(edges, len(edges) // 2) for _ in range(colours)]
+            ),
+            ColouredMultidigraph.from_colour_classes(
+                n, r, colours, [rng.sample(arcs, len(arcs) // 2) for _ in range(colours)]
+            ),
+        ]
+        for g in structures:
+            assert g.slots() == oracles._ref_slots(g, "host")
+
+
 def test_hp_divisible_asks_both_degree_vectors(monkeypatch):
     calls = {"host_degree_vector": 0, "pattern_degree_vector": 0}
     for name in calls:
@@ -388,6 +408,7 @@ def test_hp_divisible_asks_both_degree_vectors(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(dv, name, counted)
+    dv._pattern_span.cache_clear()  # an earlier check may hold this pattern's lattice
     inst = resolvable_sts_instance(9)
     assert hp_divisible(inst.host, inst.host_partition, inst.pattern, inst.pattern_partition)
     assert all(calls.values()), calls

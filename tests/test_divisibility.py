@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, islice, permutations, product
 
 import pytest
+
+import oracles
 
 from decomp_lab.core import (
     ColouredMultidigraph,
@@ -423,3 +425,73 @@ def test_pattern_span_one_entry_per_family():
     assert coloured_divisible(host, family).verdict
     info = dv._pattern_span.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def _random_arcs(rng, n, r, p):
+    return [a for a in permutations(range(n), r) if rng.random() < p]
+
+
+def _copy_classes(rng, patterns, part, host_part, copies):
+    """Colour classes of a sum of random copies of the patterns, each
+    placing the vertices of a pattern part into the matching host part."""
+    classes = [[] for _ in range(patterns[0].colours)]
+    for _ in range(copies):
+        images = {}
+        for xs, vs in zip(part.parts, host_part.parts):
+            images.update(zip(xs, rng.sample(vs, len(xs))))
+        for item, vec in rng.choice(patterns).mult:
+            classes[vec.index(1)].append(tuple(images[x] for x in item))
+    return classes
+
+
+def test_lattice_checkers_match_reference_reports():
+    rng = random.Random(8128)
+    for _ in range(40):
+        for r, pattern in ((2, tight_cycle(3, 2)), (3, tight_cycle(4, 3))):
+            n = rng.randint(r + 1, 5)
+            g = Digraph.from_arcs(n, r, _random_arcs(rng, n, r, rng.random()))
+            assert digraph_divisible(g, pattern) == oracles.ref_digraph_divisible(g, pattern)
+    for colours in (3, 4):
+        family = rainbow_family(colours)
+        for _ in range(40):
+            n = rng.randint(3, 6)
+            classes = [[] for _ in range(colours)]
+            for e in combinations(range(n), 2):
+                for _ in range(rng.randint(0, 2)):
+                    classes[rng.randrange(colours)].append(e)
+            if rng.random() < 0.3:  # a sum of pattern copies passes
+                parts = (Partition.trivial(3), Partition.trivial(n))
+                classes = _copy_classes(rng, family, *parts, rng.randint(1, 4))
+            g = ColouredMultigraph.from_colour_classes(n, 2, colours, classes)
+            assert coloured_divisible(g, family) == oracles.ref_coloured_divisible(g, family)
+    for inst in (resolvable_sts_instance(9), large_set_instance(7), large_set_instance(9)):
+        edges = inst.host.sorted_edges()
+        for deletions in (0, 0, 1, 2, 3, 6):
+            kept = set(edges) - set(rng.sample(edges, deletions))
+            g = Hypergraph.from_edges(inst.host.n, inst.host.r, kept)
+            args = (g, inst.host_partition, inst.pattern, inst.pattern_partition)
+            assert hp_divisible(*args) == oracles.ref_hp_divisible(*args)
+
+
+def test_master_checker_matches_reference_reports():
+    rng = random.Random(496)
+    cases = [
+        (mixed_triangle(), Partition.trivial(3), Partition.trivial(4)),
+        (two_coloured_cycle(), Partition.trivial(3), Partition.trivial(4)),
+        (
+            partite_cycle(),
+            Partition.from_lists([[0, 1], [2]]),
+            Partition.from_lists([[0, 1, 2, 3], [4, 5]]),
+        ),
+    ]
+    for pattern, part, host_part in cases:
+        n, colours = host_part.ground_size, pattern.colours
+        for _ in range(40):
+            classes = [_random_arcs(rng, n, 2, 0.15) for _ in range(colours)]
+            if rng.random() < 0.3:  # a sum of pattern copies passes
+                classes = _copy_classes(rng, [pattern], part, host_part, rng.randint(1, 4))
+            if not any(classes):
+                continue
+            g = ColouredMultidigraph.from_colour_classes(n, 2, colours, classes)
+            args = (g, host_part, [pattern], part)
+            assert master_divisible(*args) == oracles.ref_master_divisible(*args)
