@@ -176,10 +176,15 @@ def _as_instance(obj):
 
 def _host_and_pattern(args):
     """(host, pattern or family, partition or None) from --host, which may
-    name an instance, and --pattern, which overrides the instance's."""
+    name an instance, and --pattern, which overrides the instance's; the
+    partition is the instance's under --partite, which needs one."""
     host, pattern, partition = _as_instance(_spec(args.host, "host", dict, *_STRUCTURES))
     if args.pattern or pattern is None:
         pattern = _spec(args.pattern, "pattern", list, *_STRUCTURES)
+    if not args.partite:
+        return host, pattern, None
+    if partition is None:
+        raise InputError(f"--partite needs a host spec with partitions; {args.host!r} has none")
     return host, pattern, partition
 
 
@@ -249,8 +254,6 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     host, pattern, partition = _host_and_pattern(args)
-    if not args.partite:
-        partition = None
     result = sv.find_decomposition(
         host, pattern, partition, timeout=args.timeout, budget=_budget_default()
     )
@@ -272,8 +275,6 @@ def cmd_solve(args) -> int:
 
 def cmd_count(args) -> int:
     host, pattern, partition = _host_and_pattern(args)
-    if not args.partite:
-        partition = None
     doc = {"command": "count", "host": args.host, "pattern": args.pattern}
     # running out of time is a timeout; an enumeration node overrun is an
     # input error (a plain BudgetExceeded, caught in main)
@@ -293,7 +294,7 @@ def cmd_verify(args) -> int:
     host, pattern, partition = _host_and_pattern(args)
     with open(args.certificate, encoding="utf-8") as fh:
         cert = sv.Certificate.from_json_dict(json.load(fh))
-    rep = sv.verify_certificate(host, pattern, cert, partition if args.partite else None)
+    rep = sv.verify_certificate(host, pattern, cert, partition)
     doc = {
         "command": "verify",
         "host": args.host,

@@ -251,16 +251,20 @@ class LabelledComplex:
         """Closed under precomposition with restrictions of group elements."""
         if group.degree != self.q:
             raise ValueError("group degree must match the label set")
+        return all(self._maps_into(sigma) for sigma in group.elements)
+
+    def _maps_into(self, sigma) -> bool:
+        """Does precomposing with the restrictions of the permutation sigma
+        map every level into the complex?"""
         for B, injs in self.levels.items():
             if not injs:
                 continue
-            for sigma in group.elements:
-                pre = frozenset(x for x in range(self.q) if sigma[x] in B)
-                sig_r = tuple((x, sigma[x]) for x in sorted(pre))
-                target = self.level(pre)
-                for psi in injs:
-                    if inj_compose(psi, sig_r) not in target:
-                        return False
+            pre = frozenset(x for x in range(self.q) if sigma[x] in B)
+            sig_r = tuple((x, sigma[x]) for x in sorted(pre))
+            target = self.level(pre)
+            for psi in injs:
+                if inj_compose(psi, sig_r) not in target:
+                    return False
         return True
 
     def exactly_adapted(self, degree_bound: int = ADAPT_DEGREE_BOUND) -> PermGroup | None:
@@ -268,21 +272,7 @@ class LabelledComplex:
         equivalent to tau being a restriction of a Sigma element, or None."""
         if self.q > degree_bound:
             raise ValueError(f"label degree {self.q} above configured bound {degree_bound}")
-        candidates = []
-        for sigma in permutations(range(self.q)):
-            ok = True
-            for B, injs in self.levels.items():
-                if not ok:
-                    break
-                pre = frozenset(x for x in range(self.q) if sigma[x] in B)
-                sig_r = tuple((x, sigma[x]) for x in sorted(pre))
-                target = self.level(pre)
-                for psi in injs:
-                    if inj_compose(psi, sig_r) not in target:
-                        ok = False
-                        break
-            if ok:
-                candidates.append(sigma)
+        candidates = [s for s in permutations(range(self.q)) if self._maps_into(s)]
         try:
             group = PermGroup(self.q, candidates)
         except ValueError:

@@ -33,8 +33,6 @@ from math import comb
 
 Inj = tuple  # tuple[(label, vertex), ...] sorted by label
 
-EMPTY_INJ: Inj = ()
-
 
 def inj_from_pairs(pairs) -> Inj:
     items = tuple(sorted((int(a), int(b)) for a, b in pairs))
@@ -173,12 +171,6 @@ class Partition:
     @property
     def ground_size(self) -> int:
         return sum(len(p) for p in self.parts)
-
-    def part_of(self, v: int) -> int:
-        for j, part in enumerate(self.parts):
-            if v in part:
-                return j
-        raise KeyError(v)
 
     def assignment(self) -> dict[int, int]:
         return dict(self._vertex_parts)
@@ -568,7 +560,3 @@ class ColouredMultidigraph(_Coloured):
 def dumps_canonical(doc: dict) -> str:
     """Byte-stable serialization: sorted keys, fixed separators."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def loads(text: str) -> dict:
-    return json.loads(text)

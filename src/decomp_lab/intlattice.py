@@ -2,15 +2,14 @@
 
 Everything here runs on Python's arbitrary-precision integers; no floating
 point enters any code path.  The row-style Hermite normal form is the single
-primitive behind all divisibility checkers: a vector lies in the integer row
-span of a generator matrix iff back-substitution through the HNF succeeds
-with exact divisions, and the transform matrix turns that into witness
-coefficients on the original generators.
+primitive behind all divisibility checkers and the integral decomposition
+oracle: a vector lies in the integer row span of a generator matrix iff
+back-substitution through the HNF succeeds with exact divisions, and the
+transform matrix turns that into witness coefficients on the original
+generators.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 Matrix = list[list[int]]
 
@@ -29,28 +28,35 @@ def hermite_normal_form(matrix) -> tuple[Matrix, Matrix]:
     form with positive pivots, entries above each pivot reduced into
     [0, pivot), and zero rows at the bottom; this form is unique for the
     row lattice of M, which makes it usable for golden tests.
+
+    Rows of H and U are worked on as {column: nonzero} dicts, so a row
+    operation touches only the nonzeros of the row it subtracts; tall
+    0/1 incidence matrices keep their transform rows short that way.
     """
-    m = [list(map(int, row)) for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    if any(len(row) != ncols for row in m):
+    rows = [list(map(int, row)) for row in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    if any(len(row) != ncols for row in rows):
         raise ValueError("ragged matrix")
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    m = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    u = [{i: 1} for i in range(nrows)]
 
     def sub(i: int, k: int, q: int) -> None:
         # row i -= q * row k, in both m and u
-        mi, mk = m[i], m[k]
-        for j in range(ncols):
-            mi[j] -= q * mk[j]
-        ui, uk = u[i], u[k]
-        for j in range(nrows):
-            ui[j] -= q * uk[j]
+        for a, b in ((m[i], m[k]), (u[i], u[k])):
+            get = a.get
+            for j, x in b.items():
+                y = get(j, 0) - q * x
+                if y:
+                    a[j] = y
+                else:
+                    del a[j]
 
     r = 0
     for c in range(ncols):
         # gcd-eliminate column c below row r until one nonzero entry is left
         while True:
-            nz = [i for i in range(r, nrows) if m[i][c]]
+            nz = [i for i in range(r, nrows) if c in m[i]]
             if len(nz) <= 1:
                 break
             i0 = min(nz, key=lambda i: abs(m[i][c]))
@@ -59,7 +65,7 @@ def hermite_normal_form(matrix) -> tuple[Matrix, Matrix]:
                     q = m[i][c] // m[i0][c]
                     if q:
                         sub(i, i0, q)
-        nz = [i for i in range(r, nrows) if m[i][c]]
+        nz = [i for i in range(r, nrows) if c in m[i]]
         if not nz:
             continue
         i0 = nz[0]
@@ -67,17 +73,21 @@ def hermite_normal_form(matrix) -> tuple[Matrix, Matrix]:
             m[r], m[i0] = m[i0], m[r]
             u[r], u[i0] = u[i0], u[r]
         if m[r][c] < 0:
-            m[r] = [-x for x in m[r]]
-            u[r] = [-x for x in u[r]]
+            m[r] = {j: -x for j, x in m[r].items()}
+            u[r] = {j: -x for j, x in u[r].items()}
         piv = m[r][c]
         for i in range(r):
-            q = m[i][c] // piv
+            q = m[i].get(c, 0) // piv
             if q:
                 sub(i, r, q)
         r += 1
         if r == nrows:
             break
-    return m, u
+    return _dense(m, ncols), _dense(u, nrows)
+
+
+def _dense(rows: list[dict[int, int]], ncols: int) -> Matrix:
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
 
 
 def determinant(matrix) -> int:
@@ -156,105 +166,6 @@ class SpanChecker:
 def span_membership(vector, generators) -> list[int] | None:
     """Witness coefficients c with sum(c_i * generators_i) == vector, or None."""
     return SpanChecker(generators).membership(vector)
-
-
-class IncrementalLattice:
-    """Integer row lattice built by inserting vectors one at a time.
-
-    Keeps an echelon basis keyed by pivot column, with each basis row
-    carrying its expression in the inserted vectors, so membership queries
-    can report witnesses.  Suited to incidence systems whose HNF would be
-    wasteful to recompute per insertion.
-    """
-
-    def __init__(self, ncols: int) -> None:
-        self.ncols = ncols
-        self.ntags = 0
-        # pivot col -> (row, expression over inserted vectors)
-        self._basis: dict[int, tuple[list[int], dict[int, int]]] = {}
-
-    @staticmethod
-    def _combine(dst: dict[int, int], src: dict[int, int], mult: int) -> None:
-        if not mult:
-            return
-        for k, x in src.items():
-            dst[k] = dst.get(k, 0) + mult * x
-
-    def insert(self, vector) -> bool:
-        """Insert a vector; returns True when it enlarged the lattice."""
-        row = list(map(int, vector))
-        if len(row) != self.ncols:
-            raise ValueError("dimension mismatch")
-        expr = {self.ntags: 1}
-        self.ntags += 1
-        c = 0
-        while c < self.ncols:
-            if not row[c]:
-                c += 1
-                continue
-            hit = self._basis.get(c)
-            if hit is None:
-                if row[c] < 0:
-                    row = [-x for x in row]
-                    expr = {k: -x for k, x in expr.items()}
-                self._basis[c] = (row, expr)
-                return True
-            brow, bexpr = hit
-            p = brow[c]
-            if row[c] % p == 0:
-                q = row[c] // p
-                for j in range(c, self.ncols):
-                    row[j] -= q * brow[j]
-                self._combine(expr, bexpr, -q)
-                c += 1
-            else:
-                # replace the pivot by the gcd combination, keep reducing
-                g = gcd(p, row[c])
-                a, b = _bezout(p, row[c], g)
-                new_row = [a * brow[j] + b * row[j] for j in range(self.ncols)]
-                new_expr = {k: a * x for k, x in bexpr.items()}
-                self._combine(new_expr, expr, b)
-                qp, qr = p // g, row[c] // g
-                row = [qp * row[j] - qr * brow[j] for j in range(self.ncols)]
-                old_expr = expr
-                expr = {k: qp * x for k, x in old_expr.items()}
-                self._combine(expr, bexpr, -qr)
-                self._basis[c] = (new_row, new_expr)
-        return False
-
-    def membership(self, vector) -> dict[int, int] | None:
-        """Witness {inserted-index: weight} expressing vector, or None."""
-        v = list(map(int, vector))
-        if len(v) != self.ncols:
-            raise ValueError("dimension mismatch")
-        wit: dict[int, int] = {}
-        for c in range(self.ncols):
-            if not v[c]:
-                continue
-            hit = self._basis.get(c)
-            if hit is None:
-                return None
-            brow, bexpr = hit
-            q, rem = divmod(v[c], brow[c])
-            if rem:
-                return None
-            for j in range(c, self.ncols):
-                v[j] -= q * brow[j]
-            self._combine(wit, bexpr, q)
-        return wit
-
-
-def _bezout(a: int, b: int, g: int) -> tuple[int, int]:
-    # extended gcd coefficients for a*x + b*y == g
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    aa, bb = a, b
-    while bb:
-        q, (aa, bb) = aa // bb, (bb, aa % bb)
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if aa == g:
-        return x0, y0
-    return -x0, -y0
 
 
 def matrix_to_json(matrix) -> dict:

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .intlattice import IncrementalLattice
+from .intlattice import SpanChecker
 
 
 class BudgetExceeded(RuntimeError):
@@ -658,13 +658,13 @@ def integral_decomposition_exists(
     of (footprint index, weight) pairs."""
     table = table or enumerate_copies(host, patterns, partition)
     ncols = len(table.atoms)
-    lattice = IncrementalLattice(ncols)
+    rows = []
     for fp in table.footprints:
         row = [0] * ncols
         for c in fp:
             row[c] = 1
-        lattice.insert(row)
-    witness = lattice.membership(table.capacities)
-    if witness is None:
+        rows.append(row)
+    coeffs = SpanChecker(rows).membership(table.capacities)
+    if coeffs is None:
         return False, None
-    return True, sorted(witness.items())
+    return True, [(i, w) for i, w in enumerate(coeffs) if w]

@@ -26,16 +26,13 @@ from .core import (
     inj_compose,
     inj_domain,
 )
+from .divisibility import canonical_family_check
 from .intlattice import SpanChecker
 from .linprog import solve_feasibility
 
 
 def _zero(dim: int) -> tuple[int, ...]:
     return (0,) * dim
-
-
-def _unit(dim: int, d: int) -> tuple[int, ...]:
-    return tuple(1 if k == d else 0 for k in range(dim))
 
 
 def _vec_add(a, b):
@@ -162,36 +159,17 @@ def digraph_weight_system(pattern: Digraph, allow_non_simple: bool = False) -> W
     return WeightSystem(group, pattern.r, 1, ["pattern-0"], weight)
 
 
-def master_weight_system(
-    patterns,
-    partition: Partition,
-    groups_by_colour=None,
-) -> WeightSystem:
+def master_weight_system(patterns, partition: Partition) -> WeightSystem:
     """Weight system for coloured directed partite families.
 
     Requires the family to pass the canonical-structure check (see
-    divisibility.canonical_family_check); lifts each colour class along
-    order-preserving position maps whose label set matches the colour's
-    part index.
+    divisibility.canonical_family_check), then lifts each pattern's arcs
+    as coloured_weight_system does: the part stabilizer fixes every part
+    setwise, so a lifted label set has its arc's part index, which the
+    check pins to the arc colour's.
     """
-    from .divisibility import canonical_family_check
-
-    info = canonical_family_check(patterns, partition)
-    q = patterns[0].n
-    r = patterns[0].r
-    dim = patterns[0].colours
-    group = PermGroup.part_stabilizer(partition)
-    weight = {}
-    for tag, h in enumerate(patterns):
-        for B in combinations(range(q), r):
-            idx_B = partition.index_vector(B)
-            for theta in group.restrictions(B):
-                values = tuple(v for _, v in theta)
-                vec = h.multiplicity(values)
-                for d in range(dim):
-                    if vec[d] and idx_B == info.colour_index[d]:
-                        weight[(tag, theta)] = _unit(dim, d)
-    return WeightSystem(group, r, dim, [f"pattern-{i}" for i in range(len(patterns))], weight)
+    canonical_family_check(patterns, partition)
+    return coloured_weight_system(patterns, partition)
 
 
 # ---------------------------------------------------------------------------

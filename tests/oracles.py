@@ -21,7 +21,13 @@ which rebuilt their result from every group element on each call, and
 the auxiliary was built; both are kept verbatim as references.  The
 `ref_*_divisible` lattice checkers are the earlier divisibility module, one
 level loop and one span cache per checker, kept verbatim as the reference
-for divisibility reports.
+for divisibility reports.  `ref_master_weight_system` is the earlier
+coloured directed partite weight builder, its own lift loop over part
+index vectors.  `ref_hermite_normal_form` is the earlier dense Hermite
+normal form, and `IncrementalLattice` with
+`ref_integral_decomposition_exists` the earlier integral oracle, an
+echelon basis built one footprint at a time; all are kept verbatim as
+references for (H, U), weights and integral verdicts.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product, repeat
-from math import comb
+from math import comb, gcd
 
 from decomp_lab.complexes import LabelledComplex, PermGroup, TypicalityReport
 from decomp_lab.core import (
@@ -60,7 +66,12 @@ from decomp_lab.divisibility import (
 from decomp_lab.intlattice import SpanChecker
 from decomp_lab.linprog import solve_feasibility
 from decomp_lab.rng import SplitMix64
-from decomp_lab.solver import BudgetExceeded, CopyTable, TimeBudgetExceeded
+from decomp_lab.solver import (
+    BudgetExceeded,
+    CopyTable,
+    TimeBudgetExceeded,
+    enumerate_copies,
+)
 from decomp_lab.weights import (
     AtomDecomposition,
     EdgeVector,
@@ -1061,6 +1072,36 @@ def ref_digraph_weight_system(pattern: Digraph, allow_non_simple: bool = False) 
     return WeightSystem(group, r, 1, ["pattern-0"], weight)
 
 
+def ref_master_weight_system(
+    patterns,
+    partition: Partition,
+    groups_by_colour=None,
+) -> WeightSystem:
+    """Weight system for coloured directed partite families.
+
+    Requires the family to pass the canonical-structure check (see
+    divisibility.canonical_family_check); lifts each colour class along
+    order-preserving position maps whose label set matches the colour's
+    part index.
+    """
+    info = canonical_family_check(patterns, partition)
+    q = patterns[0].n
+    r = patterns[0].r
+    dim = patterns[0].colours
+    group = PermGroup.part_stabilizer(partition)
+    weight = {}
+    for tag, h in enumerate(patterns):
+        for B in combinations(range(q), r):
+            idx_B = partition.index_vector(B)
+            for theta in group.restrictions(B):
+                values = tuple(v for _, v in theta)
+                vec = h.multiplicity(values)
+                for d in range(dim):
+                    if vec[d] and idx_B == info.colour_index[d]:
+                        weight[(tag, theta)] = _unit(dim, d)
+    return WeightSystem(group, r, dim, [f"pattern-{i}" for i in range(len(patterns))], weight)
+
+
 def ref_atom_decomposition(
     J: EdgeVector, system: WeightSystem, phi: LabelledComplex, types: TypeTable | None = None
 ) -> AtomDecomposition:
@@ -1620,3 +1661,235 @@ def ref_master_divisible(
         if found:
             failures.append(found)
     return _report("master", failures, range(g.r + 1), notes)
+
+
+# ---------------------------------------------------------------------------
+# the integer-lattice module's earlier dense Hermite normal form and its
+# incremental row lattice, and the solver's integral oracle built on that
+# lattice, kept verbatim as references.  `integral_decomposition_exists`
+# must give the same verdicts; `hermite_normal_form` the same (H, U).
+
+
+def _ref_pivot_col(row: list[int]) -> int | None:
+    for j, x in enumerate(row):
+        if x:
+            return j
+    return None
+
+
+def ref_hermite_normal_form(matrix) -> tuple[list, list]:
+    """Row-style HNF of an integer matrix.
+
+    Returns (H, U) with U @ M == H and |det U| == 1.  H is in row echelon
+    form with positive pivots, entries above each pivot reduced into
+    [0, pivot), and zero rows at the bottom; this form is unique for the
+    row lattice of M, which makes it usable for golden tests.
+    """
+    m = [list(map(int, row)) for row in matrix]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    if any(len(row) != ncols for row in m):
+        raise ValueError("ragged matrix")
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+
+    def sub(i: int, k: int, q: int) -> None:
+        # row i -= q * row k, in both m and u
+        mi, mk = m[i], m[k]
+        for j in range(ncols):
+            mi[j] -= q * mk[j]
+        ui, uk = u[i], u[k]
+        for j in range(nrows):
+            ui[j] -= q * uk[j]
+
+    r = 0
+    for c in range(ncols):
+        # gcd-eliminate column c below row r until one nonzero entry is left
+        while True:
+            nz = [i for i in range(r, nrows) if m[i][c]]
+            if len(nz) <= 1:
+                break
+            i0 = min(nz, key=lambda i: abs(m[i][c]))
+            for i in nz:
+                if i != i0:
+                    q = m[i][c] // m[i0][c]
+                    if q:
+                        sub(i, i0, q)
+        nz = [i for i in range(r, nrows) if m[i][c]]
+        if not nz:
+            continue
+        i0 = nz[0]
+        if i0 != r:
+            m[r], m[i0] = m[i0], m[r]
+            u[r], u[i0] = u[i0], u[r]
+        if m[r][c] < 0:
+            m[r] = [-x for x in m[r]]
+            u[r] = [-x for x in u[r]]
+        piv = m[r][c]
+        for i in range(r):
+            q = m[i][c] // piv
+            if q:
+                sub(i, r, q)
+        r += 1
+        if r == nrows:
+            break
+    return m, u
+
+
+class IncrementalLattice:
+    """Integer row lattice built by inserting vectors one at a time.
+
+    Keeps an echelon basis keyed by pivot column, with each basis row
+    carrying its expression in the inserted vectors, so membership queries
+    can report witnesses.  Suited to incidence systems whose HNF would be
+    wasteful to recompute per insertion.
+    """
+
+    def __init__(self, ncols: int) -> None:
+        self.ncols = ncols
+        self.ntags = 0
+        # pivot col -> (row, expression over inserted vectors)
+        self._basis: dict[int, tuple[list[int], dict[int, int]]] = {}
+
+    @staticmethod
+    def _combine(dst: dict[int, int], src: dict[int, int], mult: int) -> None:
+        if not mult:
+            return
+        for k, x in src.items():
+            dst[k] = dst.get(k, 0) + mult * x
+
+    def insert(self, vector) -> bool:
+        """Insert a vector; returns True when it enlarged the lattice."""
+        row = list(map(int, vector))
+        if len(row) != self.ncols:
+            raise ValueError("dimension mismatch")
+        expr = {self.ntags: 1}
+        self.ntags += 1
+        c = 0
+        while c < self.ncols:
+            if not row[c]:
+                c += 1
+                continue
+            hit = self._basis.get(c)
+            if hit is None:
+                if row[c] < 0:
+                    row = [-x for x in row]
+                    expr = {k: -x for k, x in expr.items()}
+                self._basis[c] = (row, expr)
+                return True
+            brow, bexpr = hit
+            p = brow[c]
+            if row[c] % p == 0:
+                q = row[c] // p
+                for j in range(c, self.ncols):
+                    row[j] -= q * brow[j]
+                self._combine(expr, bexpr, -q)
+                c += 1
+            else:
+                # replace the pivot by the gcd combination, keep reducing
+                g = gcd(p, row[c])
+                a, b = _bezout(p, row[c], g)
+                new_row = [a * brow[j] + b * row[j] for j in range(self.ncols)]
+                new_expr = {k: a * x for k, x in bexpr.items()}
+                self._combine(new_expr, expr, b)
+                qp, qr = p // g, row[c] // g
+                row = [qp * row[j] - qr * brow[j] for j in range(self.ncols)]
+                old_expr = expr
+                expr = {k: qp * x for k, x in old_expr.items()}
+                self._combine(expr, bexpr, -qr)
+                self._basis[c] = (new_row, new_expr)
+        return False
+
+    def membership(self, vector) -> dict[int, int] | None:
+        """Witness {inserted-index: weight} expressing vector, or None."""
+        v = list(map(int, vector))
+        if len(v) != self.ncols:
+            raise ValueError("dimension mismatch")
+        wit: dict[int, int] = {}
+        for c in range(self.ncols):
+            if not v[c]:
+                continue
+            hit = self._basis.get(c)
+            if hit is None:
+                return None
+            brow, bexpr = hit
+            q, rem = divmod(v[c], brow[c])
+            if rem:
+                return None
+            for j in range(c, self.ncols):
+                v[j] -= q * brow[j]
+            self._combine(wit, bexpr, q)
+        return wit
+
+
+def _bezout(a: int, b: int, g: int) -> tuple[int, int]:
+    # extended gcd coefficients for a*x + b*y == g
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    aa, bb = a, b
+    while bb:
+        q, (aa, bb) = aa // bb, (bb, aa % bb)
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if aa == g:
+        return x0, y0
+    return -x0, -y0
+
+
+def ref_integral_decomposition_exists(
+    host, patterns, partition=None, table: CopyTable | None = None
+):
+    """Does the host slot vector lie in the integer span of the copy
+    footprint vectors?  Returns (exists, witness) with the witness a list
+    of (footprint index, weight) pairs."""
+    table = table or enumerate_copies(host, patterns, partition)
+    ncols = len(table.atoms)
+    lattice = IncrementalLattice(ncols)
+    for fp in table.footprints:
+        row = [0] * ncols
+        for c in fp:
+            row[c] = 1
+        lattice.insert(row)
+    witness = lattice.membership(table.capacities)
+    if witness is None:
+        return False, None
+    return True, sorted(witness.items())
+
+
+def criterion_12_instances() -> list[tuple]:
+    """(host, patterns, partition) for the thirteen instances of the
+    acceptance soundness chain: triangles in K_7, K_9, K_13; partite
+    triangles and sudoku blow-ups; cyclic triangles in K*_3, K*_4, K*_7;
+    the resolvable and large-set instances of order 9; and triangles
+    with unit colour in doubled K_6."""
+    from decomp_lab.encodings import (
+        large_set_instance,
+        resolvable_sts_instance,
+        sudoku_host,
+        sudoku_pattern,
+        tight_cycle,
+        triangle_host,
+        triangle_pattern,
+    )
+
+    triangle = Hypergraph.complete(3, 2)
+    out = [(Hypergraph.complete(n, 2), triangle, None) for n in (7, 9, 13)]
+    tri, tpart = triangle_pattern()
+    for n in (2, 3, 4):
+        host, hpart = triangle_host(n)
+        out.append((host, tri, (tpart, hpart)))
+    sp, spart = sudoku_pattern()
+    shost, shpart = sudoku_host(2)
+    out.append((shost, sp, (spart, shpart)))
+    cycle = tight_cycle(3, 2)
+    out += [(Digraph.complete(n, 2), cycle, None) for n in (3, 4, 7)]
+    for inst in (resolvable_sts_instance(9), large_set_instance(9)):
+        out.append(
+            (inst.host, inst.pattern, (inst.pattern_partition, inst.host_partition))
+        )
+    doubled = ColouredMultigraph.from_dict(
+        6, 2, 1, {e: (2,) for e in Hypergraph.complete(6, 2).sorted_edges()}
+    )
+    ctri = ColouredMultigraph.from_dict(
+        3, 2, 1, {e: (1,) for e in triangle.sorted_edges()}
+    )
+    out.append((doubled, ctri, None))
+    return out

@@ -117,6 +117,22 @@ def test_missing_or_wrong_kind_spec_is_an_input_error(argv, capsys):
     assert capsys.readouterr().err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("command", ["solve", "count", "verify"])
+def test_partite_without_partitions_is_an_input_error(command, tmp_path, capsys):
+    # k_n:7 carries no partitions, so --partite cannot be honoured; it used
+    # to be ignored, and solve printed an ordinary Fano-plane certificate
+    argv = [command, "--host", "k_n:7", "--pattern", "triangle", "--partite"]
+    if command == "verify":
+        argv += ["--certificate", str(tmp_path / "absent.json")]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: --partite needs a host spec with partitions; "
+        "'k_n:7' has none\n"
+    )
+
+
 def test_lattice_subcommand(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(dumps_canonical(matrix_to_json([[3, 3]])))
@@ -129,6 +145,44 @@ def test_lattice_subcommand(tmp_path, capsys):
         capsys, "lattice", "--matrix", str(path), "--vector", "1,0"
     )
     assert code == 1
+
+
+def test_lattice_output_pinned_on_tall_rank_deficient_matrix(tmp_path, capsys):
+    # 7 rows of rank 4: the transform and the witness are not unique, so
+    # the pinned bytes fix the HNF's order of row operations
+    path = tmp_path / "m.json"
+    path.write_text(dumps_canonical(matrix_to_json([
+        [1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0],
+        [0, 0, 1, 1], [1, 0, 0, 1], [0, 1, 1, 0],
+    ])))
+    code, out = run_cli(capsys, "lattice", "--matrix", str(path))
+    assert code == 0
+    assert out == (
+        '{"command":"lattice","hnf":{"rows":[["1","0","0","1"],["0","1","0","1"],'
+        '["0","0","1","1"],["0","0","0","2"],["0","0","0","0"],["0","0","0","0"],'
+        '["0","0","0","0"]],"type":"int-matrix"},"operation":"hnf",'
+        '"transform":{"rows":[["1","-1","0","0","1","0","0"],'
+        '["1","0","-1","0","1","0","0"],["0","0","0","0","1","0","0"],'
+        '["1","-1","-1","0","2","0","0"],["-1","0","0","1","0","0","0"],'
+        '["-1","1","0","0","-1","1","0"],["0","-1","0","0","0","0","1"]],'
+        '"type":"int-matrix"}}\n'
+    )
+    code, out = run_cli(
+        capsys, "lattice", "--matrix", str(path), "--vector", "4,3,3,2"
+    )
+    assert code == 0
+    assert out == (
+        '{"coefficients":[3,0,1,0,2,0,0],"command":"lattice","member":true,'
+        '"operation":"membership"}\n'
+    )
+    code, out = run_cli(
+        capsys, "lattice", "--matrix", str(path), "--vector", "1,0,0,0"
+    )
+    assert code == 1
+    assert out == (
+        '{"coefficients":null,"command":"lattice","member":false,'
+        '"operation":"membership"}\n'
+    )
 
 
 def test_nibble_outputs_and_trajectory(tmp_path, capsys):

@@ -4,9 +4,13 @@ import random
 from itertools import product
 
 import pytest
+from oracles import (
+    IncrementalLattice,
+    criterion_12_instances,
+    ref_hermite_normal_form,
+)
 
 from decomp_lab.intlattice import (
-    IncrementalLattice,
     SpanChecker,
     determinant,
     hermite_normal_form,
@@ -14,6 +18,7 @@ from decomp_lab.intlattice import (
     matrix_to_json,
     span_membership,
 )
+from decomp_lab.solver import enumerate_copies
 
 
 def test_hnf_identity():
@@ -60,6 +65,58 @@ def test_hnf_row_lattices_equal():
             assert span_membership(row, nonzero) is not None
         for row in nonzero:
             assert span_membership(row, m) is not None
+
+
+def _fuzz_matrices(rng: random.Random):
+    """Seeded small integer matrices of every shape the HNF must handle."""
+    yield []
+    yield [[]]
+    yield [[0, 0, 0]]
+    for _ in range(500):  # dense, negative entries
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        yield [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(500):  # sparse, with whole zero rows
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        yield [
+            [rng.randint(-20, 20) if live and rng.random() < 0.5 else 0
+             for _ in range(cols)]
+            for live in (rng.random() < 0.7 for _ in range(rows))
+        ]
+    for _ in range(1000):  # tall rank-deficient 0/1 rows, repeats included
+        cols = rng.randint(1, 8)
+        base = [[int(rng.random() < 0.4) for _ in range(cols)] for _ in range(3)]
+        yield [
+            list(rng.choice(base)) if rng.random() < 0.5
+            else [int(rng.random() < 0.4) for _ in range(cols)]
+            for _ in range(rng.randint(cols, 3 * cols + 2))
+        ]
+
+
+def _footprint_matrix(table) -> list[list[int]]:
+    rows = [[0] * len(table.atoms) for _ in table.footprints]
+    for row, fp in zip(rows, table.footprints):
+        for c in fp:
+            row[c] = 1
+    return rows
+
+
+def test_hnf_matches_reference():
+    # the sparse-row HNF performs the dense reference's operations in the
+    # same order, so (H, U) agree exactly, transform included
+    checked = 0
+    for m in _fuzz_matrices(random.Random(1101)):
+        assert hermite_normal_form(m) == ref_hermite_normal_form(m), m
+        checked += 1
+    for host, patterns, partition in criterion_12_instances():
+        m = _footprint_matrix(enumerate_copies(host, patterns, partition))
+        assert hermite_normal_form(m) == ref_hermite_normal_form(m)
+        checked += 1
+    assert checked >= 2000
+
+
+def test_hnf_ragged_matrix_raises():
+    with pytest.raises(ValueError, match="ragged"):
+        hermite_normal_form([[1, 2], [3]])
 
 
 def test_span_membership_worked_values():

@@ -207,6 +207,38 @@ def test_find_implies_integral_on_random_subgraphs():
             assert verify_certificate(g, TRIANGLE, res.certificate).valid
 
 
+def test_integral_oracle_matches_reference():
+    # same verdicts as the earlier incremental-lattice oracle; witnesses may
+    # differ (integer witnesses are not unique) but each must rebuild the
+    # capacities from its footprints
+    rng = random.Random(1113)
+    edges = Hypergraph.complete(6, 2).sorted_edges()
+    cases = list(oracles.criterion_12_instances())
+    for _ in range(30):
+        sub = [e for e in edges if rng.random() < 0.6]
+        cases.append((Hypergraph.from_edges(6, 2, sub), TRIANGLE, None))
+    verdicts = set()
+    for host, patterns, partition in cases:
+        table = enumerate_copies(host, patterns, partition)
+        ok, witness = integral_decomposition_exists(host, patterns, partition, table)
+        ref_ok, _ = oracles.ref_integral_decomposition_exists(
+            host, patterns, partition, table
+        )
+        assert ok == ref_ok
+        verdicts.add(ok)
+        if not ok:
+            assert witness is None
+            continue
+        assert [i for i, _ in witness] == sorted({i for i, _ in witness})
+        assert all(w for _, w in witness)
+        cover = [0] * len(table.atoms)
+        for idx, w in witness:
+            for c in table.footprints[idx]:
+                cover[c] += w
+        assert cover == table.capacities
+    assert verdicts == {True, False}
+
+
 def test_certificate_json_roundtrip():
     res = find_decomposition(Hypergraph.complete(7, 2), TRIANGLE)
     doc = res.certificate.to_json_dict()

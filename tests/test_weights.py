@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 
 import pytest
 
@@ -17,7 +17,11 @@ from decomp_lab.core import (
     inj_from_pairs,
     inj_image,
 )
-from decomp_lab.divisibility import coloured_divisible, digraph_divisible
+from decomp_lab.divisibility import (
+    canonical_family_check,
+    coloured_divisible,
+    digraph_divisible,
+)
 from decomp_lab.encodings import rainbow_family, tight_cycle
 from decomp_lab.weights import (
     LatticeChecker,
@@ -448,6 +452,53 @@ def _queries(rng, ws, phi, host):
     psi = rng.choice(sorted(phi.level(rng.choice(ws.r_subsets()))))
     bumped[psi] = tuple(x + rng.randint(0, 1) for x in bumped.get(psi, (0,) * ws.dim))
     return [host, J, bumped]
+
+
+def _canonical_families(rng, count):
+    """Seeded coloured 2-digraph families on 3 or 4 labels, one or two
+    interval parts, that pass the canonical-family check."""
+    out = []
+    while len(out) < count:
+        q = rng.choice((3, 4))
+        cut = rng.randrange(q)
+        part = (
+            Partition.trivial(q) if cut == 0
+            else Partition.from_lists([range(cut), range(cut, q)])
+        )
+        colours = rng.randint(1, 3)
+        family = []
+        for _ in range(rng.randint(1, 2)):
+            classes = [[] for _ in range(colours)]
+            for arc in permutations(range(q), 2):
+                if rng.random() < 0.3:
+                    classes[rng.randrange(colours)].append(arc)
+            family.append(ColouredMultidigraph.from_colour_classes(q, 2, colours, classes))
+        try:
+            canonical_family_check(family, part)
+        except ValueError:
+            continue
+        out.append((family, part))
+    return out
+
+
+def test_master_weights_match_reference():
+    rng = random.Random(1117)
+    seen = set()
+    for k, (family, part) in enumerate(_canonical_families(rng, 300)):
+        ws = master_weight_system(family, part)
+        ref_ws = oracles.ref_master_weight_system(family, part)
+        assert ws.to_json_dict() == ref_ws.to_json_dict()
+        if k % 10:
+            continue
+        # each host part one vertex larger than its label part
+        bounds = list(accumulate((len(p) + 1 for p in part.parts), initial=0))
+        host_part = Partition.from_lists([range(a, b) for a, b in zip(bounds, bounds[1:])])
+        phi = LabelledComplex.complete_partite(part, host_part)
+        for J in _queries(rng, ws, phi, {}):
+            rep = LatticeChecker(ws, phi).check(J)
+            assert rep.to_json_dict() == oracles.RefLatticeChecker(ref_ws, phi).check(J).to_json_dict()
+            seen.add(rep.member)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("seed", range(3))
