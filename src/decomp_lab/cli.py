@@ -125,22 +125,40 @@ def parse_structure(spec: str):
     raise InputError(f"unknown structure spec {spec!r}")
 
 
+_DOCUMENT_TYPES = {
+    "hypergraph": Hypergraph,
+    "coloured-multigraph": ColouredMultigraph,
+    "digraph": Digraph,
+    "coloured-multidigraph": ColouredMultidigraph,
+}
+
+
 def load_structure(doc: dict):
-    kinds = {
-        "hypergraph": Hypergraph,
-        "coloured-multigraph": ColouredMultigraph,
-        "digraph": Digraph,
-        "coloured-multidigraph": ColouredMultidigraph,
-    }
+    """The structure, partition or pattern family (a list of structures,
+    from {"type": "pattern-family", "patterns": [structure documents]})
+    that a JSON document describes."""
+    if not isinstance(doc, dict):
+        raise InputError("a structure document must be a JSON object")
     t = doc.get("type")
-    if t in kinds:
-        return kinds[t].from_json_dict(doc)
-    if t is None and "parts" in doc:
-        return Partition.from_json_dict(doc)
+    if t == "pattern-family":
+        patterns = doc.get("patterns")
+        if not isinstance(patterns, list) or not patterns:
+            raise InputError("a pattern family needs a nonempty list of patterns")
+        family = [load_structure(p) for p in patterns]
+        if not all(isinstance(p, _STRUCTURES) for p in family):
+            raise InputError("every member of a pattern family must be a structure")
+        return family
+    try:
+        if t in _DOCUMENT_TYPES:
+            return _DOCUMENT_TYPES[t].from_json_dict(doc)
+        if t is None and "parts" in doc:
+            return Partition.from_json_dict(doc)
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed {t or 'partition'} document: {exc!r}") from exc
     raise InputError(f"unrecognized structure document type {t!r}")
 
 
-_STRUCTURES = (Hypergraph, ColouredMultigraph, Digraph, ColouredMultidigraph)
+_STRUCTURES = tuple(_DOCUMENT_TYPES.values())
 
 # what parse_structure returns for an instance spec and for a family spec
 _SPEC_KINDS = {dict: "instance", list: "pattern family"}

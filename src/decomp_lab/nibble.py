@@ -124,26 +124,37 @@ def random_greedy(
     Stops at the density threshold (checked before each step against
     1 - i*R/N), after ``stop_steps`` selections, or at exhaustion.
     """
-    rng = SplitMix64(seed)
-    alive = [True] * len(aux.copies)
-    alive_count = len(aux.copies)
-    pool = list(range(len(aux.copies)))
+    copies, incidence = aux.copies, aux.incidence
+    draws = SplitMix64(seed).stream
+    top = 1 << 64
+    safe = top - len(copies)  # every draw below it is accepted at any pool size
+    alive = [True] * len(copies)
+    alive_count = len(copies)
+    pool = list(range(len(copies)))
     matching: list[int] = []
     steps: list[TrajectoryStep] = []
     stop_density = Fraction(stop_density) if stop_density is not None else None
     i = 0
     stop_reason = "exhausted"
     while alive_count > 0:
-        density = 1 - Fraction(i * aux.R, aux.N) if aux.N else Fraction(0)
+        density = Fraction(aux.N - i * aux.R, aux.N) if aux.N else Fraction(0)
         if stop_density is not None and density < stop_density:
             stop_reason = "density"
             break
         if stop_steps is not None and i >= stop_steps:
             stop_reason = "steps"
             break
-        # uniform over alive copies; dead pool entries are discarded lazily
+        # uniform over alive copies; dead pool entries are discarded lazily.
+        # The draw is SplitMix64.randrange(n) inlined: it rejects x only at
+        # or above 2**64 - 2**64 % n, which exceeds 2**64 - n >= safe.
         while True:
-            idx = rng.randrange(len(pool))
+            n = len(pool)
+            x = next(draws)
+            if x >= safe:
+                limit = top - top % n
+                while x >= limit:
+                    x = next(draws)
+            idx = x % n
             cid = pool[idx]
             if alive[cid]:
                 break
@@ -151,8 +162,8 @@ def random_greedy(
             pool.pop()
         choices = alive_count
         matching.append(cid)
-        for a in aux.copies[cid]:
-            for other in aux.incidence[a]:
+        for a in copies[cid]:
+            for other in incidence[a]:
                 if alive[other]:
                     alive[other] = False
                     alive_count -= 1

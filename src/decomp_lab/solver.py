@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 
 from .intlattice import SpanChecker
@@ -110,8 +111,10 @@ class CopyTable:
 
 
 def _placements(plans, index, budget=math.inf, deadline=None):
-    """Yield (plan index, images, keys) for every placement of each plan in
-    turn whose slots all have columns in the rest map ``index``.
+    """Yield, for each plan in turn, its placements whose slots all have
+    columns in the rest map ``index``, in batches: lists of rows
+    (footprint, plan index, images) with the footprint the sorted tuple of
+    the slots' columns and ``images`` the host vertex per pattern vertex.
 
     A plan (order, ready, pools, after) places pattern vertex order[k] at
     level k on the members of pools[order[k]] in pool order, skipping host
@@ -121,35 +124,61 @@ def _placements(plans, index, budget=math.inf, deadline=None):
     to the slot's rest key.  Entering level k resolves those keys to their
     {vertex: column} maps once, and each candidate then looks itself up in
     them; a key missing from ``index`` gives an empty map, so its candidates
-    fail but still count as nodes.  ``images`` (host vertex per pattern
-    vertex) and ``keys`` (the columns found, in level order) are lists the
-    walk reuses.  More than ``budget`` nodes raise BudgetExceeded; passing
-    the ``time.monotonic()`` instant ``deadline``, checked every 1024 nodes
-    and when the walk ends, raises TimeBudgetExceeded.
+    fail but still count as nodes.  The last level counts its candidates
+    as nodes all at once, builds their rows in its own frame and yields
+    them as one batch, never an empty one, so the rows come in walk order
+    and no leaf passes up through the levels above.  More than ``budget``
+    nodes raise BudgetExceeded; passing the ``time.monotonic()`` instant
+    ``deadline``, checked every 1024 nodes and when the walk ends, raises
+    TimeBudgetExceeded.
     """
     nodes = 0
     limit = budget if deadline is None else min(budget, 1024)  # next check
-    keys: list = []
+    keys: list = []  # the columns found, in level order
     used: set = set()
     empty: dict = {}
 
+    def tick():
+        nonlocal limit
+        if nodes > budget:
+            raise BudgetExceeded(f"copy enumeration exceeded {budget} nodes")
+        if time.monotonic() > deadline:
+            raise TimeBudgetExceeded("copy enumeration hit the time budget")
+        limit = min(budget, nodes + 1024)
+
     def level(k):
-        nonlocal nodes, limit
+        nonlocal nodes
         x = order[k]
         pool = pools[x]
         columns = [index.get(rest(images), empty) for rest in ready[k]]
         start = at[after[k]] + 1 if after[k] >= 0 else 0
+        if k == last:
+            candidates = [v for v in pool[start:] if v not in used]
+            nodes += len(candidates)
+            if nodes > limit:
+                tick()
+            batch = []
+            mark = len(keys)
+            for v in candidates:
+                images[x] = v
+                for column in columns:
+                    a = column.get(v)
+                    if a is None:
+                        break
+                    keys.append(a)
+                else:
+                    batch.append((tuple(sorted(keys)), p, tuple(images)))
+                del keys[mark:]
+            if batch:
+                yield batch
+            return
         for i in range(start, len(pool)):
             v = pool[i]
             if v in used:
                 continue
             nodes += 1
             if nodes > limit:
-                if nodes > budget:
-                    raise BudgetExceeded(f"copy enumeration exceeded {budget} nodes")
-                if time.monotonic() > deadline:
-                    raise TimeBudgetExceeded("copy enumeration hit the time budget")
-                limit = min(budget, nodes + 1024)
+                tick()
             images[x] = v
             mark = len(keys)
             for column in columns:
@@ -158,13 +187,10 @@ def _placements(plans, index, budget=math.inf, deadline=None):
                     break
                 keys.append(a)
             else:
-                if k == last:
-                    yield p, images, keys
-                else:
-                    at[k] = i
-                    used.add(v)
-                    yield from level(k + 1)
-                    used.discard(v)
+                at[k] = i
+                used.add(v)
+                yield from level(k + 1)
+                used.discard(v)
             del keys[mark:]
 
     for p, (order, ready, pools, after) in enumerate(plans):
@@ -174,7 +200,7 @@ def _placements(plans, index, budget=math.inf, deadline=None):
         if order:
             yield from level(0)
         else:
-            yield p, images, keys
+            yield [((), p, ())]
     if deadline is not None and time.monotonic() > deadline:
         raise TimeBudgetExceeded("copy enumeration hit the time budget")
 
@@ -286,23 +312,24 @@ def enumerate_copies(
         plan, multiplicity = _plan(pattern, part_of, host_pools, deadline)
         plans.append(plan)
         multiplicities.append(multiplicity)
-    found: dict[tuple, tuple] = {}
-    counts: dict[tuple, int] = {}
-    for p_idx, images, keys in _placements(plans, index, budget, deadline):
-        fp = tuple(sorted(keys))
-        count = counts.get(fp)
-        if count is None:
-            counts[fp] = multiplicities[p_idx]
-            found[fp] = (p_idx, tuple(images))
+    rows = list(chain.from_iterable(_placements(plans, index, budget, deadline)))
+    rows.sort(key=itemgetter(0))  # stable: equal footprints stay in walk order
+    footprints, embeddings, counts = [], [], []
+    last = None
+    for fp, p_idx, images in rows:
+        if fp == last:
+            counts[-1] += multiplicities[p_idx]
         else:
-            counts[fp] = count + multiplicities[p_idx]
-    order_fp = sorted(found)
+            footprints.append(fp)
+            embeddings.append((p_idx, images))
+            counts.append(multiplicities[p_idx])
+            last = fp
     return CopyTable(
         atoms=atom_order,
         capacities=[atoms[a] for a in atom_order],
-        footprints=order_fp,
-        embeddings=[found[fp] for fp in order_fp],
-        multiplicities=[counts[fp] for fp in order_fp],
+        footprints=footprints,
+        embeddings=embeddings,
+        multiplicities=counts,
     )
 
 

@@ -27,7 +27,10 @@ index vectors.  `ref_hermite_normal_form` is the earlier dense Hermite
 normal form, and `IncrementalLattice` with
 `ref_integral_decomposition_exists` the earlier integral oracle, an
 echelon basis built one footprint at a time; all are kept verbatim as
-references for (H, U), weights and integral verdicts.
+references for (H, U), weights and integral verdicts.  `RefSplitMix64`
+is the earlier one-output-per-call generator and `ref_random_greedy` the
+earlier greedy process drawing through its ``randrange``; both are kept
+verbatim as references for the random stream and for greedy runs.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from decomp_lab.divisibility import (
 )
 from decomp_lab.intlattice import SpanChecker
 from decomp_lab.linprog import solve_feasibility
+from decomp_lab.nibble import AuxiliaryMatchingInstance, GreedyRun, TrajectoryStep
 from decomp_lab.rng import SplitMix64
 from decomp_lab.solver import (
     BudgetExceeded,
@@ -1488,6 +1492,113 @@ def ref_pair_degree_max(footprints) -> int:
     """The most copies through one pair of slots, from the copies' footprints."""
     pair_deg = Counter(chain.from_iterable(map(combinations, footprints, repeat(2))))
     return max(pair_deg.values()) if pair_deg else 0
+
+
+# ---------------------------------------------------------------------------
+# reference random stream and greedy process: the earlier scalar splitmix64,
+# one output per call, and the random greedy process drawing through its
+# randrange
+
+_REF_MASK64 = (1 << 64) - 1
+
+
+class RefSplitMix64:
+    """splitmix64 stream; state advances by the golden-ratio increment."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seed: int) -> None:
+        self._state = seed & _REF_MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _REF_MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _REF_MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _REF_MASK64
+        return z ^ (z >> 31)
+
+    def randrange(self, n: int) -> int:
+        """Uniform integer in [0, n); rejection keeps the draw unbiased."""
+        if n <= 0:
+            raise ValueError("randrange needs a positive bound")
+        limit = (1 << 64) - ((1 << 64) % n)
+        while True:
+            x = self.next_u64()
+            if x < limit:
+                return x % n
+
+    def randint(self, lo: int, hi: int) -> int:
+        """Uniform integer in [lo, hi], inclusive."""
+        return lo + self.randrange(hi - lo + 1)
+
+    def choice(self, seq):
+        return seq[self.randrange(len(seq))]
+
+    def shuffle(self, seq: list) -> None:
+        for i in range(len(seq) - 1, 0, -1):
+            j = self.randrange(i + 1)
+            seq[i], seq[j] = seq[j], seq[i]
+
+    def sample(self, seq, k: int) -> list:
+        pool = list(seq)
+        self.shuffle(pool)
+        return pool[:k]
+
+
+def ref_random_greedy(
+    aux: AuxiliaryMatchingInstance,
+    seed: int,
+    stop_density=None,
+    stop_steps: int | None = None,
+) -> GreedyRun:
+    """Uniformly random surviving copy each step, conflicts deleted.
+
+    Stops at the density threshold (checked before each step against
+    1 - i*R/N), after ``stop_steps`` selections, or at exhaustion.
+    """
+    rng = RefSplitMix64(seed)
+    alive = [True] * len(aux.copies)
+    alive_count = len(aux.copies)
+    pool = list(range(len(aux.copies)))
+    matching: list[int] = []
+    steps: list[TrajectoryStep] = []
+    stop_density = Fraction(stop_density) if stop_density is not None else None
+    i = 0
+    stop_reason = "exhausted"
+    while alive_count > 0:
+        density = 1 - Fraction(i * aux.R, aux.N) if aux.N else Fraction(0)
+        if stop_density is not None and density < stop_density:
+            stop_reason = "density"
+            break
+        if stop_steps is not None and i >= stop_steps:
+            stop_reason = "steps"
+            break
+        # uniform over alive copies; dead pool entries are discarded lazily
+        while True:
+            idx = rng.randrange(len(pool))
+            cid = pool[idx]
+            if alive[cid]:
+                break
+            pool[idx] = pool[-1]
+            pool.pop()
+        choices = alive_count
+        matching.append(cid)
+        for a in aux.copies[cid]:
+            for other in aux.incidence[a]:
+                if alive[other]:
+                    alive[other] = False
+                    alive_count -= 1
+        steps.append(
+            TrajectoryStep(
+                step=i,
+                chosen=cid,
+                choices=choices,
+                alive_after=alive_count,
+                density=density,
+            )
+        )
+        i += 1
+    return GreedyRun(seed=seed, matching=matching, steps=steps, stop_reason=stop_reason)
 
 
 # ---------------------------------------------------------------------------

@@ -321,3 +321,58 @@ def test_check_master_cli(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["verdict"] is True
+
+
+def _coloured_host(n: int):
+    from itertools import combinations
+
+    from decomp_lab.core import ColouredMultigraph
+
+    mult = {
+        e: tuple(int((e[0] * e[1] + sum(e) + i) % 4 == 0) for i in range(4))
+        for e in combinations(range(n), 2)
+    }
+    return ColouredMultigraph.from_dict(n, 2, 4, mult)
+
+
+def test_pattern_family_document_round_trips(tmp_path, capsys):
+    from decomp_lab.cli import load_structure
+    from decomp_lab.encodings import rainbow_family
+
+    family = rainbow_family(4)
+    doc = {"type": "pattern-family", "patterns": [p.to_json_dict() for p in family]}
+    loaded = load_structure(json.loads(dumps_canonical(doc)))
+    assert [p.to_json_dict() for p in loaded] == doc["patterns"]
+    path = tmp_path / "family.json"
+    path.write_text(dumps_canonical(doc))
+    for n, verdict in ((6, 1), (7, 0)):  # K_6 fails a level, K_7 passes
+        host = tmp_path / f"host{n}.json"
+        host.write_text(dumps_canonical(_coloured_host(n).to_json_dict()))
+        outs = []
+        for pattern in ("rainbow:4", "@" + str(path)):
+            argv = ("check", "--kind", "coloured", "--host", "@" + str(host), "--pattern", pattern)
+            outs.append(run_cli(capsys, *argv))
+        assert outs[0] == outs[1] and outs[0][0] == verdict
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"type": "pattern-family"},
+        {"type": "pattern-family", "patterns": []},
+        {"type": "pattern-family", "patterns": {"type": "hypergraph"}},
+        {"type": "pattern-family", "patterns": [[0, 1]]},
+        {"type": "pattern-family", "patterns": [{"parts": [[0], [1]]}]},
+        {"type": "pattern-family", "patterns": [{"type": "pattern-family", "patterns": []}]},
+        {"type": "pattern-family", "patterns": [{"type": "coloured-multigraph", "n": 3}]},
+    ],
+)
+def test_malformed_pattern_family_is_an_input_error(doc, tmp_path, capsys):
+    host = tmp_path / "host.json"
+    host.write_text(dumps_canonical(_coloured_host(6).to_json_dict()))
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    argv = ["check", "--kind", "coloured", "--host", "@" + str(host), "--pattern", "@" + str(path)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: ")

@@ -101,6 +101,81 @@ def test_greedy_runs_and_bounds_match_pinned_values():
     }
 
 
+REFERENCE_CASES = {
+    "blowup6": lambda: partite_aux(6),
+    "blowup12": lambda: partite_aux(12),
+    "blowup30": lambda: partite_aux(30),
+    **{f"K{n}": lambda n=n: build_auxiliary(Hypergraph.complete(n, 2), TRIANGLE) for n in (5, 7, 9, 13)},
+    "K10^3": lambda: build_auxiliary(Hypergraph.complete(10, 3), Hypergraph.complete(4, 3)),
+    "one copy": lambda: build_auxiliary(TRIANGLE, TRIANGLE),
+    "no copies": lambda: build_auxiliary(Hypergraph.from_edges(4, 2, [(0, 1), (1, 2), (2, 3)]), TRIANGLE),
+    "no slots": lambda: build_auxiliary(Hypergraph.from_edges(3, 2, []), TRIANGLE),
+}
+
+
+STOPS = [
+    {},
+    {"stop_density": Fraction(1, 2)},
+    {"stop_density": 0.6},
+    {"stop_density": Fraction(11, 10)},  # stops before the first step
+    {"stop_steps": 0},
+    {"stop_steps": 3},
+    {"stop_density": Fraction(1, 3), "stop_steps": 5},
+]
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_greedy_runs_equal_the_reference_process(name):
+    aux = REFERENCE_CASES[name]()
+    seeds = (0, 1, 2**64 - 1) if aux.N > 1000 else (0, 1, 7, 42, -3, 2**64 - 1)
+    for seed in seeds:
+        for stop in STOPS:
+            run = random_greedy(aux, seed, **stop)
+            want = oracles.ref_random_greedy(aux, seed, **stop)
+            assert run == want, (name, seed, stop)
+            assert run.dump_jsonl() == want.dump_jsonl()
+            for got, ref in zip(run.steps, want.steps):
+                assert (got.density.numerator, got.density.denominator) == (
+                    ref.density.numerator, ref.density.denominator
+                )
+
+
+def test_greedy_rejects_the_draws_randrange_rejects(monkeypatch):
+    # draws at or above 2**64 - 2**64 % n are rejected; no seed reaches them,
+    # so both processes read the same crafted stream instead
+    aux = build_auxiliary(Hypergraph.complete(9, 2), TRIANGLE)
+    top = 2**64
+    rnd = random.Random(5)
+    values = [(top - 1, top - len(aux.copies), rnd.getrandbits(64))[i % 3] for i in range(3000)]
+
+    class Stream:
+        def __init__(self, seed):
+            self.stream = iter(values)
+
+    class RefStream(oracles.RefSplitMix64):
+        calls = drawn = 0
+
+        def __init__(self, seed):
+            self.values = iter(values)
+            made.append(self)
+
+        def next_u64(self):
+            self.drawn += 1
+            return next(self.values)
+
+        def randrange(self, n):
+            self.calls += 1
+            return super().randrange(n)
+
+    made = []
+    monkeypatch.setattr("decomp_lab.nibble.SplitMix64", Stream)
+    monkeypatch.setattr(oracles, "RefSplitMix64", RefStream)
+    run = random_greedy(aux, 0)
+    assert run == oracles.ref_random_greedy(aux, 0)
+    assert len(run.matching) > 1
+    assert made[0].drawn > made[0].calls  # some draws were rejected
+
+
 def test_step_zero_stop():
     aux = partite_aux(4)
     run = random_greedy(aux, seed=3, stop_steps=0)
