@@ -301,20 +301,21 @@ class LabelledComplex:
     def orbit_canonical(self, psi: Inj, group: PermGroup) -> Inj:
         return self.orbit(psi, group)[0]
 
+    def distinct_orbits(self, maps, group: PermGroup):
+        """Each orbit that meets ``maps`` once, in the order it is first met."""
+        seen = set()
+        for psi in maps:
+            if psi not in seen:
+                orbit = self.orbit(psi, group)
+                seen.update(orbit)
+                yield orbit
+
     def orbits_at_size(self, size: int, group: PermGroup) -> list[tuple[Inj, ...]]:
         """Orbit decomposition of the size-level, canonically sorted."""
-        seen = set()
-        out = []
-        for psi in self.at_size(size):
-            if psi in seen:
-                continue
-            orb = self.orbit(psi, group)
-            for member in orb:
-                if member not in self.levels.get(inj_domain(member), frozenset()):
-                    raise ValueError("complex is not adapted to the group")
-                seen.add(member)
-            out.append(orb)
-        return sorted(out)
+        out = sorted(self.distinct_orbits(self.at_size(size), group))
+        if not all(member in self for orbit in out for member in orbit):
+            raise ValueError("complex is not adapted to the group")
+        return out
 
     # -- embeddings
 

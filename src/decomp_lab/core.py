@@ -415,6 +415,15 @@ class _Coloured(_Incidence):
         """(edge or arc, multiplicity vector) pairs in sorted order."""
         return sorted(self.mult)
 
+    def unit_colours(self) -> list[tuple]:
+        """(edge or arc, colour) pairs in sorted order; raises ValueError
+        unless every edge or arc carries exactly one colour once."""
+        for item, vec in self.mult:
+            if sum(vec) != 1:
+                kind = "arc" if self._ordered else "edge"
+                raise ValueError(f"pattern {kind} {item} must carry exactly one colour once")
+        return [(item, vec.index(1)) for item, vec in self.mult]
+
     @cached_property
     def _vectors(self) -> dict:
         return dict(self.mult)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, gcd
+from math import comb, prod
 
 from .core import (
     ColouredMultidigraph,
@@ -79,26 +79,15 @@ def steiner_divisible(n: int, q: int, r: int, lam: int = 1) -> DivisibilityRepor
 
 
 def h_divisible(g: Hypergraph, h: Hypergraph) -> DivisibilityReport:
-    """Each host degree divisible by the gcd of same-level pattern degrees."""
+    """Each host degree divisible by the gcd of same-level pattern degrees:
+    the index-partite check with one part on each side."""
     if g.r != h.r:
         raise ValueError("uniformities differ")
     if not h.edges:
         raise ValueError("pattern has no edges; degree gcd undefined")
-    failures = []
-    for i in range(g.r + 1):
-        level_gcd = 0
-        for f in combinations(range(h.n), i):
-            level_gcd = gcd(level_gcd, h.degree(f))
-        if level_gcd <= 1:
-            continue
-        for e in combinations(range(g.n), i):
-            d = g.degree(e)
-            if d % level_gcd:
-                failures.append(
-                    LevelFailure(i, e, f"{level_gcd} | degree", (d,))
-                )
-                break
-    return _report("h", failures, range(g.r + 1))
+    report = hp_divisible(g, Partition.trivial(g.n), h, Partition.trivial(h.n))
+    report.kind = "h"
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +361,15 @@ def _position_blocks(index_vec, r: int):
     return tuple(blocks)
 
 
+def _misplaced_block(arc, idx, partition: Partition) -> int | None:
+    """The first j whose position block of the arc, cut by the arc's own
+    index vector idx, leaves part j of the partition; None if there is none."""
+    for j, block in enumerate(_position_blocks(idx, len(arc))):
+        if not {arc[pos] for pos in block} <= set(partition.parts[j]):
+            return j
+    return None
+
+
 def canonical_family_check(patterns, partition: Partition) -> CanonicalInfo:
     """Infer per-colour index vectors and per-block symmetry groups, or
     raise naming the violated clause.
@@ -388,19 +386,18 @@ def canonical_family_check(patterns, partition: Partition) -> CanonicalInfo:
     q = patterns[0].n
     r = patterns[0].r
     D = patterns[0].colours
+    family_colours = []
     for h in patterns:
         if (h.n, h.r, h.colours) != (q, r, D):
             raise ValueError("patterns disagree on (q, r, colours)")
-        for arc, vec in h.mult:
-            if any(m > 1 for m in vec) or sum(vec) != 1:
-                raise ValueError(f"arc {arc} must carry exactly one colour once")
+        family_colours.append(h.unit_colours())
     colour_index: list = [None] * D
     groups: list = [None] * D
     blocks_per_colour: list = [None] * D
-    for h in patterns:
+    for arc_colours in family_colours:
         by_colour: dict[int, list] = {}
-        for arc, vec in h.mult:
-            by_colour.setdefault(vec.index(1), []).append(arc)
+        for arc, d in arc_colours:
+            by_colour.setdefault(d, []).append(arc)
         for d, arcs in by_colour.items():
             for arc in arcs:
                 idx = partition.index_vector(arc)
@@ -411,13 +408,11 @@ def canonical_family_check(patterns, partition: Partition) -> CanonicalInfo:
                     raise ValueError(
                         f"colour {d} arcs have mixed indices {colour_index[d]} and {idx}"
                     )
-                blocks = blocks_per_colour[d]
-                for j, block in enumerate(blocks):
-                    part = set(partition.parts[j])
-                    if not {arc[pos] for pos in block} <= part:
-                        raise ValueError(
-                            f"colour {d} arc {arc} does not place block {j} into part {j}"
-                        )
+                j = _misplaced_block(arc, idx, partition)
+                if j is not None:
+                    raise ValueError(
+                        f"colour {d} arc {arc} does not place block {j} into part {j}"
+                    )
             # same-image structure within this pattern
             by_image: dict[frozenset, list] = {}
             for arc in arcs:
@@ -445,29 +440,14 @@ def canonical_family_check(patterns, partition: Partition) -> CanonicalInfo:
                 image_sets.add(per_base.pop())
             if len(image_sets) > 1:
                 raise ValueError(f"colour {d} same-image sets are not uniform")
-            lam = image_sets.pop() if image_sets else frozenset({tuple(range(r))})
-            ident = tuple(range(r))
-            if ident not in lam:
-                raise ValueError(f"colour {d} symmetry set misses the identity")
-            for a in lam:
-                for b in lam:
-                    if tuple(a[b[k]] for k in range(r)) not in lam:
-                        raise ValueError(f"colour {d} symmetry set is not a group")
-            blocks = blocks_per_colour[d]
-            projections = []
-            for block in blocks:
-                proj = set()
-                for sigma in lam:
-                    if not {sigma[pos] for pos in block} <= set(block):
-                        raise ValueError(
-                            f"colour {d} symmetry does not preserve position blocks"
-                        )
-                    proj.add(tuple(sigma[pos] for pos in block))
-                projections.append(proj)
-            size = 1
-            for proj in projections:
-                size *= len(proj)
-            if size != len(lam):
+            # a coset set holds the identity and is closed, so it is a group,
+            # and it keeps each block: every arc put block j in part j above
+            lam = image_sets.pop()
+            projections = [
+                {tuple(sigma[pos] for pos in block) for sigma in lam}
+                for block in blocks_per_colour[d]
+            ]
+            if prod(map(len, projections)) != len(lam):
                 raise ValueError(
                     f"colour {d} symmetry is not a product over position blocks"
                 )
@@ -497,25 +477,13 @@ def master_divisible(
     canonical_family_check(patterns, pattern_partition)
     failures = []
     # support: arcs must be block-ascending for their image index
-    for arc, vec in g.mult:
+    for arc in g.arcs():
         idx = host_partition.index_vector(arc)
-        try:
-            blocks = _position_blocks(idx, g.r)
-        except ValueError:
-            failures.append(LevelFailure(g.r, arc, "index consistent with arity", idx))
-            continue
-        for j, block in enumerate(blocks):
-            part = set(host_partition.parts[j])
-            if not {arc[pos] for pos in block} <= part:
-                failures.append(
-                    LevelFailure(
-                        g.r,
-                        arc,
-                        f"position block {j} inside host part {j}",
-                        idx,
-                    )
-                )
-                break
+        j = _misplaced_block(arc, idx, host_partition)
+        if j is not None:
+            failures.append(
+                LevelFailure(g.r, arc, f"position block {j} inside host part {j}", idx)
+            )
     if not failures:
         failures = _span_scan(
             g,

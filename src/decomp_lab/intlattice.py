@@ -135,6 +135,7 @@ class SpanChecker:
             c = _pivot_col(row)
             if c is not None:
                 self._pivots.append((k, c))
+        self.rank = len(self._pivots)
 
     def membership(self, vector) -> list[int] | None:
         v = list(map(int, vector))

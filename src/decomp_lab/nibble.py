@@ -162,6 +162,8 @@ def random_greedy(
             pool.pop()
         choices = alive_count
         matching.append(cid)
+        alive[cid] = False  # an edgeless copy has no slot to kill it
+        alive_count -= 1
         for a in copies[cid]:
             for other in incidence[a]:
                 if alive[other]:
@@ -225,6 +227,8 @@ def _blowup_bounds(
     pattern: Hypergraph, n: int, seed: int, stop_density=None
 ) -> tuple[CountingBounds, AuxiliaryMatchingInstance]:
     """counting_bounds and the blowup auxiliary it ran on."""
+    if not pattern.edges:
+        raise ValueError("pattern has no edges; its blowup has nothing to count")
     if stop_density is None:
         stop_density = default_count_stop(n)
     host, host_partition = blowup(pattern, [n] * pattern.n)

@@ -59,14 +59,11 @@ def _pattern_atoms(pattern) -> tuple[int, list]:
     sorted images of the edge, paired with the colour for coloured
     patterns."""
     items = []
-    for item, vec in pattern.slots():
+    for item, colour in pattern.unit_colours() if pattern._coloured else pattern.slots():
         get = _getter(item)
         key = get if pattern._ordered else (lambda seq, get=get: tuple(sorted(get(seq))))
-        if vec is not None:
-            if sum(vec) != 1:
-                kind = "arcs" if pattern._ordered else "edges"
-                raise ValueError(f"pattern {kind} must carry exactly one colour once")
-            key = lambda seq, key=key, d=vec.index(1): (key(seq), d)
+        if colour is not None:
+            key = lambda seq, key=key, d=colour: (key(seq), d)
         items.append((item, key))
     return pattern.n, items
 
@@ -638,6 +635,8 @@ def verify_certificate(host, patterns, cert: Certificate, partition=None) -> Ver
     atoms = host_atoms(host)
     covered: dict = {}
     weights = cert.weights if cert.weights is not None else [1] * len(cert.embeddings)
+    if len(weights) != len(cert.embeddings):
+        return VerificationReport(valid=False, deficit=[("weights", len(weights))])
     if partition is not None:
         pattern_partition, host_partition = partition
         hp = host_partition.assignment()

@@ -19,7 +19,6 @@ from operator import itemgetter
 from .complexes import LabelledComplex, PermGroup
 from .core import (
     ColouredMultidigraph,
-    ColouredMultigraph,
     Digraph,
     Inj,
     Partition,
@@ -114,29 +113,28 @@ def _lift(g, q: int, maps_at) -> EdgeVector:
 def coloured_weight_system(
     patterns, partition: Partition | None = None
 ) -> WeightSystem:
-    """One tag per coloured pattern; an r-level map gets the unit vector of
-    the colour its image carries in that pattern.
+    """One tag per pattern; an r-level map gets the unit vector of the
+    colour its image carries in that pattern, or (1,) when the patterns
+    are uncoloured.
 
     With a label partition the group is the part stabilizer, otherwise
     the full symmetric group.
     """
     if not patterns:
         raise ValueError("empty pattern family")
-    q = patterns[0].n
-    r = patterns[0].r
-    dim = patterns[0].colours
+    q, r = patterns[0].n, patterns[0].r
+    dim = patterns[0].colours if patterns[0]._coloured else 1
     for h in patterns:
-        if (h.n, h.r, h.colours) != (q, r, dim):
+        if (h.n, h.r, h.colours if h._coloured else 1) != (q, r, dim):
             raise ValueError("patterns disagree on (q, r, colours)")
-        for e, vec in h.mult:
-            if sum(vec) != 1:
-                raise ValueError(f"pattern edge {e} must carry exactly one colour once")
+        if h._coloured:
+            h.unit_colours()  # raises unless each slot carries one colour once
     group = (
         PermGroup.part_stabilizer(partition)
         if partition is not None
         else PermGroup.symmetric(q)
     )
-    # each pattern edge carries one unit colour vector: its weight
+    # each pattern slot carries one unit vector: its weight
     weight = {
         (tag, theta): vec
         for tag, h in enumerate(patterns)
@@ -153,10 +151,7 @@ def digraph_weight_system(pattern: Digraph, allow_non_simple: bool = False) -> W
     """
     if not allow_non_simple and not pattern.is_simple():
         raise ValueError("pattern digraph must be simple (distinct arc images)")
-    group = PermGroup.symmetric(pattern.n)
-    lifted = _lift(pattern, pattern.n, group.restrictions)
-    weight = {(0, theta): vec for theta, vec in lifted.items()}
-    return WeightSystem(group, pattern.r, 1, ["pattern-0"], weight)
+    return coloured_weight_system([pattern])
 
 
 def master_weight_system(patterns, partition: Partition) -> WeightSystem:
@@ -257,7 +252,7 @@ def is_elementary(system: WeightSystem, types: TypeTable | None = None) -> bool:
     types = types or TypeTable(system)
     for B in system.r_subsets():
         indices, span = types.atom_span(B)  # type vectors are distinct
-        if len(span._pivots) != len(indices):
+        if span.rank != len(indices):
             return False
     return True
 
@@ -312,13 +307,8 @@ def atom_decomposition(
     the coefficients are unique.
     """
     types = types or TypeTable(system)
-    seen = set()
     terms = []
-    for psi in sorted(J):
-        if psi in seen:
-            continue
-        orbit = phi.orbit(psi, system.group)
-        seen.update(orbit)
+    for orbit in phi.distinct_orbits(sorted(J), system.group):
         rep = orbit[0]
         target, pairs = _atom_coefficients(J, rep, system, types)
         if pairs is None:
@@ -502,16 +492,15 @@ def lattice_membership(
 # host encodings into edge vectors
 
 
-def coloured_edge_vector(g: ColouredMultigraph, phi: LabelledComplex) -> EdgeVector:
-    """Every labelled edge of the complex carries the multiplicity vector of
-    its image edge."""
+def edge_vector(g, phi: LabelledComplex) -> EdgeVector:
+    """The lift of a hypergraph, digraph, coloured multigraph or coloured
+    multidigraph g: every labelled edge of the complex whose values, read
+    in label order for arcs and sorted for edges, form an edge or arc of g
+    carries that slot's multiplicity vector, or (1,) when g is uncoloured."""
     return _lift(g, phi.q, phi.level)
 
 
-def digraph_edge_vector(g: Digraph, phi: LabelledComplex) -> EdgeVector:
-    """Indicator of order-preserving lifts: a labelled edge is in the lift
-    iff reading its values in label order gives an arc."""
-    return _lift(g, phi.q, phi.level)
+coloured_edge_vector = digraph_edge_vector = edge_vector
 
 
 def master_edge_vector(
@@ -524,32 +513,26 @@ def master_edge_vector(
     Each arc lifts to the label sets whose part index matches the arc
     image's host index; the arc must place its position blocks into the
     matching host parts in ascending order, otherwise the lift leaves the
-    complex and the host is rejected.
+    complex and the host is rejected.  Past that check it is the plain lift.
     """
-    out: EdgeVector = {}
-    q = phi.q
     r = g.r
     label_index = {}
-    for B in combinations(range(q), r):
+    for B in combinations(range(phi.q), r):
         label_index.setdefault(
             phi.label_partition.index_vector(B) if phi.label_partition else (r,),
             [],
         ).append(B)
-    for arc, vec in g.mult:
+    for arc in g.arcs():
         host_idx = host_partition.index_vector(arc)
         targets = label_index.get(host_idx, [])
         if not targets:
             raise ValueError(f"arc {arc} has index {host_idx} outside the label indices")
         for B in targets:
-            pairs = tuple(zip(sorted(B), arc))
-            psi = tuple(sorted(pairs))
-            if psi not in phi:
+            if tuple(zip(B, arc)) not in phi:
                 raise ValueError(
                     f"arc {arc} does not map its position blocks into the host parts"
                 )
-            cur = out.get(psi, _zero(g.colours))
-            out[psi] = _vec_add(cur, vec)
-    return out
+    return edge_vector(g, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +574,7 @@ def _member_coefficients(
     """(member, type index) -> J's atom coefficient at every member of every
     orbit J touches, or None when one lies outside the atom span."""
     coeffs: dict = {}
-    seen = set()
-    for psi in J:
-        if psi in seen:
-            continue
-        orbit = phi.orbit(psi, system.group)
-        seen.update(orbit)
+    for orbit in phi.distinct_orbits(J, system.group):
         for member in orbit:
             _, pairs = _atom_coefficients(J, member, system, types)
             if pairs is None:

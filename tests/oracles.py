@@ -31,6 +31,12 @@ references for (H, U), weights and integral verdicts.  `RefSplitMix64`
 is the earlier one-output-per-call generator and `ref_random_greedy` the
 earlier greedy process drawing through its ``randrange``; both are kept
 verbatim as references for the random stream and for greedy runs.
+`ref_h_divisible`, `ref_canonical_family_check`, `ref_master_edge_vector`,
+`ref_lift_coloured_weight_system` and `ref_orbits_at_size` are the lattice
+layer's earlier second paths (a gcd loop, a family check with its own
+block rule, a hand-rolled master lift, a coloured-only weight system and an
+orbit walk of its own), kept verbatim as references for reports, infos,
+edge vectors, weight systems and orbit lists.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from decomp_lab.core import (
     Digraph,
     Hypergraph,
     Partition,
+    Inj,
     _Incidence,
     host_degree_vector,
     index_set,
@@ -60,6 +67,7 @@ from decomp_lab.core import (
     pattern_degree_vector,
 )
 from decomp_lab.divisibility import (
+    CanonicalInfo,
     DivisibilityReport,
     LevelFailure,
     _position_blocks,
@@ -84,6 +92,7 @@ from decomp_lab.weights import (
     RegularityReport,
     TypeTable,
     WeightSystem,
+    _lift,
     edge_vector_add,
     molecule,
 )
@@ -1772,6 +1781,241 @@ def ref_master_divisible(
         if found:
             failures.append(found)
     return _report("master", failures, range(g.r + 1), notes)
+
+
+# ---------------------------------------------------------------------------
+# reference lattice layer: the earlier second paths that the divisibility,
+# weights and complexes modules now route through one primitive each, kept
+# verbatim as references.  `ref_h_divisible` is the gcd loop that preceded
+# the shared span scan, `ref_canonical_family_check` the family check with
+# its own block rule and group test, `ref_master_edge_vector` the hand-rolled
+# master lift, `ref_lift_coloured_weight_system` the weight-system function
+# that read only coloured patterns, and `ref_orbits_at_size` the orbit walk
+# of `LabelledComplex.orbits_at_size` with the complex passed as ``phi``.
+
+
+def ref_h_divisible(g: Hypergraph, h: Hypergraph) -> DivisibilityReport:
+    """Each host degree divisible by the gcd of same-level pattern degrees."""
+    if g.r != h.r:
+        raise ValueError("uniformities differ")
+    if not h.edges:
+        raise ValueError("pattern has no edges; degree gcd undefined")
+    failures = []
+    for i in range(g.r + 1):
+        level_gcd = 0
+        for f in combinations(range(h.n), i):
+            level_gcd = gcd(level_gcd, h.degree(f))
+        if level_gcd <= 1:
+            continue
+        for e in combinations(range(g.n), i):
+            d = g.degree(e)
+            if d % level_gcd:
+                failures.append(
+                    LevelFailure(i, e, f"{level_gcd} | degree", (d,))
+                )
+                break
+    return _report("h", failures, range(g.r + 1))
+
+
+def ref_canonical_family_check(patterns, partition: Partition) -> CanonicalInfo:
+    """Infer per-colour index vectors and per-block symmetry groups, or
+    raise naming the violated clause.
+
+    Clauses: every colour-d arc places its position blocks into the
+    matching parts; no two colours share an arc image inside one pattern;
+    the same-image arcs of a colour form left cosets of one block-product
+    group, shared across the family.
+    """
+    if not patterns:
+        raise ValueError("empty pattern family")
+    if not partition.is_ordered_intervals():
+        raise ValueError("pattern partition must be ordered intervals")
+    q = patterns[0].n
+    r = patterns[0].r
+    D = patterns[0].colours
+    for h in patterns:
+        if (h.n, h.r, h.colours) != (q, r, D):
+            raise ValueError("patterns disagree on (q, r, colours)")
+        for arc, vec in h.mult:
+            if any(m > 1 for m in vec) or sum(vec) != 1:
+                raise ValueError(f"arc {arc} must carry exactly one colour once")
+    colour_index: list = [None] * D
+    groups: list = [None] * D
+    blocks_per_colour: list = [None] * D
+    for h in patterns:
+        by_colour: dict[int, list] = {}
+        for arc, vec in h.mult:
+            by_colour.setdefault(vec.index(1), []).append(arc)
+        for d, arcs in by_colour.items():
+            for arc in arcs:
+                idx = partition.index_vector(arc)
+                if colour_index[d] is None:
+                    colour_index[d] = idx
+                    blocks_per_colour[d] = _position_blocks(idx, r)
+                elif colour_index[d] != idx:
+                    raise ValueError(
+                        f"colour {d} arcs have mixed indices {colour_index[d]} and {idx}"
+                    )
+                blocks = blocks_per_colour[d]
+                for j, block in enumerate(blocks):
+                    part = set(partition.parts[j])
+                    if not {arc[pos] for pos in block} <= part:
+                        raise ValueError(
+                            f"colour {d} arc {arc} does not place block {j} into part {j}"
+                        )
+            # same-image structure within this pattern
+            by_image: dict[frozenset, list] = {}
+            for arc in arcs:
+                by_image.setdefault(frozenset(arc), []).append(arc)
+            image_sets = set()
+            for img, same in by_image.items():
+                for d2, arcs2 in by_colour.items():
+                    if d2 != d and any(frozenset(a) == img for a in arcs2):
+                        raise ValueError(
+                            f"image {sorted(img)} occurs in colours {d} and {d2}"
+                        )
+                per_base = set()
+                for base in same:
+                    pos_of = {v: k for k, v in enumerate(base)}
+                    per_base.add(
+                        frozenset(
+                            tuple(pos_of[other[k]] for k in range(r))
+                            for other in same
+                        )
+                    )
+                if len(per_base) > 1:
+                    raise ValueError(
+                        f"colour {d} same-image arcs at {sorted(img)} are not a coset"
+                    )
+                image_sets.add(per_base.pop())
+            if len(image_sets) > 1:
+                raise ValueError(f"colour {d} same-image sets are not uniform")
+            lam = image_sets.pop() if image_sets else frozenset({tuple(range(r))})
+            ident = tuple(range(r))
+            if ident not in lam:
+                raise ValueError(f"colour {d} symmetry set misses the identity")
+            for a in lam:
+                for b in lam:
+                    if tuple(a[b[k]] for k in range(r)) not in lam:
+                        raise ValueError(f"colour {d} symmetry set is not a group")
+            blocks = blocks_per_colour[d]
+            projections = []
+            for block in blocks:
+                proj = set()
+                for sigma in lam:
+                    if not {sigma[pos] for pos in block} <= set(block):
+                        raise ValueError(
+                            f"colour {d} symmetry does not preserve position blocks"
+                        )
+                    proj.add(tuple(sigma[pos] for pos in block))
+                projections.append(proj)
+            size = 1
+            for proj in projections:
+                size *= len(proj)
+            if size != len(lam):
+                raise ValueError(
+                    f"colour {d} symmetry is not a product over position blocks"
+                )
+            if groups[d] is None:
+                groups[d] = lam
+            elif groups[d] != lam:
+                raise ValueError(f"colour {d} symmetry differs across the family")
+    for d in range(D):
+        if colour_index[d] is None:
+            raise ValueError(f"colour {d} unused by the family")
+    return CanonicalInfo(
+        colour_index=colour_index,
+        position_blocks=blocks_per_colour,
+        groups=groups,
+    )
+
+
+def ref_master_edge_vector(
+    g: ColouredMultidigraph,
+    host_partition: Partition,
+    phi: LabelledComplex,
+) -> EdgeVector:
+    """Order-preserving lift of a coloured multidigraph into a partite complex.
+
+    Each arc lifts to the label sets whose part index matches the arc
+    image's host index; the arc must place its position blocks into the
+    matching host parts in ascending order, otherwise the lift leaves the
+    complex and the host is rejected.
+    """
+    out: EdgeVector = {}
+    q = phi.q
+    r = g.r
+    label_index = {}
+    for B in combinations(range(q), r):
+        label_index.setdefault(
+            phi.label_partition.index_vector(B) if phi.label_partition else (r,),
+            [],
+        ).append(B)
+    for arc, vec in g.mult:
+        host_idx = host_partition.index_vector(arc)
+        targets = label_index.get(host_idx, [])
+        if not targets:
+            raise ValueError(f"arc {arc} has index {host_idx} outside the label indices")
+        for B in targets:
+            pairs = tuple(zip(sorted(B), arc))
+            psi = tuple(sorted(pairs))
+            if psi not in phi:
+                raise ValueError(
+                    f"arc {arc} does not map its position blocks into the host parts"
+                )
+            cur = out.get(psi, _zero(g.colours))
+            out[psi] = _vec_add(cur, vec)
+    return out
+
+
+def ref_lift_coloured_weight_system(
+    patterns, partition: Partition | None = None
+) -> WeightSystem:
+    """One tag per coloured pattern; an r-level map gets the unit vector of
+    the colour its image carries in that pattern.
+
+    With a label partition the group is the part stabilizer, otherwise
+    the full symmetric group.
+    """
+    if not patterns:
+        raise ValueError("empty pattern family")
+    q = patterns[0].n
+    r = patterns[0].r
+    dim = patterns[0].colours
+    for h in patterns:
+        if (h.n, h.r, h.colours) != (q, r, dim):
+            raise ValueError("patterns disagree on (q, r, colours)")
+        for e, vec in h.mult:
+            if sum(vec) != 1:
+                raise ValueError(f"pattern edge {e} must carry exactly one colour once")
+    group = (
+        PermGroup.part_stabilizer(partition)
+        if partition is not None
+        else PermGroup.symmetric(q)
+    )
+    # each pattern edge carries one unit colour vector: its weight
+    weight = {
+        (tag, theta): vec
+        for tag, h in enumerate(patterns)
+        for theta, vec in _lift(h, q, group.restrictions).items()
+    }
+    return WeightSystem(group, r, dim, [f"pattern-{i}" for i in range(len(patterns))], weight)
+
+
+def ref_orbits_at_size(phi: LabelledComplex, size: int, group: PermGroup) -> list[tuple[Inj, ...]]:
+    """Orbit decomposition of the size-level, canonically sorted."""
+    seen = set()
+    out = []
+    for psi in phi.at_size(size):
+        if psi in seen:
+            continue
+        orb = phi.orbit(psi, group)
+        for member in orb:
+            if member not in phi.levels.get(inj_domain(member), frozenset()):
+                raise ValueError("complex is not adapted to the group")
+            seen.add(member)
+        out.append(orb)
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ import time
 
 import pytest
 
+import oracles
+from decomp_lab import divisibility as dv
 from decomp_lab import nibble as nb
 from decomp_lab.cli import main
-from decomp_lab.core import dumps_canonical
+from decomp_lab.core import Hypergraph, dumps_canonical
 from decomp_lab.intlattice import matrix_to_json
 
 
@@ -376,3 +378,39 @@ def test_malformed_pattern_family_is_an_input_error(doc, tmp_path, capsys):
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("input error: ")
+
+
+def test_verify_cli_rejects_an_unweighted_extra_copy(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "solve", "--host", "k_n:7", "--pattern", "triangle", "--out", str(cert_path))
+    doc = json.loads(cert_path.read_text())
+    doc["weights"] = [1] * len(doc["copies"])
+    doc["copies"].append({"pattern": 0, "images": [0, 1, 2]})
+    cert_path.write_text(json.dumps(doc))
+    code, out = run_cli(
+        capsys, "verify", "--host", "k_n:7", "--pattern", "triangle",
+        "--certificate", str(cert_path),
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["valid"] is False and report["deficit"] == [["'weights'", "7"]]
+
+
+def test_nibble_cli_rejects_an_edgeless_pattern(tmp_path, capsys):
+    path = tmp_path / "edgeless.json"
+    path.write_text(dumps_canonical(Hypergraph.from_edges(3, 2, []).to_json_dict()))
+    code, out = run_cli(
+        capsys, "nibble", "--pattern", "@" + str(path), "--blowup", "3", "--seed", "1"
+    )
+    assert (code, out) == (3, "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_check_h_cli_output_equals_the_reference_checker(monkeypatch, capsys, fmt):
+    for host, verdict in (("k_n:7", True), ("k_n:5", False), ("k_n:6", False)):
+        argv = ("check", "--kind", "h", "--host", host, "--pattern", "triangle", "--format", fmt)
+        code, out = run_cli(capsys, *argv)
+        assert code == (0 if verdict else 1)
+        with monkeypatch.context() as m:
+            m.setattr(dv, "h_divisible", oracles.ref_h_divisible)
+            assert run_cli(capsys, *argv) == (code, out)

@@ -3,7 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -524,3 +524,43 @@ def test_typicality_matches_reference(seed):
         ref = oracles.ref_is_typical_hp
         assert _same(is_typical_hp, ref, *args)
         assert _same(is_typical_hp, ref, *args, budget=4)
+
+
+def test_orbits_at_size_match_reference():
+    rng = random.Random(4409)
+    outcomes = set()
+    for _ in range(40):
+        q = rng.randint(2, 4)
+        n = rng.randint(q, 5)
+        cut = rng.randint(1, q - 1)
+        label_part = Partition.from_lists([range(cut), range(cut, q)])
+        host_part = Partition.from_lists([range(cut + 1), range(cut + 1, n + 1)])
+        maximal = [
+            tuple(zip(range(q), rng.sample(range(n), q))) for _ in range(rng.randint(1, 6))
+        ]
+        perms = list(permutations(range(q)))
+        groups = [
+            PermGroup.symmetric(q),
+            PermGroup.trivial(q),
+            PermGroup.part_stabilizer(label_part),
+            PermGroup.from_generators(q, rng.sample(perms, 2)),
+        ]
+        complexes_ = [
+            LabelledComplex.complete_complex(q, n),
+            LabelledComplex.complete_partite(label_part, host_part),
+            LabelledComplex.from_maximal(q, n, maximal),
+        ]
+        for phi in complexes_:
+            for group in groups:
+                for size in range(q + 1):
+                    try:
+                        want = oracles.ref_orbits_at_size(phi, size, group)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError) as got:
+                            phi.orbits_at_size(size, group)
+                        assert str(got.value) == str(exc)
+                        outcomes.add("not adapted")
+                        continue
+                    assert phi.orbits_at_size(size, group) == want
+                    outcomes.add("orbits")
+    assert outcomes == {"orbits", "not adapted"}

@@ -2,6 +2,8 @@
 
 import importlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
@@ -376,6 +378,19 @@ def test_bench_trace_targets_resolve(monkeypatch):
     tracing = importlib.import_module("tracing")
     for owner, attr, name, _count in tracing.TARGETS:
         assert callable(getattr(owner, attr, None)), name
+
+
+def test_bench_self_test_passes():
+    """Every op kind of the three bench workloads accepts its real answer
+    and rejects a wrong one, so a change to a bench-visible answer fails
+    here and not only in a bench run."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "run.py"), "--self-test"],
+        cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "self-test passed" in proc.stdout
 
 
 def test_slots_match_reference():

@@ -1,8 +1,9 @@
 """Divisibility and balance checkers against worked values."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, islice, permutations, product
+from itertools import accumulate, combinations, islice, permutations, product
 
 import pytest
 
@@ -495,3 +496,146 @@ def test_master_checker_matches_reference_reports():
             g = ColouredMultidigraph.from_colour_classes(n, 2, colours, classes)
             args = (g, host_part, [pattern], part)
             assert master_divisible(*args) == oracles.ref_master_divisible(*args)
+
+
+def _report_facts(rep):
+    """A report's verdict, kind, levels and failures, each failure's
+    expected text left out."""
+    failures = [(f.level, f.witness, f.vector) for f in rep.failures]
+    return rep.verdict, rep.kind, rep.checked_levels, failures
+
+
+def test_h_divisible_matches_reference_reports():
+    rng = random.Random(1801)
+    verdicts = Counter()
+    for _ in range(200):
+        for r in (2, 3):
+            q = rng.randint(r, r + 2)
+            edges = [e for e in combinations(range(q), r) if rng.random() < 0.5]
+            h = Hypergraph.from_edges(q, r, edges or [tuple(range(r))])
+            n = rng.randint(r, 7)
+            density = rng.random()
+            g = Hypergraph.from_edges(
+                n, r, [e for e in combinations(range(n), r) if rng.random() < density]
+            )
+            rep = h_divisible(g, h)
+            assert _report_facts(rep) == _report_facts(oracles.ref_h_divisible(g, h))
+            verdicts[rep.verdict] += 1
+    assert min(verdicts[True], verdicts[False]) >= 100, verdicts
+    for g, h in (
+        (Hypergraph.complete(4, 2), Hypergraph.complete(4, 3)),
+        (Hypergraph.complete(4, 2), Hypergraph.from_edges(3, 2, [])),
+        (Hypergraph.complete(4, 2), Hypergraph.from_edges(3, 3, [])),
+    ):
+        want = _outcome(oracles.ref_h_divisible, g, h)
+        assert isinstance(want, str) and _outcome(h_divisible, g, h) == want
+
+
+def _random_family(rng):
+    """A seeded coloured r-digraph family over interval parts, r <= 4: per
+    colour an index vector and a set of position permutations, each
+    pattern's arcs the block-placed bases of that colour composed with the
+    set, now and then a base of another set, a shuffled base, a stray arc,
+    a repeated arc or an empty colour.  Every clause of the canonical-family
+    check fails on some draws and all pass on others."""
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+    bounds = list(accumulate(sizes, initial=0))
+    parts = [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    q = bounds[-1]
+    r = rng.randint(1, min(4, q))
+    colours = rng.randint(1, 3)
+    perms = list(permutations(range(r)))
+
+    def symmetry(idx):
+        """A generated group, half the time of block-preserving generators,
+        or any set of position permutations."""
+        if rng.random() < 0.3:
+            return rng.sample(perms, rng.randint(1, len(perms)))
+        pool = perms
+        if rng.random() < 0.5:
+            block = [j for j, k in enumerate(idx) for _ in range(k)]
+            pool = [s for s in perms if all(block[s[k]] == block[k] for k in range(r))]
+        gens = rng.sample(pool, min(len(pool), rng.randint(0, 2)))
+        group, frontier = {tuple(range(r))}, [tuple(range(r))]
+        while frontier:
+            a = frontier.pop()
+            for b in (tuple(a[s[k]] for k in range(r)) for s in gens):
+                if b not in group:
+                    group.add(b)
+                    frontier.append(b)
+        return sorted(group)
+
+    plan = []
+    for _ in range(colours):
+        idx = [0] * len(sizes)
+        for _ in range(r):
+            idx[rng.choice([j for j in range(len(sizes)) if idx[j] < sizes[j]])] += 1
+        plan.append((idx, symmetry(idx)))
+    family = []
+    for _ in range(rng.randint(1, 2)):
+        classes = [[] for _ in range(colours)]
+        for arcs, (idx, sym) in zip(classes, plan):
+            for _ in range(rng.randint(1, 2)):
+                base = [v for part, k in zip(parts, idx) for v in rng.sample(part, k)]
+                if rng.random() < 0.1:
+                    rng.shuffle(base)
+                own = symmetry(idx) if rng.random() < 0.05 else sym
+                arcs.extend(tuple(base[s[k]] for k in range(r)) for s in own)
+        if rng.random() < 0.1:
+            classes[rng.randrange(colours)].append(tuple(rng.sample(range(q), r)))
+        if rng.random() < 0.05:
+            classes[rng.randrange(colours)] = []
+        taken = set()
+        for d in range(colours):
+            kept = dict.fromkeys(a for a in classes[d] if a not in taken or rng.random() < 0.05)
+            classes[d] = list(kept)
+            taken.update(kept)
+        family.append(ColouredMultidigraph.from_colour_classes(q, r, colours, classes))
+    return family, Partition.from_lists(parts)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+CLAUSES = (
+    "one colour once", "place block", "mixed indices", "occurs in colours", "not a coset",
+    "not uniform", "not a product", "differs across", "unused",
+)
+
+
+def test_canonical_family_check_matches_reference():
+    rng = random.Random(2718)
+    outcomes = Counter()
+    hosts = 0
+    for _ in range(3000):
+        family, part = _random_family(rng)
+        got = _outcome(canonical_family_check, family, part)
+        want = _outcome(oracles.ref_canonical_family_check, family, part)
+        if isinstance(want, str):
+            # the unit-colour message now names the pattern slot's kind
+            assert got in (want, "pattern " + want)
+            outcomes[next((c for c in CLAUSES if c in want), want)] += 1
+            continue
+        assert got == want
+        outcomes["info"] += 1
+        if family[0].r > 3 or hosts >= 150:
+            continue
+        hosts += 1
+        # a host one or two vertices wider per part: a sum of copies or random arcs
+        bounds = list(accumulate((len(p) + rng.randint(1, 2) for p in part.parts), initial=0))
+        host_part = Partition.from_lists([range(a, b) for a, b in zip(bounds, bounds[1:])])
+        n, r, colours = bounds[-1], family[0].r, family[0].colours
+        if rng.random() < 0.5:
+            classes = _copy_classes(rng, family, part, host_part, rng.randint(1, 3))
+        else:
+            classes = [_random_arcs(rng, n, r, 0.02) for _ in range(colours)]
+        g = ColouredMultidigraph.from_colour_classes(n, r, colours, classes)
+        args = (g, host_part, family, part)
+        rep = master_divisible(*args)
+        assert rep == oracles.ref_master_divisible(*args)
+        outcomes[rep.failures[0].expected.split()[0] if rep.failures else "member"] += 1
+    assert set(outcomes) == {"info", "member", "position", "span", *CLAUSES}, outcomes

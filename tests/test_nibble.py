@@ -273,3 +273,13 @@ def test_counting_upper_rates_for_known_patterns():
     sp, _ = sudoku_pattern()
     cb = counting_bounds(sp, 2, seed=1)
     assert abs(cb.per_cell_upper - (math.log(4) - 3)) < 1e-12
+
+
+def test_edgeless_copies_leave_the_pool_and_have_no_bounds():
+    aux = build_auxiliary(Hypergraph.complete(4, 2), Hypergraph.from_edges(3, 2, []))
+    assert aux.copies == [()]
+    assert random_greedy(aux, 1, stop_steps=2).matching == [0]
+    run = random_greedy(aux, 1)
+    assert run.matching == [0] and run.stop_reason == "exhausted"
+    with pytest.raises(ValueError, match="no edges"):
+        counting_bounds(Hypergraph.from_edges(3, 2, []), 3, 1)

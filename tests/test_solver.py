@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
@@ -603,3 +604,16 @@ def test_pattern_with_two_equal_slots_is_rejected():
     # reaches copy enumeration
     with pytest.raises(ValueError, match="twice"):
         ColouredMultigraph(3, 2, 1, (((0, 1), (1,)), ((0, 1), (1,))))
+
+
+def test_verify_rejects_weights_of_another_length():
+    host = Hypergraph.complete(7, 2)
+    cert = find_decomposition(host, TRIANGLE).certificate
+    ones = [1] * len(cert.embeddings)
+    assert verify_certificate(host, TRIANGLE, replace(cert, weights=ones)).valid
+    # a trailing copy without a weight is not dropped from the check
+    extra = replace(cert, embeddings=cert.embeddings + [(0, (0, 1, 2))], weights=ones)
+    rep = verify_certificate(host, TRIANGLE, extra)
+    assert not rep.valid and rep.deficit == [("weights", len(ones))]
+    short = replace(cert, weights=ones + [1])
+    assert verify_certificate(host, TRIANGLE, short).deficit == [("weights", len(ones) + 1)]

@@ -35,6 +35,7 @@ from decomp_lab.weights import (
     edge_vector_add,
     is_elementary,
     lattice_membership,
+    master_edge_vector,
     master_weight_system,
     molecule,
     search_regularity_witness,
@@ -587,3 +588,55 @@ def test_lattice_checker_keeps_no_per_query_state():
             verdicts.add(checker.check(J).member)
     assert verdicts == {True, False}
     assert sizes() == before
+
+
+def test_master_edge_vector_matches_reference():
+    rng = random.Random(3301)
+    outcomes = set()
+    for family, part in _canonical_families(rng, 60):
+        colours = family[0].colours
+        for _ in range(4):
+            bounds = list(accumulate((len(p) + rng.randint(0, 2) for p in part.parts), initial=0))
+            host_part = Partition.from_lists([range(a, b) for a, b in zip(bounds, bounds[1:])])
+            phi = LabelledComplex.complete_partite(part, host_part)
+            n = bounds[-1]
+            arcs = list(permutations(range(n), 2))
+            part_of = host_part.assignment()
+            if rng.random() < 0.5:  # only arcs that read their parts in order
+                arcs = [(u, v) for u, v in arcs if part_of[u] <= part_of[v]]
+            classes = [[a for a in arcs if rng.random() < 0.3] for _ in range(colours)]
+            g = ColouredMultidigraph.from_colour_classes(n, 2, colours, classes)
+            got = _outcome(master_edge_vector, g, host_part, phi)
+            assert got == _outcome(oracles.ref_master_edge_vector, g, host_part, phi)
+            outcomes.add("vector" if got[0] == "ok" else got[1].split()[-1])
+    assert outcomes == {"vector", "indices", "parts"}, outcomes
+
+
+def _json_outcome(f, *args):
+    kind, value = _outcome(f, *args)
+    return kind, value.to_json_dict() if kind == "ok" else value
+
+
+def test_weight_systems_match_reference_json():
+    rng = random.Random(3307)
+    kinds = set()
+    for _ in range(60):
+        q, colours = rng.randint(2, 4), rng.randint(1, 3)
+        part = rng.choice((None, Partition.from_lists([range(1), range(1, q)])))
+        family = []
+        for _ in range(rng.randint(1, 2)):
+            classes = [[] for _ in range(colours)]
+            for e in combinations(range(q), 2):
+                for _ in range(rng.choice((0, 1, 1, 1, 2) if rng.random() < 0.2 else (0, 1))):
+                    classes[rng.randrange(colours)].append(e)
+            family.append(ColouredMultigraph.from_colour_classes(q, 2, colours, classes))
+        got = _json_outcome(coloured_weight_system, family, part)
+        assert got == _json_outcome(oracles.ref_lift_coloured_weight_system, family, part)
+        kinds.add(("coloured", got[0]))
+        arcs = [a for a in permutations(range(q), 2) if rng.random() < 0.4]
+        pattern = Digraph.from_arcs(q, 2, arcs)
+        for allow in (False, True):
+            got = _json_outcome(digraph_weight_system, pattern, allow)
+            assert got == _json_outcome(oracles.ref_digraph_weight_system, pattern, allow)
+            kinds.add(("digraph", got[0]))
+    assert kinds == {(k, o) for k in ("coloured", "digraph") for o in ("ok", "error")}, kinds
