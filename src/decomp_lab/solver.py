@@ -356,12 +356,16 @@ class Certificate:
     def from_json_dict(cls, doc: dict) -> "Certificate":
         if doc.get("type") != "decomposition-certificate":
             raise ValueError("not a decomposition certificate")
-        embeddings = [(c["pattern"], tuple(c["images"])) for c in doc["copies"]]
-        return cls(
-            footprint_indices=[],
-            embeddings=embeddings,
-            weights=doc.get("weights"),
-        )
+        try:
+            embeddings = [(c["pattern"], tuple(c["images"])) for c in doc["copies"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"certificate copies need a pattern and images: {exc!r}") from None
+        weights = doc.get("weights")
+        if weights is not None and (
+            type(weights) is not list or any(type(w) is not int for w in weights)
+        ):
+            raise ValueError("certificate weights must be a list of integers")
+        return cls(footprint_indices=[], embeddings=embeddings, weights=weights)
 
 
 @dataclass
@@ -637,6 +641,9 @@ def verify_certificate(host, patterns, cert: Certificate, partition=None) -> Ver
     weights = cert.weights if cert.weights is not None else [1] * len(cert.embeddings)
     if len(weights) != len(cert.embeddings):
         return VerificationReport(valid=False, deficit=[("weights", len(weights))])
+    for w in weights:
+        if type(w) is not int:
+            return VerificationReport(valid=False, deficit=[("weight", w)])
     if partition is not None:
         pattern_partition, host_partition = partition
         hp = host_partition.assignment()

@@ -41,6 +41,7 @@ edge vectors, weight systems and orbit lists.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from fractions import Fraction
@@ -57,6 +58,7 @@ from decomp_lab.core import (
     Partition,
     Inj,
     _Incidence,
+    blowup,
     host_degree_vector,
     index_set,
     inj_compose,
@@ -76,7 +78,15 @@ from decomp_lab.divisibility import (
 )
 from decomp_lab.intlattice import SpanChecker
 from decomp_lab.linprog import solve_feasibility
-from decomp_lab.nibble import AuxiliaryMatchingInstance, GreedyRun, TrajectoryStep
+from decomp_lab.nibble import (
+    AuxiliaryMatchingInstance,
+    CountingBounds,
+    GreedyRun,
+    TrajectoryStep,
+    build_auxiliary,
+    default_count_stop,
+    random_greedy,
+)
 from decomp_lab.rng import SplitMix64
 from decomp_lab.solver import (
     BudgetExceeded,
@@ -1608,6 +1618,40 @@ def ref_random_greedy(
         )
         i += 1
     return GreedyRun(seed=seed, matching=matching, steps=steps, stop_reason=stop_reason)
+
+
+def ref_counting_bounds(pattern, n: int, seed: int, stop_density=None) -> CountingBounds:
+    """counting_bounds as it was before the blowup auxiliary was cached:
+    one fresh build per call, kept verbatim as the reference."""
+    if not pattern.edges:
+        raise ValueError("pattern has no edges; its blowup has nothing to count")
+    if stop_density is None:
+        stop_density = default_count_stop(n)
+    host, host_partition = blowup(pattern, [n] * pattern.n)
+    pattern_partition = Partition.singletons(pattern.n)
+    aux = build_auxiliary(host, pattern, (pattern_partition, host_partition))
+    R = aux.R
+    q, r = pattern.n, pattern.r
+    D = n ** (q - r)
+    cells = n**r
+    log_upper = (aux.N / R) * (math.log(D) + 1 - R)
+    run = random_greedy(aux, seed=seed, stop_density=stop_density)
+    log_lower = 0.0
+    for s in run.steps:
+        log_lower += math.log(s.choices) - math.log(cells - s.step)
+    return CountingBounds(
+        log_upper=log_upper,
+        log_lower_estimate=log_lower,
+        per_cell_upper=log_upper / cells,
+        per_cell_lower=log_lower / cells,
+        cells=cells,
+        steps_run=len(run.steps),
+        o_terms_dropped=True,
+        notes=[
+            "asymptotic correction terms dropped; desk-scale estimate only",
+            f"stop={run.stop_reason}",
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------

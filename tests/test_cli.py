@@ -209,11 +209,14 @@ def test_nibble_builds_its_auxiliary_once(tmp_path, monkeypatch, capsys):
     builds = []
     real = nb.build_auxiliary
     monkeypatch.setattr(nb, "build_auxiliary", lambda *a, **k: builds.append(a) or real(*a, **k))
-    argv = ("nibble", "--pattern", "triangle", "--blowup", "6", "--seed", "3")
-    for extra in ((), ("--stop-density", "1/2")):
-        code, out = run_cli(capsys, *argv, *extra, "--trajectory-out", str(tmp_path / "t.jsonl"))
+    argv = ("nibble", "--pattern", "triangle", "--blowup", "6", "--trajectory-out", str(tmp_path / "t.jsonl"))
+    for extra in (("--seed", "3"), ("--seed", "3", "--stop-density", "1/2")):
+        nb._blowup_auxiliary.cache_clear()
+        code, out = run_cli(capsys, *argv, *extra)
         assert code == 0 and len(builds) == 1
         builds.clear()
+    code, out = run_cli(capsys, *argv, "--seed", "4")
+    assert code == 0 and builds == []  # the cached auxiliary serves a new seed
 
 
 def test_encode_decode_roundtrip_via_files(tmp_path, capsys):
@@ -394,6 +397,31 @@ def test_verify_cli_rejects_an_unweighted_extra_copy(tmp_path, capsys):
     assert code == 1
     report = json.loads(out)
     assert report["valid"] is False and report["deficit"] == [["'weights'", "7"]]
+
+
+def _doubled(doc, w):
+    return {**doc, "copies": doc["copies"] * 2, "weights": [w] * (2 * len(doc["copies"]))}
+
+
+@pytest.mark.parametrize("broken", [
+    pytest.param(lambda doc: _doubled(doc, 0.5), id="half weights"),
+    pytest.param(lambda doc: _doubled(doc, True), id="boolean weights"),
+    pytest.param(lambda doc: {**doc, "weights": ["1"] * len(doc["copies"])}, id="string weights"),
+    pytest.param(lambda doc: {**doc, "weights": 1}, id="weights not a list"),
+    pytest.param(lambda doc: {"type": doc["type"]}, id="no copies"),
+    pytest.param(lambda doc: {**doc, "copies": [{"pattern": 0}]}, id="copy without images"),
+    pytest.param(lambda doc: {**doc, "copies": [{"images": [0, 1, 2]}]}, id="copy without pattern"),
+])
+def test_verify_cli_rejects_a_malformed_certificate(tmp_path, capsys, broken):
+    # a K_7 certificate listed twice with weights 1/2 sums to the host
+    # exactly, yet only integer weights are allowed
+    cert_path = tmp_path / "cert.json"
+    run_cli(capsys, "solve", "--host", "k_n:7", "--pattern", "triangle", "--out", str(cert_path))
+    cert_path.write_text(json.dumps(broken(json.loads(cert_path.read_text()))))
+    argv = ["verify", "--host", "k_n:7", "--pattern", "triangle", "--certificate", str(cert_path)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: ")
 
 
 def test_nibble_cli_rejects_an_edgeless_pattern(tmp_path, capsys):

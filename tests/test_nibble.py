@@ -3,13 +3,14 @@
 import hashlib
 import math
 import random
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 import oracles
+from decomp_lab import nibble as nb
 from decomp_lab.core import Hypergraph, Partition, blowup
 from decomp_lab.nibble import (
     build_auxiliary,
@@ -238,6 +239,29 @@ def test_counting_bounds_respects_upper_across_sizes_and_seeds():
         for seed in (1, 2, 3):
             cb = counting_bounds(TRIANGLE, n, seed=seed)
             assert cb.log_lower_estimate <= cb.log_upper, (n, seed)
+
+
+def test_cached_auxiliary_gives_the_bounds_of_a_fresh_build():
+    for n in (12, 20):
+        for seed in range(5):
+            nb._blowup_auxiliary.cache_clear()
+            cold = counting_bounds(TRIANGLE, n, seed=seed)
+            warm = counting_bounds(TRIANGLE, n, seed=seed)
+            assert asdict(cold) == asdict(warm) == asdict(oracles.ref_counting_bounds(TRIANGLE, n, seed))
+        assert asdict(nb._blowup_auxiliary(TRIANGLE, n)) == asdict(partite_aux(n))
+
+
+def test_blowup_auxiliary_cache_is_bounded_and_read_only():
+    nb._blowup_auxiliary.cache_clear()
+    for n in range(3, 9):
+        counting_bounds(TRIANGLE, n, seed=1)
+    info = nb._blowup_auxiliary.cache_info()
+    assert info.misses == 6 and info.currsize <= nb._BLOWUP_AUXILIARIES
+    aux = nb._blowup_auxiliary(TRIANGLE, 8)
+    assert nb._blowup_auxiliary.cache_info().hits == 1
+    with pytest.raises(FrozenInstanceError):
+        aux.copies = []
+    assert aux.pair_degree_max == 1  # the cached property still fills in
 
 
 def test_default_stop_density():

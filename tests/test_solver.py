@@ -4,6 +4,7 @@ import math
 import random
 import time
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -617,3 +618,12 @@ def test_verify_rejects_weights_of_another_length():
     assert not rep.valid and rep.deficit == [("weights", len(ones))]
     short = replace(cert, weights=ones + [1])
     assert verify_certificate(host, TRIANGLE, short).deficit == [("weights", len(ones) + 1)]
+
+
+@pytest.mark.parametrize("w", [0.5, True, "1", Fraction(1)])
+def test_verify_rejects_weights_that_are_not_ints(w):
+    host = Hypergraph.complete(7, 2)
+    cert = find_decomposition(host, TRIANGLE).certificate
+    twice = replace(cert, embeddings=cert.embeddings * 2, weights=[w] * (2 * len(cert.embeddings)))
+    rep = verify_certificate(host, TRIANGLE, twice)
+    assert not rep.valid and rep.deficit == [("weight", w)]
