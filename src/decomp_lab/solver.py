@@ -354,12 +354,14 @@ class Certificate:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Certificate":
-        if doc.get("type") != "decomposition-certificate":
+        if type(doc) is not dict or doc.get("type") != "decomposition-certificate":
             raise ValueError("not a decomposition certificate")
         try:
             embeddings = [(c["pattern"], tuple(c["images"])) for c in doc["copies"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"certificate copies need a pattern and images: {exc!r}") from None
+        if any(type(v) is not int for _, images in embeddings for v in images):
+            raise ValueError("certificate images must be host vertices (integers)")
         weights = doc.get("weights")
         if weights is not None and (
             type(weights) is not list or any(type(w) is not int for w in weights)
@@ -381,6 +383,11 @@ class SolveResult:
         return self.status == "found"
 
 
+# Keys per generation of a count's memo: hits are local in walk order, so two
+# small generations keep nearly all of them within a bounded size.
+_COUNT_MEMO = 4096
+
+
 class _CoverSearch:
     """Deterministic capacity-aware exact cover over a copy table.
 
@@ -400,23 +407,43 @@ class _CoverSearch:
     ``alive * width**3 / open`` per node for ``width``-column footprints.
     Counts are kept while they are the cheaper (many columns of few rows,
     as in K_n^(3) by K_4^(3)) and dropped for good once a subtree is not.
+
+    Counting on a table whose capacities are all 1 shares subtree counts.
+    Selecting a row there closes all its columns, so a node's alive rows
+    are exactly the rows whose columns are all open (the lowest-row rule
+    only drops rows of the column being closed), and the number of
+    solutions below a node is a function of its open columns.  Keyed by
+    that set as an int, which renumbering leaves alone, a memo of two
+    generations, each of at most ``_COUNT_MEMO`` entries, lives for one
+    count.
+
+    A footprint naming a column twice, or a column past the capacities,
+    raises ValueError.
     """
 
     def __init__(self, table: CopyTable):
         self.rows = table.footprints
         self.capacities = list(table.capacities)
         col_rows: list[list[int]] = [[] for _ in self.capacities]
-        for r, fp in enumerate(self.rows):
-            for c in fp:
-                col_rows[c].append(r)
+        try:
+            for r, fp in enumerate(self.rows):
+                for c in fp:
+                    col_rows[c].append(r)
+        except IndexError:
+            raise ValueError(
+                f"footprint {fp} names a column past the {len(col_rows)} capacities"
+            ) from None
         self.masks = [_mask(rows) for rows in col_rows]
+        self.counts = [m.bit_count() for m in self.masks]  # _mask sets a repeated bit once
+        if sum(self.counts) != sum(map(len, self.rows)):
+            raise ValueError("a footprint names a column twice")
         self.kill_cost = 1800 * max(map(len, self.rows), default=0) ** 3
         self.nodes = 0
         self.deadline = None
         self.node_budget = None
         self.frontier: list | None = None
 
-    def solutions(self, replay=None):
+    def solutions(self, replay=None, count=False):
         """Yield each solution's footprint indices in selection order.
 
         ``replay`` is a frontier of an earlier stopped search: the walk
@@ -425,17 +452,35 @@ class _CoverSearch:
         out, ``frontier`` becomes the selection leading to the node
         reached and the generator returns; it stays None after an
         exhausted search.
+
+        With ``count``, which takes no ``replay``, the walk yields one int
+        instead, the number of solutions, once it is exhausted.  When every
+        capacity is 1 it keeps a memo from open-column keys to subtree
+        counts: a node's count is stored when its candidates run out (a
+        dead end's is 0), and a candidate whose child key is 0 or stored
+        adds one or the stored count without being entered.  When the new
+        generation of the memo holds ``_COUNT_MEMO`` keys it becomes the
+        old one, and lookups read the new, then the old.
         """
+        if count and replay:
+            raise ValueError("a count starts at the root")
         rows, need = self.rows, list(self.capacities)
         node_budget, deadline = self.node_budget, self.deadline
         n = len(rows)
         alive, masks, ids = (1 << n) - 1, self.masks, range(n)
         open_cols = [c for c, k in enumerate(need) if k > 0]
-        counts = [m.bit_count() for m in masks]
+        counts = list(self.counts)
         replay = replay or ()
         selection: list[int] = []
         stack: list[tuple] = []  # per selected row, its parent's state
         self.frontier = None
+        memo = count and all(k == 1 for k in need)
+        key = total = 0  # the node's open columns as bits (memo only); solutions counted
+        if memo:
+            row_keys = [sum(1 << col for col in fp) for fp in rows]
+            key = (1 << len(need)) - 1
+            new: dict[int, int] = {}
+            old: dict[int, int] = {}
         while True:
             # enter the node whose state the locals hold
             self.nodes += 1
@@ -445,9 +490,13 @@ class _CoverSearch:
                 self.frontier = list(selection)
                 return
             here, replay = replay, ()
+            base = total
             cands, pos, need_c = (), 0, 1  # leaves and dead ends have no candidates
             if not open_cols:
-                yield list(selection)
+                if count:
+                    total += 1
+                else:
+                    yield list(selection)
             else:
                 n_alive = alive.bit_count()
                 if alive.bit_length() > 4 * n_alive + 64:
@@ -484,10 +533,17 @@ class _CoverSearch:
             # select the next viable candidate, backtracking while there is none
             while True:
                 if len(cands) - pos < need_c:  # too few rows of c are left
+                    if memo:
+                        new[key] = total - base
+                        if len(new) >= _COUNT_MEMO:
+                            old, new = new, {}
                     if not stack:
+                        if count:
+                            yield total
                         return
                     frame = stack.pop()
-                    alive, masks, ids, open_cols, counts, cands, pos, rows_c, need_c, fp, killed = frame
+                    (alive, masks, ids, open_cols, counts, cands, pos, rows_c, need_c, fp,
+                     killed, key, base) = frame
                     selection.pop()
                     for col in fp:
                         need[col] += 1
@@ -498,6 +554,14 @@ class _CoverSearch:
                     continue
                 r = cands[pos]
                 pos += 1
+                if memo:
+                    child = key ^ row_keys[ids[r]]
+                    got = new.get(child) if child else 1
+                    if got is None:
+                        got = old.get(child)
+                    if got is not None:
+                        total += got
+                        continue
                 # r is the lowest-indexed selected row covering c in this branch
                 sub = alive ^ (rows_c & ((2 << r) - 1))
                 fp = rows[ids[r]]
@@ -525,9 +589,13 @@ class _CoverSearch:
                 for kfp in killed:
                     for col in kfp:
                         counts[col] -= 1
-            stack.append((alive, masks, ids, open_cols, counts, cands, pos, rows_c, need_c, fp, killed))
+            stack.append(
+                (alive, masks, ids, open_cols, counts, cands, pos, rows_c, need_c, fp, killed, key, base)
+            )
             selection.append(ids[r])
             alive = sub
+            if memo:
+                key = child
             if closed:
                 open_cols = [x for x in open_cols if need[x]]
 
@@ -609,12 +677,17 @@ def count_decompositions(
     budget: int = 10_000_000,
 ) -> int:
     """Exact number of decompositions (sets of footprints).  Running out of
-    ``timeout``, copy enumeration included, raises TimeBudgetExceeded."""
+    ``timeout``, copy enumeration included, raises TimeBudgetExceeded.
+
+    On a table whose capacities are all 1, subproblems with the same open
+    columns share one count through a bounded memo of two generations that
+    lives for this call (see _CoverSearch); other tables are counted
+    solution by solution."""
     deadline = None if timeout is None else time.monotonic() + timeout
     table = table or enumerate_copies(host, patterns, partition, budget, deadline)
     search = _CoverSearch(table)
     search.deadline = deadline
-    count = sum(1 for _ in search.solutions())
+    count = sum(search.solutions(count=True))
     if search.frontier is not None:
         raise TimeBudgetExceeded("counting hit the time budget")
     return count

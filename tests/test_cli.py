@@ -411,6 +411,11 @@ def _doubled(doc, w):
     pytest.param(lambda doc: {"type": doc["type"]}, id="no copies"),
     pytest.param(lambda doc: {**doc, "copies": [{"pattern": 0}]}, id="copy without images"),
     pytest.param(lambda doc: {**doc, "copies": [{"images": [0, 1, 2]}]}, id="copy without pattern"),
+    pytest.param(
+        lambda doc: {**doc, "copies": [{"pattern": 0, "images": [[0], 1, 2]}] + doc["copies"][1:]},
+        id="list among the images",
+    ),
+    pytest.param(lambda doc: [doc], id="document is an array"),
 ])
 def test_verify_cli_rejects_a_malformed_certificate(tmp_path, capsys, broken):
     # a K_7 certificate listed twice with weights 1/2 sums to the host

@@ -627,3 +627,110 @@ def test_verify_rejects_weights_that_are_not_ints(w):
     twice = replace(cert, embeddings=cert.embeddings * 2, weights=[w] * (2 * len(cert.embeddings)))
     rep = verify_certificate(host, TRIANGLE, twice)
     assert not rep.valid and rep.deficit == [("weight", w)]
+
+
+# ---------------------------------------------------------------------------
+# memoized counting: capacity-1 subtrees with equal open columns share a count
+
+
+def _count(table):
+    """(count, nodes) of one counting walk of the engine."""
+    search = sv._CoverSearch(table)
+    count = sum(search.solutions(count=True))
+    assert search.frontier is None
+    return count, search.nodes
+
+
+def _capacity_one(table) -> CopyTable:
+    return replace(table, capacities=[1] * len(table.capacities))
+
+
+def test_memo_counts_match_reference_on_random_tables():
+    rng = random.Random(20261019)
+    shared = 0
+    for i in range(160):
+        table = _random_table(rng, rng.randint(3, 9), rng.randint(3, 40))
+        for t in (table, _capacity_one(table)):
+            _, solutions, nodes = _run(oracles.RefCoverSearch, t, count=True)
+            count, memo_nodes = _count(t)
+            assert count == len(solutions)
+            if max(t.capacities) > 1:  # the memo is off: the plain walk
+                assert memo_nodes == nodes
+            else:
+                assert memo_nodes <= nodes
+                shared += memo_nodes < nodes
+    assert shared > 20
+
+
+def test_memo_counts_match_reference_when_rows_are_renumbered():
+    # more than 64 rows of few columns, so subtrees renumber their rows
+    rng = random.Random(11)
+    for _ in range(4):
+        table = _capacity_one(_random_table(rng, rng.randint(12, 14), rng.randint(90, 140)))
+        _, solutions, nodes = _run(oracles.RefCoverSearch, table, count=True)
+        count, memo_nodes = _count(table)
+        assert count == len(solutions) and memo_nodes < nodes
+
+
+def _ladder():
+    """(name, table, count) of the counting ladder; res9 is the resolvable
+    Steiner triple systems of order 9 with their parallel classes labelled."""
+    latin_host, latin_part = triangle_host(4)
+    tri, tri_part = triangle_pattern()
+    sud, sud_part = sudoku_pattern()
+    sud_host, sud_host_part = sudoku_host(2)
+    res9 = resolvable_sts_instance(9)
+    return [
+        ("sts9", enumerate_copies(Hypergraph.complete(9, 2), TRIANGLE), 840),
+        ("latin4", enumerate_copies(latin_host, tri, (tri_part, latin_part)), 576),
+        ("sudoku4", enumerate_copies(sud_host, sud, (sud_part, sud_host_part)), 288),
+        ("res9", enumerate_copies(
+            res9.host, res9.pattern, (res9.pattern_partition, res9.host_partition)
+        ), 840 * 24),
+    ]
+
+
+def test_memo_counts_on_the_ladder():
+    for name, table, expected in _ladder():
+        count, nodes = _count(table)
+        assert count == expected, name
+        if name != "res9":  # its plain count is pinned in test_ladder_node_counts
+            _, solutions, plain_nodes = _run(sv._CoverSearch, table, count=True)
+            assert len(solutions) == expected and nodes < plain_nodes
+
+
+def test_memo_counts_stay_exact_when_generations_turn_over(monkeypatch):
+    monkeypatch.setattr(sv, "_COUNT_MEMO", 2)
+    for name, table, expected in _ladder()[:3]:
+        assert _count(table)[0] == expected, name
+    rng = random.Random(5)
+    for _ in range(40):
+        table = _capacity_one(_random_table(rng, rng.randint(5, 9), rng.randint(10, 40)))
+        _, solutions, _ = _run(oracles.RefCoverSearch, table, count=True)
+        assert _count(table)[0] == len(solutions)
+
+
+def test_memo_count_keeps_the_deadline():
+    n = 1500
+    search = sv._CoverSearch(_table([(c,) for c in range(n)], [1] * n))
+    search.deadline = time.monotonic() - 1
+    assert list(search.solutions(count=True)) == []
+    assert (search.nodes, len(search.frontier)) == (256, 255)
+    with pytest.raises(ValueError, match="root"):
+        next(sv._CoverSearch(_table([(0,)], [1])).solutions([0], count=True))
+
+
+def test_table_with_a_repeated_column_is_rejected():
+    table = _table([(0, 0)], [1])
+    with pytest.raises(ValueError, match="twice"):
+        find_decomposition(None, None, table=table)
+    with pytest.raises(ValueError, match="twice"):
+        count_decompositions(None, None, table=table)
+
+
+def test_table_with_a_column_past_the_capacities_is_rejected():
+    table = _table([(0,), (0, 2)], [1, 1])
+    with pytest.raises(ValueError, match="past the 2 capacities"):
+        find_decomposition(None, None, table=table)
+    with pytest.raises(ValueError, match="past the 2 capacities"):
+        count_decompositions(None, None, table=table)
