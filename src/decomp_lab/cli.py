@@ -32,6 +32,7 @@ from .core import (
     Partition,
     dumps_canonical,
 )
+from .encodings import PartiteInstance
 from .intlattice import (
     hermite_normal_form,
     matrix_from_json,
@@ -58,6 +59,24 @@ def _budget_default() -> int:
 # compact host/pattern specs
 
 
+# spec name -> (accepted argument counts, constructor)
+_BUILTINS = {
+    "k_n": ((1, 2), lambda n, r=2: Hypergraph.complete(n, r)),
+    "k3n": ((1,), lambda n: PartiteInstance(*enc.triangle_host(n), *enc.triangle_pattern())),
+    "k4n": ((1,), lambda n: PartiteInstance(*enc.mols_host(n), *enc.mols_pattern())),
+    "kdn": ((2,), lambda r, n: Digraph.complete(n, r)),
+    "sudoku": ((1,), lambda n: PartiteInstance(*enc.sudoku_host(n), *enc.sudoku_pattern())),
+    "cycle": ((2,), enc.tight_cycle),
+    "rainbow": ((1,), enc.rainbow_family),
+    "triangle": ((0,), lambda: enc.triangle_pattern()[0]),
+    "k_q": ((1,), lambda q: Hypergraph.complete(q, 2)),
+    "k2_q": ((1,), lambda q: Hypergraph.complete(q, 2)),
+    "k3_q": ((1,), lambda q: Hypergraph.complete(q, 3)),
+    "resolvable": ((1,), enc.resolvable_sts_instance),
+    "largeset": ((1,), enc.large_set_instance),
+}
+
+
 def parse_structure(spec: str):
     """Builtin structures addressable without fixture files.
 
@@ -69,60 +88,29 @@ def parse_structure(spec: str):
     cycle:3:2             tight cycle pattern, q then r
     rainbow:4             rainbow triangle family
     triangle              complete graph on three vertices
-    k_q:4 / k3_q:4        clique pattern (graph / 3-graph)
+    k_q:4 / k2_q:4        clique pattern (graph)
+    k3_q:4                clique pattern (3-graph)
     resolvable:9          resolvable triple system host instance
     largeset:9            large-set host instance
     @file.json            any JSON structure document
+
+    k3n, k4n, sudoku, resolvable and largeset give a PartiteInstance.  A
+    wrong argument count or a negative argument is an InputError.
     """
     if spec.startswith("@"):
         with open(spec[1:], encoding="utf-8") as fh:
             return load_structure(json.load(fh))
-    parts = spec.split(":")
-    name, args = parts[0], [int(x) for x in parts[1:]]
-    if name == "triangle":
-        return enc.triangle_pattern()[0]
-    if name == "k_n":
-        n = args[0]
-        r = args[1] if len(args) > 1 else 2
-        return Hypergraph.complete(n, r)
-    if name in ("k_q", "k2_q"):
-        return Hypergraph.complete(args[0], 2)
-    if name == "k3_q":
-        return Hypergraph.complete(args[0], 3)
-    if name == "k3n":
-        host, part = enc.triangle_host(args[0])
-        return {"host": host, "host_partition": part,
-                "pattern": enc.triangle_pattern()[0],
-                "pattern_partition": enc.triangle_pattern()[1]}
-    if name == "k4n":
-        host, part = enc.mols_host(args[0])
-        return {"host": host, "host_partition": part,
-                "pattern": enc.mols_pattern()[0],
-                "pattern_partition": enc.mols_pattern()[1]}
-    if name == "kdn":
-        r, n = args
-        return Digraph.complete(n, r)
-    if name == "sudoku":
-        host, part = enc.sudoku_host(args[0])
-        sp, spart = enc.sudoku_pattern()
-        return {"host": host, "host_partition": part,
-                "pattern": sp, "pattern_partition": spart}
-    if name == "cycle":
-        q, r = args
-        return enc.tight_cycle(q, r)
-    if name == "rainbow":
-        return enc.rainbow_family(args[0])
-    if name == "resolvable":
-        inst = enc.resolvable_sts_instance(args[0])
-        return {"host": inst.host, "host_partition": inst.host_partition,
-                "pattern": inst.pattern, "pattern_partition": inst.pattern_partition,
-                "kind": inst.kind, "n": args[0]}
-    if name == "largeset":
-        inst = enc.large_set_instance(args[0])
-        return {"host": inst.host, "host_partition": inst.host_partition,
-                "pattern": inst.pattern, "pattern_partition": inst.pattern_partition,
-                "kind": inst.kind, "n": args[0]}
-    raise InputError(f"unknown structure spec {spec!r}")
+    name, *raw = spec.split(":")
+    if name not in _BUILTINS:
+        raise InputError(f"unknown structure spec {spec!r}")
+    counts, build = _BUILTINS[name]
+    args = [int(x) for x in raw]
+    if len(args) not in counts:
+        wanted = " or ".join(map(str, counts))
+        raise InputError(f"structure spec {spec!r} takes {wanted} argument(s), got {len(args)}")
+    if any(a < 0 for a in args):
+        raise InputError(f"structure spec {spec!r} has a negative argument")
+    return build(*args)
 
 
 _DOCUMENT_TYPES = {
@@ -161,7 +149,7 @@ def load_structure(doc: dict):
 _STRUCTURES = tuple(_DOCUMENT_TYPES.values())
 
 # what parse_structure returns for an instance spec and for a family spec
-_SPEC_KINDS = {dict: "instance", list: "pattern family"}
+_SPEC_KINDS = {PartiteInstance: "instance", list: "pattern family"}
 
 
 def _kind_name(kind) -> str:
@@ -169,9 +157,9 @@ def _kind_name(kind) -> str:
 
 
 def _spec(spec: str | None, role: str, *kinds):
-    """The object that spec names, which must be of one of kinds (dict for
-    an instance spec, list for a pattern family); a missing spec or one of
-    another kind is an input error."""
+    """The object that spec names, which must be of one of kinds
+    (PartiteInstance for an instance spec, list for a pattern family); a
+    missing spec or one of another kind is an input error."""
     if spec is None:
         raise InputError(f"missing {role} spec")
     obj = parse_structure(spec)
@@ -182,13 +170,12 @@ def _spec(spec: str | None, role: str, *kinds):
     return obj
 
 
-def _as_instance(obj):
-    """Normalize a parsed spec into (host, patterns, partition-or-None)."""
-    if isinstance(obj, dict):
-        partition = None
-        if obj.get("pattern_partition") is not None:
-            partition = (obj["pattern_partition"], obj["host_partition"])
-        return obj["host"], obj["pattern"], partition
+def _host_spec(spec: str | None, *kinds):
+    """(host, pattern or None, partition or None) from a host spec of one of
+    kinds; an instance spec gives its pattern and partitions too."""
+    obj = _spec(spec, "host", *kinds)
+    if isinstance(obj, PartiteInstance):
+        return obj.host, obj.pattern, (obj.pattern_partition, obj.host_partition)
     return obj, None, None
 
 
@@ -196,7 +183,7 @@ def _host_and_pattern(args):
     """(host, pattern or family, partition or None) from --host, which may
     name an instance, and --pattern, which overrides the instance's; the
     partition is the instance's under --partite, which needs one."""
-    host, pattern, partition = _as_instance(_spec(args.host, "host", dict, *_STRUCTURES))
+    host, pattern, partition = _host_spec(args.host, PartiteInstance, *_STRUCTURES)
     if args.pattern or pattern is None:
         pattern = _spec(args.pattern, "pattern", list, *_STRUCTURES)
     if not args.partite:
@@ -232,7 +219,7 @@ def cmd_check(args) -> int:
         rep = dv.h_divisible(host, pattern)
         doc["check"] = "per-level degree gcd divisibility"
     elif kind == "hp":
-        host, pattern, partition = _as_instance(_spec(args.host, "host", dict, Hypergraph))
+        host, pattern, partition = _host_spec(args.host, PartiteInstance, Hypergraph)
         if args.pattern or pattern is None:
             pattern = _spec(args.pattern, "pattern", Hypergraph)
         if partition is None or args.host_partition or args.pattern_partition:
@@ -326,7 +313,11 @@ def cmd_verify(args) -> int:
 
 def cmd_encode(args) -> int:
     kind = args.kind
-    text = sys.stdin.read() if args.infile == "-" else open(args.infile).read()
+    if args.infile == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.infile, encoding="utf-8") as fh:
+            text = fh.read()
     if kind == "latin":
         square = enc.LatinSquare.from_text(text)
         cert = enc.latin_encode(square)
@@ -391,8 +382,9 @@ def cmd_nibble(args) -> int:
 
 def cmd_typicality(args) -> int:
     # blowup and hp read the pattern and partitions of an instance spec
-    kinds = {"plain": (dict, Hypergraph), "coloured": (ColouredMultigraph,)}.get(args.mode, (dict,))
-    host, pattern, partition = _as_instance(_spec(args.host, "host", *kinds))
+    kinds = {"plain": (PartiteInstance, Hypergraph), "coloured": (ColouredMultigraph,)}
+    kinds = kinds.get(args.mode, (PartiteInstance,))
+    host, pattern, partition = _host_spec(args.host, *kinds)
     c = Fraction(args.c)
     if args.mode == "plain":
         rep = is_typical_plain(host, c, args.s, seed=args.seed)

@@ -120,13 +120,46 @@ class DesignCertificate:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DesignCertificate":
-        if doc.get("type") != "design-certificate":
+        if type(doc) is not dict or doc.get("type") != "design-certificate":
             raise ValueError("not a design-certificate document")
-        return cls(
-            kind=doc["kind"],
-            blocks=[tuple(b) for b in doc["blocks"]],
-            classes=[list(c) for c in doc["classes"]] if "classes" in doc else None,
-        )
+        kind, blocks, classes = doc.get("kind"), doc.get("blocks"), doc.get("classes", [])
+        if type(kind) is not str or not _int_lists(blocks) or not _int_lists(classes):
+            raise ValueError("design-certificate kind, blocks or classes missing or ill-typed")
+        return cls(kind, [tuple(b) for b in blocks], classes if "classes" in doc else None)
+
+
+def _int_lists(x) -> bool:
+    return type(x) is list and all(type(r) is list and all(type(v) is int for v in r) for r in x)
+
+
+def _grid_certificate(kind: str, n: int, cells) -> DesignCertificate:
+    """Cells given as coordinate tuples to sorted blocks: coordinate x of
+    part j becomes vertex j*n + x."""
+    blocks = [tuple(sorted(j * n + x for j, x in enumerate(cell))) for cell in cells]
+    return DesignCertificate(kind=kind, blocks=sorted(blocks))
+
+
+def _grid_cells(cert: DesignCertificate, kind: str, n: int, parts: int, width: int) -> dict:
+    """Inverse of _grid_certificate for a grid of n**width cells: every block
+    holds, in any order, exactly one integer vertex in each part's range
+    j*n..j*n+n-1, and its first width coordinates name a cell no other
+    block names.  Returns {cell coordinates: the remaining coordinates}."""
+    if cert.kind != kind:
+        raise ValueError("certificate kind mismatch")
+    if len(cert.blocks) != n**width:
+        raise ValueError(f"expected {n**width} blocks, got {len(cert.blocks)}")
+    cells = {}
+    for block in cert.blocks:
+        if len(block) != parts or any(type(v) is not int for v in block):
+            raise ValueError(f"block {block} is not {parts} integer vertices")
+        ordered = sorted(block)
+        if [v // n for v in ordered] != list(range(parts)):
+            raise ValueError(f"block {block} is not transversal to the parts")
+        coords = tuple(v - j * n for j, v in enumerate(ordered))
+        if coords[:width] in cells:
+            raise ValueError(f"cell {coords[:width]} covered twice")
+        cells[coords[:width]] = coords[width:]
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -145,34 +178,13 @@ def triangle_host(n: int) -> tuple[Hypergraph, Partition]:
 def latin_encode(square: LatinSquare):
     """Cells to partite triangles: cell (i, j) = s becomes {row i, col j, sym s}."""
     square.validate()
-    n = square.order
-    blocks = []
-    for i in range(n):
-        for j in range(n):
-            s = square.grid[i][j]
-            blocks.append(tuple(sorted((i, n + j, 2 * n + s))))
-    return DesignCertificate(kind="latin-triangles", blocks=sorted(blocks))
+    cells = [(i, j, s) for i, row in enumerate(square.grid) for j, s in enumerate(row)]
+    return _grid_certificate("latin-triangles", square.order, cells)
 
 
 def latin_decode(cert: DesignCertificate, n: int) -> LatinSquare:
-    if cert.kind != "latin-triangles":
-        raise ValueError("certificate kind mismatch")
-    if len(cert.blocks) != n * n:
-        raise ValueError(f"expected {n * n} triangles, got {len(cert.blocks)}")
-    grid = [[None] * n for _ in range(n)]
-    for block in cert.blocks:
-        if len(block) != 3:
-            raise ValueError(f"block {block} is not a triangle")
-        rows = [v for v in block if 0 <= v < n]
-        cols = [v - n for v in block if n <= v < 2 * n]
-        syms = [v - 2 * n for v in block if 2 * n <= v < 3 * n]
-        if len(rows) != 1 or len(cols) != 1 or len(syms) != 1:
-            raise ValueError(f"block {block} is not transversal to the parts")
-        i, j, s = rows[0], cols[0], syms[0]
-        if grid[i][j] is not None:
-            raise ValueError(f"cell ({i},{j}) covered twice")
-        grid[i][j] = s
-    square = LatinSquare.from_rows(grid)
+    cells = _grid_cells(cert, "latin-triangles", n, 3, 2)
+    square = LatinSquare.from_rows([[cells[i, j][0] for j in range(n)] for i in range(n)])
     square.validate()
     return square
 
@@ -195,35 +207,23 @@ def mols_encode(first: LatinSquare, second: LatinSquare) -> DesignCertificate:
     if second.order != n:
         raise ValueError("orders differ")
     seen = set()
-    blocks = []
+    cells = []
     for i in range(n):
         for j in range(n):
             pair = (first.grid[i][j], second.grid[i][j])
             if pair in seen:
                 raise ValueError(f"symbol pair {pair} appears twice; squares not orthogonal")
             seen.add(pair)
-            blocks.append(
-                tuple(sorted((i, n + j, 2 * n + pair[0], 3 * n + pair[1])))
-            )
-    return DesignCertificate(kind="mols-cliques", blocks=sorted(blocks))
+            cells.append((i, j) + pair)
+    return _grid_certificate("mols-cliques", n, cells)
 
 
 def mols_decode(cert: DesignCertificate, n: int) -> tuple[LatinSquare, LatinSquare]:
-    if cert.kind != "mols-cliques":
-        raise ValueError("certificate kind mismatch")
-    g1 = [[None] * n for _ in range(n)]
-    g2 = [[None] * n for _ in range(n)]
-    for block in cert.blocks:
-        parts = [[], [], [], []]
-        for v in block:
-            parts[v // n].append(v % n)
-        if any(len(p) != 1 for p in parts):
-            raise ValueError(f"block {block} is not transversal to the parts")
-        i, j, s1, s2 = (p[0] for p in parts)
-        if g1[i][j] is not None:
-            raise ValueError(f"cell ({i},{j}) covered twice")
-        g1[i][j], g2[i][j] = s1, s2
-    first, second = LatinSquare.from_rows(g1), LatinSquare.from_rows(g2)
+    cells = _grid_cells(cert, "mols-cliques", n, 4, 2)
+    first, second = (
+        LatinSquare.from_rows([[cells[i, j][k] for j in range(n)] for i in range(n)])
+        for k in (0, 1)
+    )
     mols_encode(first, second)  # revalidates Latin + orthogonality
     return first, second
 
@@ -249,36 +249,19 @@ def sudoku_encode(grid: SudokuGrid) -> DesignCertificate:
     box (a1,b1); blocks store the six part-offset images."""
     grid.validate()
     n = grid.box_order
-    blocks = []
-    for row in range(n * n):
-        for col in range(n * n):
-            sym = grid.grid[row][col]
-            a1, a2 = divmod(row, n)
-            b1, b2 = divmod(col, n)
-            c1, c2 = divmod(sym, n)
-            blocks.append(
-                (a1, n + a2, 2 * n + b1, 3 * n + b2, 4 * n + c1, 5 * n + c2)
-            )
-    return DesignCertificate(kind="sudoku-copies", blocks=sorted(blocks))
+    cells = [
+        divmod(row, n) + divmod(col, n) + divmod(sym, n)
+        for row, line in enumerate(grid.grid)
+        for col, sym in enumerate(line)
+    ]
+    return _grid_certificate("sudoku-copies", n, cells)
 
 
 def sudoku_decode(cert: DesignCertificate, box_order: int) -> SudokuGrid:
-    if cert.kind != "sudoku-copies":
-        raise ValueError("certificate kind mismatch")
     n = box_order
-    grid = [[None] * (n * n) for _ in range(n * n)]
-    for block in cert.blocks:
-        if len(block) != 6:
-            raise ValueError(f"block {block} is not a six-vertex copy")
-        offs = [v // n for v in block]
-        vals = [v % n for v in block]
-        if offs != [0, 1, 2, 3, 4, 5]:
-            raise ValueError(f"block {block} is not transversal to the parts")
-        a1, a2, b1, b2, c1, c2 = vals
-        row, col, sym = a1 * n + a2, b1 * n + b2, c1 * n + c2
-        if grid[row][col] is not None:
-            raise ValueError(f"cell ({row},{col}) covered twice")
-        grid[row][col] = sym
+    grid = [[0] * (n * n) for _ in range(n * n)]
+    for (a1, a2, b1, b2), (c1, c2) in _grid_cells(cert, "sudoku-copies", n, 6, 4).items():
+        grid[a1 * n + a2][b1 * n + b2] = c1 * n + c2
     out = SudokuGrid.from_rows(n, grid)
     out.validate()
     return out
@@ -354,31 +337,30 @@ def extract_resolvable(embeddings, n: int) -> DesignCertificate:
     return _extract_by_label(embeddings, "resolvable-sts")
 
 
+def _triple_classes(cert: DesignCertificate, n: int, kind: str) -> bool:
+    """The certificate has the kind and classes, its blocks are 3-sets of
+    0..n-1, and its classes partition the block indices."""
+    if cert.kind != kind or cert.classes is None:
+        return False
+    if not all(len(b) == len(set(b)) == 3 and all(0 <= v < n for v in b) for b in cert.blocks):
+        return False
+    return sorted(i for cls in cert.classes for i in cls) == list(range(len(cert.blocks)))
+
+
+def _pairs_once(blocks, n: int) -> bool:
+    """Every pair of 0..n-1 lies in exactly one of the triples in blocks."""
+    pairs = [pair for block in blocks for pair in combinations(sorted(block), 2)]
+    return len(pairs) == len(set(pairs)) == comb(n, 2)
+
+
 def verify_resolvable(cert: DesignCertificate, n: int) -> bool:
     """Blocks form a triple system on 0..n-1 and the classes partition them
     into perfect matchings."""
-    if cert.kind != "resolvable-sts" or cert.classes is None:
+    if not _triple_classes(cert, n, "resolvable-sts") or not _pairs_once(cert.blocks, n):
         return False
-    pair_seen = set()
-    for block in cert.blocks:
-        if len(block) != 3 or len(set(block)) != 3:
-            return False
-        if not all(0 <= v < n for v in block):
-            return False
-        for pair in combinations(sorted(block), 2):
-            if pair in pair_seen:
-                return False
-            pair_seen.add(pair)
-    if len(pair_seen) != comb(n, 2):
-        return False
-    covered = sorted(i for cls in cert.classes for i in cls)
-    if covered != list(range(len(cert.blocks))):
-        return False
-    for cls in cert.classes:
-        verts = [v for i in cls for v in cert.blocks[i]]
-        if sorted(verts) != list(range(n)):
-            return False
-    return True
+    return all(
+        sorted(v for i in cls for v in cert.blocks[i]) == list(range(n)) for cls in cert.classes
+    )
 
 
 def resolvable_to_embeddings(cert: DesignCertificate, n: int) -> list[tuple]:
@@ -413,33 +395,12 @@ def extract_large_set(embeddings, n: int) -> DesignCertificate:
 
 def verify_large_set(cert: DesignCertificate, n: int) -> bool:
     """n-2 pairwise block-disjoint triple systems covering every triple."""
-    if cert.kind != "large-set" or cert.classes is None:
+    if not _triple_classes(cert, n, "large-set") or len(cert.classes) != n - 2:
         return False
-    if len(cert.classes) != n - 2:
-        return False
-    covered = sorted(i for cls in cert.classes for i in cls)
-    if covered != list(range(len(cert.blocks))):
-        return False
-    all_triples = set()
-    for block in cert.blocks:
-        if len(block) != 3 or not all(0 <= v < n for v in block):
-            return False
-        key = tuple(sorted(block))
-        if key in all_triples:
-            return False
-        all_triples.add(key)
-    if len(all_triples) != comb(n, 3):
-        return False
-    for cls in cert.classes:
-        pair_seen = set()
-        for i in cls:
-            for pair in combinations(sorted(cert.blocks[i]), 2):
-                if pair in pair_seen:
-                    return False
-                pair_seen.add(pair)
-        if len(pair_seen) != comb(n, 2):
-            return False
-    return True
+    triples = {tuple(sorted(b)) for b in cert.blocks}
+    return len(cert.blocks) == len(triples) == comb(n, 3) and all(
+        _pairs_once([cert.blocks[i] for i in cls], n) for cls in cert.classes
+    )
 
 
 def large_set_to_embeddings(cert: DesignCertificate, n: int) -> list[tuple]:

@@ -178,6 +178,12 @@ def matrix_to_json(matrix) -> dict:
 
 
 def matrix_from_json(doc: dict) -> Matrix:
-    if doc.get("type") != "int-matrix":
+    if type(doc) is not dict or doc.get("type") != "int-matrix":
         raise ValueError("not an int-matrix document")
-    return [[int(x) for x in row] for row in doc["rows"]]
+    rows = doc.get("rows")
+    if type(rows) is not list or any(type(row) is not list for row in rows):
+        raise ValueError("int-matrix rows must be a list of lists")
+    try:
+        return [[int(x) for x in row] for row in rows]
+    except TypeError:
+        raise ValueError("int-matrix entries must be integers or decimal strings") from None

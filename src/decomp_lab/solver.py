@@ -417,23 +417,26 @@ class _CoverSearch:
     generations, each of at most ``_COUNT_MEMO`` entries, lives for one
     count.
 
-    A footprint naming a column twice, or a column past the capacities,
-    raises ValueError.
+    A footprint naming a column twice, a negative column or one past the
+    capacities raises ValueError.
     """
 
     def __init__(self, table: CopyTable):
         self.rows = table.footprints
         self.capacities = list(table.capacities)
-        col_rows: list[list[int]] = [[] for _ in self.capacities]
+        # keyed by column, so a negative column is missing, not the one that
+        # many places from the end
+        col_rows: dict[int, list[int]] = {c: [] for c in range(len(self.capacities))}
         try:
             for r, fp in enumerate(self.rows):
                 for c in fp:
                     col_rows[c].append(r)
-        except IndexError:
+        except KeyError:
             raise ValueError(
-                f"footprint {fp} names a column past the {len(col_rows)} capacities"
+                f"footprint {fp} names a negative column or one past the "
+                f"{len(col_rows)} capacities"
             ) from None
-        self.masks = [_mask(rows) for rows in col_rows]
+        self.masks = [_mask(rows) for rows in col_rows.values()]
         self.counts = [m.bit_count() for m in self.masks]  # _mask sets a repeated bit once
         if sum(self.counts) != sum(map(len, self.rows)):
             raise ValueError("a footprint names a column twice")

@@ -36,7 +36,10 @@ verbatim as references for the random stream and for greedy runs.
 layer's earlier second paths (a gcd loop, a family check with its own
 block rule, a hand-rolled master lift, a coloured-only weight system and an
 orbit walk of its own), kept verbatim as references for reports, infos,
-edge vectors, weight systems and orbit lists.
+edge vectors, weight systems and orbit lists.  `ref_verify_resolvable` and
+`ref_verify_large_set` are the earlier triple-system verifiers, each with
+its own block, class and pair checks, kept verbatim as references for
+verdicts.
 """
 
 from __future__ import annotations
@@ -2292,3 +2295,65 @@ def criterion_12_instances() -> list[tuple]:
     )
     out.append((doubled, ctri, None))
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference triple-system verifiers: each with its own checks
+
+
+def ref_verify_resolvable(cert, n: int) -> bool:
+    """Blocks form a triple system on 0..n-1 and the classes partition them
+    into perfect matchings."""
+    if cert.kind != "resolvable-sts" or cert.classes is None:
+        return False
+    pair_seen = set()
+    for block in cert.blocks:
+        if len(block) != 3 or len(set(block)) != 3:
+            return False
+        if not all(0 <= v < n for v in block):
+            return False
+        for pair in combinations(sorted(block), 2):
+            if pair in pair_seen:
+                return False
+            pair_seen.add(pair)
+    if len(pair_seen) != comb(n, 2):
+        return False
+    covered = sorted(i for cls in cert.classes for i in cls)
+    if covered != list(range(len(cert.blocks))):
+        return False
+    for cls in cert.classes:
+        verts = [v for i in cls for v in cert.blocks[i]]
+        if sorted(verts) != list(range(n)):
+            return False
+    return True
+
+
+def ref_verify_large_set(cert, n: int) -> bool:
+    """n-2 pairwise block-disjoint triple systems covering every triple."""
+    if cert.kind != "large-set" or cert.classes is None:
+        return False
+    if len(cert.classes) != n - 2:
+        return False
+    covered = sorted(i for cls in cert.classes for i in cls)
+    if covered != list(range(len(cert.blocks))):
+        return False
+    all_triples = set()
+    for block in cert.blocks:
+        if len(block) != 3 or not all(0 <= v < n for v in block):
+            return False
+        key = tuple(sorted(block))
+        if key in all_triples:
+            return False
+        all_triples.add(key)
+    if len(all_triples) != comb(n, 3):
+        return False
+    for cls in cert.classes:
+        pair_seen = set()
+        for i in cls:
+            for pair in combinations(sorted(cert.blocks[i]), 2):
+                if pair in pair_seen:
+                    return False
+                pair_seen.add(pair)
+        if len(pair_seen) != comb(n, 2):
+            return False
+    return True

@@ -1,14 +1,16 @@
 """Command-line interface: verdicts, exit codes, format equivalence."""
 
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
 import oracles
 from decomp_lab import divisibility as dv
 from decomp_lab import nibble as nb
-from decomp_lab.cli import main
+from decomp_lab.cli import _BUILTINS, main
 from decomp_lab.core import Hypergraph, dumps_canonical
 from decomp_lab.intlattice import matrix_to_json
 
@@ -447,3 +449,55 @@ def test_check_h_cli_output_equals_the_reference_checker(monkeypatch, capsys, fm
         with monkeypatch.context() as m:
             m.setattr(dv, "h_divisible", oracles.ref_h_divisible)
             assert run_cli(capsys, *argv) == (code, out)
+
+
+def _bad_argument_specs(name):
+    """Specs naming a builtin with too few, too many or negative arguments."""
+    counts = _BUILTINS[name][0]
+    specs = [":".join([name] + ["3"] * (max(counts) + 1))]
+    if min(counts) > 0:
+        specs.append(":".join([name] + ["3"] * (min(counts) - 1)))
+        specs.append(":".join([name] + ["2"] * (min(counts) - 1) + ["-1"]))
+    return specs
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTINS))
+def test_builtin_spec_with_a_wrong_argument_count_or_a_negative_argument_exits_3(name, capsys):
+    # a missing argument used to end in an IndexError traceback (exit 1), and
+    # a negative one built a structure: k_n:-1 and resolvable:-3 exited 0
+    for spec in _bad_argument_specs(name) + (["resolvable:-3"] if name == "resolvable" else []):
+        assert main(["solve", "--host", spec, "--pattern", "triangle"]) == 3, spec
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: structure spec {spec!r} "), spec
+
+
+def test_readme_lists_every_builtin_spec():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Built-in structures", 1)[1].split("```")[1]
+    for name in _BUILTINS:
+        assert re.search(rf"(^|\s){name}(:|\s)", block), name
+
+
+@pytest.mark.parametrize("command, doc", [
+    pytest.param("decode", [1, 2], id="certificate is an array"),
+    pytest.param("decode", {"type": "design-certificate", "blocks": []}, id="no kind"),
+    pytest.param("decode", {"type": "design-certificate", "kind": "latin-triangles"},
+                 id="no blocks"),
+    pytest.param("decode", {"type": "design-certificate", "kind": "latin-triangles",
+                            "blocks": [], "classes": 5}, id="classes not a list"),
+    pytest.param("decode", {"type": "design-certificate", "kind": "latin-triangles",
+                            "blocks": [0, 1, 2]}, id="blocks not lists"),
+    pytest.param("lattice", [1], id="matrix is an array"),
+    pytest.param("lattice", {"type": "int-matrix"}, id="no rows"),
+    pytest.param("lattice", {"type": "int-matrix", "rows": [[None]]}, id="null entry"),
+])
+def test_malformed_document_exits_3(command, doc, tmp_path, capsys):
+    # each ended in an AttributeError, KeyError or TypeError traceback (exit 1)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    flag = "--infile" if command == "decode" else "--matrix"
+    argv = [command, flag, str(path)] + (["--kind", "latin"] if command == "decode" else [])
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: ")

@@ -30,7 +30,12 @@ from decomp_lab.encodings import (
     verify_large_set,
     verify_resolvable,
 )
-from oracles import all_latin_squares, kirkman_triple_system_9
+from oracles import (
+    all_latin_squares,
+    kirkman_triple_system_9,
+    ref_verify_large_set,
+    ref_verify_resolvable,
+)
 
 
 def test_latin_validation():
@@ -278,3 +283,182 @@ def test_sudoku_order_nine_roundtrip():
     cert = sudoku_encode(grid)
     assert len(cert.blocks) == 81
     assert sudoku_decode(cert, 3) == grid
+
+
+ORDER_3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+ORDER_3_MATE = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
+SUDOKU_4 = [[0, 1, 2, 3], [2, 3, 0, 1], [1, 0, 3, 2], [3, 2, 1, 0]]
+
+
+def test_grid_encodings_are_pinned():
+    # captured from the encoders before they shared one block writer
+    first, second = LatinSquare.from_rows(ORDER_3), LatinSquare.from_rows(ORDER_3_MATE)
+    docs = [
+        latin_encode(first).to_json_dict(),
+        mols_encode(first, second).to_json_dict(),
+        sudoku_encode(SudokuGrid.from_rows(2, SUDOKU_4)).to_json_dict(),
+    ]
+    assert docs == [
+        {"type": "design-certificate", "kind": "latin-triangles", "blocks": [
+            [0, 3, 6], [0, 4, 7], [0, 5, 8], [1, 3, 7], [1, 4, 8], [1, 5, 6],
+            [2, 3, 8], [2, 4, 6], [2, 5, 7]]},
+        {"type": "design-certificate", "kind": "mols-cliques", "blocks": [
+            [0, 3, 6, 9], [0, 4, 7, 10], [0, 5, 8, 11], [1, 3, 7, 11], [1, 4, 8, 9],
+            [1, 5, 6, 10], [2, 3, 8, 10], [2, 4, 6, 11], [2, 5, 7, 9]]},
+        {"type": "design-certificate", "kind": "sudoku-copies", "blocks": [
+            [0, 2, 4, 6, 8, 10], [0, 2, 4, 7, 8, 11], [0, 2, 5, 6, 9, 10],
+            [0, 2, 5, 7, 9, 11], [0, 3, 4, 6, 9, 10], [0, 3, 4, 7, 9, 11],
+            [0, 3, 5, 6, 8, 10], [0, 3, 5, 7, 8, 11], [1, 2, 4, 6, 8, 11],
+            [1, 2, 4, 7, 8, 10], [1, 2, 5, 6, 9, 11], [1, 2, 5, 7, 9, 10],
+            [1, 3, 4, 6, 9, 11], [1, 3, 4, 7, 9, 10], [1, 3, 5, 6, 8, 11],
+            [1, 3, 5, 7, 8, 10]]},
+    ]
+    for doc in docs:
+        assert DesignCertificate.from_json_dict(doc).to_json_dict() == doc
+
+
+def _grid_designs():
+    """(valid certificate, its decoder, the design it decodes to) per grid kind."""
+    first, second = LatinSquare.from_rows(ORDER_3), LatinSquare.from_rows(ORDER_3_MATE)
+    square4 = LatinSquare.from_rows(random.Random(3).choice(list(all_latin_squares(4))))
+    grid = SudokuGrid.from_rows(2, SUDOKU_4)
+    return [
+        (latin_encode(first), lambda c: latin_decode(c, 3), first),
+        (latin_encode(square4), lambda c: latin_decode(c, 4), square4),
+        (mols_encode(first, second), lambda c: mols_decode(c, 3), (first, second)),
+        (sudoku_encode(grid), lambda c: sudoku_decode(c, 2), grid),
+    ]
+
+
+def _corrupt(blocks, rng):
+    """One seeded corruption of a block list, and what it did."""
+    blocks = [list(b) for b in blocks]
+    k, top = rng.randrange(len(blocks)), max(max(b) for b in blocks)
+    pos = rng.randrange(len(blocks[k]))
+    how = rng.choice([
+        "drop", "duplicate", "move", "out of range", "negative", "float", "string",
+        "none", "short", "long", "swap", "shuffle",
+    ])
+    if how == "drop":
+        del blocks[k]
+    elif how == "duplicate":
+        blocks[rng.randrange(len(blocks))] = list(blocks[k])
+    elif how == "move":
+        blocks[k][pos] = rng.randrange(top + 1)
+    elif how == "out of range":
+        blocks[k][pos] = top + 1 + rng.randrange(3)
+    elif how == "negative":
+        blocks[k][pos] = -1 - rng.randrange(3)
+    elif how == "float":
+        blocks[k][pos] = float(blocks[k][pos])
+    elif how == "string":
+        blocks[k][pos] = str(blocks[k][pos])
+    elif how == "none":
+        blocks[k][pos] = None
+    elif how == "short":
+        del blocks[k][pos]
+    elif how == "long":
+        blocks[k].append(rng.randrange(top + 1))
+    elif how == "swap":
+        j = rng.randrange(len(blocks))
+        p2 = rng.randrange(len(blocks[j]))
+        blocks[k][pos], blocks[j][p2] = blocks[j][p2], blocks[k][pos]
+    else:
+        rng.shuffle(blocks[k])
+    return [tuple(b) for b in blocks], how
+
+
+def test_grid_decoders_raise_only_value_error_on_corrupted_blocks():
+    # every decoder reads blocks through one transversal reader: a corrupted
+    # certificate decodes to the design it spells or raises ValueError
+    rng = random.Random(17)
+    for cert, decode, design in _grid_designs():
+        for _ in range(300):
+            blocks, how = _corrupt(cert.blocks, rng)
+            try:
+                got = decode(DesignCertificate(cert.kind, blocks))
+            except ValueError:
+                assert how != "shuffle"
+                continue
+            again = mols_encode(*got) if isinstance(got, tuple) else (
+                latin_encode(got) if isinstance(got, LatinSquare) else sudoku_encode(got)
+            )
+            assert again.blocks == sorted(tuple(sorted(b)) for b in blocks), how
+            if how == "shuffle":
+                assert got == design
+
+
+def test_grid_decoders_reject_pinned_corruptions():
+    first, second = LatinSquare.from_rows(ORDER_3), LatinSquare.from_rows(ORDER_3_MATE)
+    cert = mols_encode(first, second)
+    # -1 // 3 used to index part 3, so (0, 5, 8, -1) read as (0, 5, 8, 11)
+    aliased = [(0, 5, 8, -1) if b == (0, 5, 8, 11) else b for b in cert.blocks]
+    with pytest.raises(ValueError, match="transversal"):
+        mols_decode(DesignCertificate(cert.kind, aliased), 3)
+    with pytest.raises(ValueError, match="blocks"):  # a TypeError before
+        mols_decode(DesignCertificate(cert.kind, cert.blocks[1:]), 3)
+    with pytest.raises(ValueError, match="transversal"):  # an IndexError before
+        mols_decode(DesignCertificate(cert.kind, cert.blocks[1:] + [(0, 3, 6, 12)]), 3)
+    sudoku = sudoku_encode(SudokuGrid.from_rows(2, SUDOKU_4))
+    with pytest.raises(ValueError, match="blocks"):  # a TypeError before
+        sudoku_decode(DesignCertificate(sudoku.kind, sudoku.blocks[1:]), 2)
+
+
+def resolvable_certificate():
+    classes = kirkman_triple_system_9()
+    blocks = [b for cls in classes for b in cls]
+    index_classes = [list(range(3 * k, 3 * k + 3)) for k in range(4)]
+    return DesignCertificate(kind="resolvable-sts", blocks=blocks, classes=index_classes)
+
+
+def _mutate_triple_system(cert, rng):
+    blocks = [list(b) for b in cert.blocks]
+    classes = [list(c) for c in cert.classes]
+    kind = cert.kind
+    k = rng.randrange(len(blocks))
+    c = rng.randrange(len(classes))
+    how = rng.randrange(10)
+    if how == 0:
+        blocks[k][rng.randrange(3)] = rng.randrange(-1, 11)
+    elif how == 1:
+        blocks[k] = list(blocks[rng.randrange(len(blocks))])
+    elif how == 2:
+        i, j = rng.sample(range(len(blocks)), 2)
+        blocks[i][rng.randrange(3)], blocks[j][rng.randrange(3)] = (
+            blocks[j][rng.randrange(3)], blocks[i][rng.randrange(3)])
+    elif how == 3 and classes[c]:
+        classes[rng.randrange(len(classes))].append(classes[c].pop())
+    elif how == 4:
+        classes[c].append(rng.randrange(-1, len(blocks) + 1))
+    elif how == 5:
+        del classes[c]
+    elif how == 6:
+        blocks[k] = blocks[k][:2] if rng.random() < 0.5 else blocks[k] + [rng.randrange(9)]
+    elif how == 7:
+        blocks[k], blocks[-1] = blocks[-1], blocks[k]
+        del blocks[-1]
+        classes = [[i for i in cls if i != len(blocks)] for cls in classes]
+    elif how == 8:
+        kind = rng.choice(["resolvable-sts", "large-set"])
+    else:
+        i, j = rng.sample(range(len(blocks)), 2)
+        blocks[i], blocks[j] = blocks[j], blocks[i]
+    return DesignCertificate(kind, [tuple(b) for b in blocks], classes)
+
+
+def test_triple_system_verifiers_agree_with_the_references():
+    rng = random.Random(29)
+    verdicts = set()
+    for cert in (resolvable_certificate(), large_set_certificate()):
+        corpus = [cert, DesignCertificate(cert.kind, cert.blocks)]
+        for _ in range(400):
+            mutant = cert
+            for _ in range(rng.randint(1, 2)):
+                mutant = _mutate_triple_system(mutant, rng)
+            corpus.append(mutant)
+        for mutant in corpus:
+            for n in (9, 7):
+                pair = (verify_resolvable(mutant, n), verify_large_set(mutant, n))
+                assert pair == (ref_verify_resolvable(mutant, n), ref_verify_large_set(mutant, n))
+                verdicts.add(pair)
+    assert {(True, False), (False, True), (False, False)} <= verdicts

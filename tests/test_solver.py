@@ -734,3 +734,13 @@ def test_table_with_a_column_past_the_capacities_is_rejected():
         find_decomposition(None, None, table=table)
     with pytest.raises(ValueError, match="past the 2 capacities"):
         count_decompositions(None, None, table=table)
+
+
+def test_table_with_a_negative_column_is_rejected():
+    # column -1 used to alias the last column: find returned both rows as a
+    # decomposition, and a count failed on a negative shift
+    table = _table([(0,), (-1,)], [1, 1])
+    with pytest.raises(ValueError, match="negative column"):
+        find_decomposition(None, None, table=table)
+    with pytest.raises(ValueError, match="negative column"):
+        count_decompositions(None, None, table=table)
