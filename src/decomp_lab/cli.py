@@ -354,9 +354,18 @@ def cmd_decode(args) -> int:
     return EXIT_TRUE
 
 
+def _fraction(text: str, option: str) -> Fraction:
+    """The option's value as a Fraction; a zero denominator is an input
+    error, like any other malformed number."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InputError(f"{option} {text!r} has a zero denominator") from None
+
+
 def cmd_nibble(args) -> int:
     pattern = _spec(args.pattern, "pattern", Hypergraph)
-    stop_density = Fraction(args.stop_density) if args.stop_density else None
+    stop_density = _fraction(args.stop_density, "--stop-density") if args.stop_density else None
     bounds, aux = nb._blowup_bounds(pattern, args.blowup, args.seed, stop_density)
     doc = {
         "command": "nibble",
@@ -385,7 +394,7 @@ def cmd_typicality(args) -> int:
     kinds = {"plain": (PartiteInstance, Hypergraph), "coloured": (ColouredMultigraph,)}
     kinds = kinds.get(args.mode, (PartiteInstance,))
     host, pattern, partition = _host_spec(args.host, *kinds)
-    c = Fraction(args.c)
+    c = _fraction(args.c, "--c")
     if args.mode == "plain":
         rep = is_typical_plain(host, c, args.s, seed=args.seed)
     elif args.mode == "blowup":

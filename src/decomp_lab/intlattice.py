@@ -11,7 +11,11 @@ generators.
 
 from __future__ import annotations
 
+import re
+
 Matrix = list[list[int]]
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def _pivot_col(row: list[int]) -> int | None:
@@ -183,7 +187,14 @@ def matrix_from_json(doc: dict) -> Matrix:
     rows = doc.get("rows")
     if type(rows) is not list or any(type(row) is not list for row in rows):
         raise ValueError("int-matrix rows must be a list of lists")
-    try:
-        return [[int(x) for x in row] for row in rows]
-    except TypeError:
-        raise ValueError("int-matrix entries must be integers or decimal strings") from None
+    return [[_entry(x) for x in row] for row in rows]
+
+
+def _entry(x) -> int:
+    """A matrix entry read from JSON: an integer (not a bool) or a decimal
+    string with an optional sign; a float is never truncated."""
+    if type(x) is int:
+        return x
+    if type(x) is str and _DECIMAL.fullmatch(x):
+        return int(x)
+    raise ValueError(f"int-matrix entries must be integers or decimal strings, not {x!r}")

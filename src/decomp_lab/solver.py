@@ -408,14 +408,14 @@ class _CoverSearch:
     Counts are kept while they are the cheaper (many columns of few rows,
     as in K_n^(3) by K_4^(3)) and dropped for good once a subtree is not.
 
-    Counting on a table whose capacities are all 1 shares subtree counts.
-    Selecting a row there closes all its columns, so a node's alive rows
-    are exactly the rows whose columns are all open (the lowest-row rule
-    only drops rows of the column being closed), and the number of
-    solutions below a node is a function of its open columns.  Keyed by
-    that set as an int, which renumbering leaves alone, a memo of two
-    generations, each of at most ``_COUNT_MEMO`` entries, lives for one
-    count.
+    Counting on a table whose capacities are all 1 takes a walk of its own
+    (``_count_ones``).  Selecting a row there closes all its columns, so a
+    node's alive rows are exactly the rows whose columns are all open, and
+    the number of solutions below a node is a function of its open columns.
+    Keyed by that set as an int, which renumbering leaves alone, a memo of
+    two generations, each of at most ``_COUNT_MEMO`` entries, lives for one
+    count.  That walk keeps no ``need`` or ``counts`` and takes the first
+    open column with at most one alive row without scanning the rest.
 
     A footprint naming a column twice, a negative column or one past the
     capacities raises ValueError.
@@ -458,15 +458,15 @@ class _CoverSearch:
 
         With ``count``, which takes no ``replay``, the walk yields one int
         instead, the number of solutions, once it is exhausted.  When every
-        capacity is 1 it keeps a memo from open-column keys to subtree
-        counts: a node's count is stored when its candidates run out (a
-        dead end's is 0), and a candidate whose child key is 0 or stored
-        adds one or the stored count without being entered.  When the new
-        generation of the memo holds ``_COUNT_MEMO`` keys it becomes the
-        old one, and lookups read the new, then the old.
+        capacity is 1 that is the memoized walk of ``_count_ones``;
+        otherwise the walk below adds solutions up one by one.  Find mode
+        does not depend on which.
         """
         if count and replay:
             raise ValueError("a count starts at the root")
+        if count and all(k == 1 for k in self.capacities):
+            yield from self._count_ones()
+            return
         rows, need = self.rows, list(self.capacities)
         node_budget, deadline = self.node_budget, self.deadline
         n = len(rows)
@@ -477,13 +477,7 @@ class _CoverSearch:
         selection: list[int] = []
         stack: list[tuple] = []  # per selected row, its parent's state
         self.frontier = None
-        memo = count and all(k == 1 for k in need)
-        key = total = 0  # the node's open columns as bits (memo only); solutions counted
-        if memo:
-            row_keys = [sum(1 << col for col in fp) for fp in rows]
-            key = (1 << len(need)) - 1
-            new: dict[int, int] = {}
-            old: dict[int, int] = {}
+        total = 0  # solutions counted
         while True:
             # enter the node whose state the locals hold
             self.nodes += 1
@@ -493,7 +487,6 @@ class _CoverSearch:
                 self.frontier = list(selection)
                 return
             here, replay = replay, ()
-            base = total
             cands, pos, need_c = (), 0, 1  # leaves and dead ends have no candidates
             if not open_cols:
                 if count:
@@ -503,11 +496,7 @@ class _CoverSearch:
             else:
                 n_alive = alive.bit_count()
                 if alive.bit_length() > 4 * n_alive + 64:
-                    ids = [ids[i] for i in _bits(alive)]
-                    alive, masks = (1 << len(ids)) - 1, [0] * len(masks)
-                    for i, r in enumerate(ids):
-                        for col in rows[r]:
-                            masks[col] |= 1 << i
+                    alive, masks, ids = _renumber(alive, ids, rows, len(masks))
                 # the column with the fewest alive rows, lowest index on ties; the
                 # two per-node costs of the class docstring, both times 30 * len(open_cols)
                 if counts is not None and (
@@ -536,17 +525,13 @@ class _CoverSearch:
             # select the next viable candidate, backtracking while there is none
             while True:
                 if len(cands) - pos < need_c:  # too few rows of c are left
-                    if memo:
-                        new[key] = total - base
-                        if len(new) >= _COUNT_MEMO:
-                            old, new = new, {}
                     if not stack:
                         if count:
                             yield total
                         return
-                    frame = stack.pop()
-                    (alive, masks, ids, open_cols, counts, cands, pos, rows_c, need_c, fp,
-                     killed, key, base) = frame
+                    alive, masks, ids, open_cols, counts, cands, pos, rows_c, need_c, fp, killed = (
+                        stack.pop()
+                    )
                     selection.pop()
                     for col in fp:
                         need[col] += 1
@@ -557,14 +542,6 @@ class _CoverSearch:
                     continue
                 r = cands[pos]
                 pos += 1
-                if memo:
-                    child = key ^ row_keys[ids[r]]
-                    got = new.get(child) if child else 1
-                    if got is None:
-                        got = old.get(child)
-                    if got is not None:
-                        total += got
-                        continue
                 # r is the lowest-indexed selected row covering c in this branch
                 sub = alive ^ (rows_c & ((2 << r) - 1))
                 fp = rows[ids[r]]
@@ -593,14 +570,110 @@ class _CoverSearch:
                     for col in kfp:
                         counts[col] -= 1
             stack.append(
-                (alive, masks, ids, open_cols, counts, cands, pos, rows_c, need_c, fp, killed, key, base)
+                (alive, masks, ids, open_cols, counts, cands, pos, rows_c, need_c, fp, killed)
             )
             selection.append(ids[r])
             alive = sub
-            if memo:
-                key = child
             if closed:
                 open_cols = [x for x in open_cols if need[x]]
+
+    def _count_ones(self):
+        """The count walk of ``solutions(count=True)`` on a table whose
+        capacities are all 1: yields the number of solutions once, or sets
+        ``frontier`` and returns as ``solutions`` does.
+
+        A node is its open columns as the bits of ``key`` and its alive rows;
+        selecting a row clears its columns' masks from the alive rows, as the
+        capacity-1 rule leaves nothing else to track.  The walk branches on
+        the open column with the fewest alive rows, lowest index on ties, but
+        stops the scan at the first open column with at most one: it is
+        forced (one candidate) or dead (none), and a later column could
+        improve on it only by being dead.  So the walk can enter a forced
+        column before a dead one later in index order.  A node's count is
+        stored under its key when its candidates run out (a dead end's is
+        0); when the new generation of the memo holds ``_COUNT_MEMO`` keys
+        it becomes the old one, and lookups read the new, then the old.  A
+        candidate whose child key is 0 or stored adds 1 or the stored count
+        without being entered.  Renumbering waits for 512 dead bits, not the
+        find walk's 64: each one rebuilds every mask, and memo hits end most
+        sparse subtrees within a few nodes (at 64, a count of the resolvable
+        STS(9) table renumbers 3 600 times and takes half as long again).
+        """
+        rows = self.rows
+        node_budget, deadline = self.node_budget, self.deadline
+        n = len(rows)
+        row_keys = [sum(1 << col for col in fp) for fp in rows]
+        key, alive, masks, ids = (1 << len(self.masks)) - 1, (1 << n) - 1, self.masks, range(n)
+        new: dict[int, int] = {}
+        old: dict[int, int] = {}
+        # per entered child, its parent's (key, alive, masks, ids, cands, pos, total)
+        stack: list[tuple] = []
+        self.frontier = None
+        while True:
+            # enter the node whose state the locals hold
+            self.nodes += 1
+            if (node_budget is not None and self.nodes > node_budget) or (
+                deadline is not None and self.nodes % 256 == 0 and time.monotonic() > deadline
+            ):
+                self.frontier = [f[3][f[4][f[5] - 1]] for f in stack]
+                return
+            cands, pos, total = (), 0, 0
+            if not key:  # only a root without columns; children of key 0 are not entered
+                total = 1
+            else:
+                if alive.bit_length() > 4 * alive.bit_count() + 512:
+                    alive, masks, ids = _renumber(alive, ids, rows, len(masks))
+                least = n + 1
+                scan = key
+                while scan:
+                    low = scan & -scan
+                    col = low.bit_length() - 1
+                    k = (masks[col] & alive).bit_count()
+                    if k < least:
+                        c, least = col, k
+                        if k <= 1:
+                            break
+                    scan ^= low
+                if least:
+                    cands = _bits(masks[c] & alive)
+            # add up the candidates, entering the next one the memo does not know
+            while True:
+                if pos == len(cands):
+                    new[key] = total
+                    if len(new) >= _COUNT_MEMO:
+                        old, new = new, {}
+                    if not stack:
+                        yield total
+                        return
+                    got = total
+                    key, alive, masks, ids, cands, pos, total = stack.pop()
+                    total += got
+                    continue
+                r = cands[pos]
+                pos += 1
+                child = key ^ row_keys[ids[r]]
+                got = new.get(child) if child else 1
+                if got is None:
+                    got = old.get(child)
+                    if got is None:
+                        break
+                total += got
+            stack.append((key, alive, masks, ids, cands, pos, total))
+            for col in rows[ids[r]]:
+                alive &= ~masks[col]
+            key = child
+
+
+def _renumber(alive: int, ids, rows, ncols: int) -> tuple:
+    """(alive, masks, ids) with the alive rows renumbered densely in the
+    same order: masks over the new numbers and ids from them to footprint
+    indices."""
+    ids = [ids[i] for i in _bits(alive)]
+    masks = [0] * ncols
+    for i, r in enumerate(ids):
+        for col in rows[r]:
+            masks[col] |= 1 << i
+    return (1 << len(ids)) - 1, masks, ids
 
 
 def _mask(bits: list[int]) -> int:
@@ -682,10 +755,13 @@ def count_decompositions(
     """Exact number of decompositions (sets of footprints).  Running out of
     ``timeout``, copy enumeration included, raises TimeBudgetExceeded.
 
-    On a table whose capacities are all 1, subproblems with the same open
-    columns share one count through a bounded memo of two generations that
-    lives for this call (see _CoverSearch); other tables are counted
-    solution by solution."""
+    On a table whose capacities are all 1 the count has a walk of its own
+    (see _CoverSearch._count_ones): subproblems with the same open columns
+    share one count through a bounded memo of two generations that lives
+    for this call, and a column with at most one alive row is branched on
+    as soon as the scan meets it.  Other tables are counted solution by
+    solution in the find walk, whose node counts, certificates and
+    frontiers the count walk leaves alone."""
     deadline = None if timeout is None else time.monotonic() + timeout
     table = table or enumerate_copies(host, patterns, partition, budget, deadline)
     search = _CoverSearch(table)

@@ -564,6 +564,37 @@ class RefCoverSearch:
         return False
 
 
+def ref_forced_count(table: CopyTable) -> tuple[int, int]:
+    """(count, nodes) of a plain recursive count of a table whose capacities
+    are all 1, under the rule of the library's count walk: branch on the
+    open column with the fewest alive rows, lowest column on ties, except
+    that the first open column with at most one alive row is taken at once.
+    No memo, so every child is entered and counts as a node."""
+    rows = [frozenset(fp) for fp in table.footprints]
+    nodes = 0
+
+    def walk(open_cols: frozenset, alive: list) -> int:
+        nonlocal nodes
+        nodes += 1
+        if not open_cols:
+            return 1
+        best = None
+        for c in sorted(open_cols):
+            k = sum(1 for r in alive if c in rows[r])
+            if best is None or k < best[0]:
+                best = (k, c)
+                if k <= 1:
+                    break
+        c = best[1]
+        return sum(
+            walk(open_cols - rows[r], [s for s in alive if not rows[s] & rows[r]])
+            for r in alive
+            if c in rows[r]
+        )
+
+    return walk(frozenset(range(len(table.capacities))), list(range(len(rows)))), nodes
+
+
 # ---------------------------------------------------------------------------
 # reference copy enumeration: every labelled embedding is placed and its slot
 # keys are built again at the leaf, the way the solver enumerated before it

@@ -501,3 +501,26 @@ def test_malformed_document_exits_3(command, doc, tmp_path, capsys):
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["typicality", "--host", "k_n:6", "--c", "1/0"],
+    ["nibble", "--pattern", "triangle", "--blowup", "3", "--seed", "1", "--stop-density", "1/0"],
+])
+def test_fraction_with_a_zero_denominator_exits_3(argv, capsys):
+    # Fraction("1/0") raised ZeroDivisionError: a traceback with exit 1, the
+    # code of a proven "false"
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {argv[-2]} '1/0' has a zero denominator")
+
+
+@pytest.mark.parametrize("entry", [1.5, 2.0, True, "1.5", " 1"])
+def test_lattice_matrix_entry_that_is_not_an_integer_exits_3(entry, tmp_path, capsys):
+    # int(x) read 1.5 as 1 and true as 1, and exited 0 with the wrong HNF
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"type": "int-matrix", "rows": [[entry, 2]]}))
+    assert main(["lattice", "--matrix", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: int-matrix entries")

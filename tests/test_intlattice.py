@@ -199,3 +199,11 @@ def test_matrix_json_roundtrip():
     m = [[10**30, -3], [0, 7]]
     doc = matrix_to_json(m)
     assert matrix_from_json(doc) == m
+
+
+def test_matrix_json_reads_only_integers_and_decimal_strings():
+    doc = {"type": "int-matrix", "rows": [[7, "-3", "+2", str(10**40)]]}
+    assert matrix_from_json(doc) == [[7, -3, 2, 10**40]]
+    for entry in (1.5, 2.0, True, False, None, [1], "1.5", "1e3", " 1", "1_000", "", "0x10"):
+        with pytest.raises(ValueError, match="integers or decimal strings"):
+            matrix_from_json({"type": "int-matrix", "rows": [[entry]]})

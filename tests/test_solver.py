@@ -657,8 +657,13 @@ def test_memo_counts_match_reference_on_random_tables():
             if max(t.capacities) > 1:  # the memo is off: the plain walk
                 assert memo_nodes == nodes
             else:
-                assert memo_nodes <= nodes
-                shared += memo_nodes < nodes
+                # the count walk takes a forced column before a dead one later
+                # in index order, so its nodes are bounded by the plain walk
+                # of its own rule, not by RefCoverSearch's
+                forced_count, forced_nodes = oracles.ref_forced_count(t)
+                assert forced_count == count
+                assert memo_nodes <= forced_nodes
+                shared += memo_nodes < forced_nodes
     assert shared > 20
 
 
@@ -718,6 +723,58 @@ def test_memo_count_keeps_the_deadline():
     assert (search.nodes, len(search.frontier)) == (256, 255)
     with pytest.raises(ValueError, match="root"):
         next(sv._CoverSearch(_table([(0,)], [1])).solutions([0], count=True))
+
+
+def test_count_walk_node_counts():
+    """Nodes of the capacity-1 count walk: a forced column first, the
+    fewest alive rows otherwise, and memo hits not entered."""
+    counts_and_nodes = {name: _count(table) for name, table, _ in _ladder()}
+    assert counts_and_nodes == {
+        "sts9": (840, 2618),
+        "latin4": (576, 1197),
+        "sudoku4": (288, 1049),
+        "res9": (20160, 58871),
+    }
+    sqs10 = enumerate_copies(Hypergraph.complete(10, 3), Hypergraph.complete(4, 3))
+    assert _count(sqs10) == (2520, 31782)
+
+
+def test_count_walk_matches_reference_when_rows_are_renumbered(monkeypatch):
+    # over 512 rows, most of them through column 0, so that once one is
+    # selected the alive rows are sparse enough for the count walk to renumber
+    renumbered = []
+    renumber = sv._renumber
+    monkeypatch.setattr(sv, "_renumber", lambda *a: renumbered.append(1) or renumber(*a))
+    rng = random.Random(3)
+    for ncols, width in ((20, 3), (16, 4)):
+        extra = rng.sample(list(combinations(range(1, ncols), width)), 600)
+        fps = sorted([(c,) for c in range(ncols)] + [(0, *fp) for fp in extra])
+        table = _table(fps, [1] * ncols)
+        _, solutions, nodes = _run(oracles.RefCoverSearch, table, count=True)
+        renumbered.clear()
+        count, count_nodes = _count(table)
+        # the singletons alone, or one row through column 0 and singletons
+        assert count == len(solutions) == 601
+        assert renumbered and count_nodes < nodes
+
+
+def test_count_walk_stops_with_a_frontier_of_disjoint_copies():
+    table = _ladder()[3][1]  # res9
+    for deadline, node_budget in ((time.monotonic() - 1, None), (None, 5000)):
+        search = sv._CoverSearch(table)
+        search.deadline, search.node_budget = deadline, node_budget
+        assert list(search.solutions(count=True)) == []
+        frontier = search.frontier
+        assert frontier and len(frontier) < search.nodes
+        columns = [c for r in frontier for c in table.footprints[r]]
+        assert len(columns) == len(set(columns))  # pairwise disjoint copies
+        assert len(set(frontier)) == len(frontier)
+        assert all(0 <= r < len(table.footprints) for r in frontier)
+
+
+def test_table_without_columns_counts_one():
+    assert count_decompositions(None, None, table=_table([], [])) == 1
+    assert _count(_table([()], [])) == (1, 1)
 
 
 def test_table_with_a_repeated_column_is_rejected():
