@@ -3,13 +3,14 @@
 Subcommands: check, solve, count, verify, encode, decode, nibble,
 typicality, lattice.  Every run is reproducible from its echoed config;
 randomized subcommands require an explicit seed.  Exit codes: 0 found/true,
-1 proven-none/false, 2 timeout, 3 input error.
+1 proven-none/false, 2 timeout, 3 input error (a usage error included).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -246,8 +247,6 @@ def cmd_check(args) -> int:
         pattern_partition = _spec(args.pattern_partition, "pattern partition", Partition)
         rep = dv.master_divisible(host, host_partition, [pattern], pattern_partition)
         doc["check"] = "coloured directed partite degree-vector lattice divisibility"
-    else:
-        raise InputError(f"unknown check kind {kind!r}")
     doc["verdict"] = rep.verdict
     doc["failures"] = [
         {"level": f.level, "witness": list(f.witness), "vector": list(f.vector)}
@@ -322,7 +321,8 @@ def cmd_encode(args) -> int:
         square = enc.LatinSquare.from_text(text)
         cert = enc.latin_encode(square)
     elif kind == "sudoku":
-        grid = enc.SudokuGrid.from_text(args.box_order, text)
+        rows = enc.LatinSquare.from_text(text).grid
+        grid = enc.SudokuGrid(_side(len(rows), 2, "grid rows"), rows)
         cert = enc.sudoku_encode(grid)
     elif kind == "mols":
         first_text, second_text = text.split("\n\n", 1)
@@ -330,8 +330,6 @@ def cmd_encode(args) -> int:
             enc.LatinSquare.from_text(first_text),
             enc.LatinSquare.from_text(second_text),
         )
-    else:
-        raise InputError(f"unknown encode kind {kind!r}")
     _emit(cert.to_json_dict(), args.format)
     return EXIT_TRUE
 
@@ -340,18 +338,27 @@ def cmd_decode(args) -> int:
     kind = args.kind
     with open(args.infile, encoding="utf-8") as fh:
         cert = enc.DesignCertificate.from_json_dict(json.load(fh))
+    # n**2 cells of an order-n square, (n**2)**2 of a box-order-n Sudoku grid
+    n = _side(len(cert.blocks), 4 if kind == "sudoku" else 2, "certificate blocks")
     if kind == "latin":
-        square = enc.latin_decode(cert, args.order)
+        square = enc.latin_decode(cert, n)
         sys.stdout.write(square.to_text() + "\n")
     elif kind == "sudoku":
-        grid = enc.sudoku_decode(cert, args.box_order)
+        grid = enc.sudoku_decode(cert, n)
         sys.stdout.write(grid.to_text() + "\n")
     elif kind == "mols":
-        first, second = enc.mols_decode(cert, args.order)
+        first, second = enc.mols_decode(cert, n)
         sys.stdout.write(first.to_text() + "\n\n" + second.to_text() + "\n")
-    else:
-        raise InputError(f"unknown decode kind {kind!r}")
     return EXIT_TRUE
+
+
+def _side(count: int, power: int, what: str) -> int:
+    """The positive n with n**power == count (power 2 or 4); any other
+    count is an input error."""
+    n = math.isqrt(count) if power == 2 else math.isqrt(math.isqrt(count))
+    if n < 1 or n**power != count:
+        raise InputError(f"{count} {what} are not n**{power} for a positive n")
+    return n
 
 
 def _fraction(text: str, option: str) -> Fraction:
@@ -403,8 +410,6 @@ def cmd_typicality(args) -> int:
         rep = is_typical_coloured(host, c, args.s, seed=args.seed)
     elif args.mode == "hp":
         rep = is_typical_hp(host, partition[1], pattern, partition[0], c, args.s)
-    else:
-        raise InputError(f"unknown typicality mode {args.mode!r}")
     doc = {
         "command": "typicality",
         "mode": rep.mode,
@@ -496,14 +501,11 @@ def build_parser() -> argparse.ArgumentParser:
     e = add("encode", help="designs to decomposition certificates")
     e.add_argument("--kind", required=True, choices=("latin", "sudoku", "mols"))
     e.add_argument("--infile", default="-")
-    e.add_argument("--box-order", type=int, default=3)
     e.set_defaults(func=cmd_encode)
 
     d = add("decode", help="decomposition certificates to designs")
     d.add_argument("--kind", required=True, choices=("latin", "sudoku", "mols"))
     d.add_argument("--infile", required=True)
-    d.add_argument("--order", type=int, default=0)
-    d.add_argument("--box-order", type=int, default=3)
     d.set_defaults(func=cmd_decode)
 
     nbp = add("nibble", help="random greedy matching bounds")
@@ -532,7 +534,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as stop:  # argparse exits 2, the timeout code, on a usage error
+        return EXIT_INPUT if stop.code else EXIT_TRUE
     try:
         return args.func(args)
     except (

@@ -408,10 +408,11 @@ class _CoverSearch:
     Counts are kept while they are the cheaper (many columns of few rows,
     as in K_n^(3) by K_4^(3)) and dropped for good once a subtree is not.
 
-    Counting on a table whose capacities are all 1 takes a walk of its own
-    (``_count_ones``).  Selecting a row there closes all its columns, so a
-    node's alive rows are exactly the rows whose columns are all open, and
-    the number of solutions below a node is a function of its open columns.
+    ``solutions`` is the find walk and ``count`` the one count.  On a table
+    whose capacities are all 1, ``count`` takes a walk of its own: selecting
+    a row there closes all its columns, so a node's alive rows are exactly
+    the rows whose columns are all open, and the number of solutions below
+    a node is a function of its open columns.
     Keyed by that set as an int, which renumbering leaves alone, a memo of
     two generations, each of at most ``_COUNT_MEMO`` entries, lives for one
     count.  That walk keeps no ``need`` or ``counts`` and takes the first
@@ -446,7 +447,7 @@ class _CoverSearch:
         self.node_budget = None
         self.frontier: list | None = None
 
-    def solutions(self, replay=None, count=False):
+    def solutions(self, replay=None):
         """Yield each solution's footprint indices in selection order.
 
         ``replay`` is a frontier of an earlier stopped search: the walk
@@ -455,18 +456,7 @@ class _CoverSearch:
         out, ``frontier`` becomes the selection leading to the node
         reached and the generator returns; it stays None after an
         exhausted search.
-
-        With ``count``, which takes no ``replay``, the walk yields one int
-        instead, the number of solutions, once it is exhausted.  When every
-        capacity is 1 that is the memoized walk of ``_count_ones``;
-        otherwise the walk below adds solutions up one by one.  Find mode
-        does not depend on which.
         """
-        if count and replay:
-            raise ValueError("a count starts at the root")
-        if count and all(k == 1 for k in self.capacities):
-            yield from self._count_ones()
-            return
         rows, need = self.rows, list(self.capacities)
         node_budget, deadline = self.node_budget, self.deadline
         n = len(rows)
@@ -477,7 +467,6 @@ class _CoverSearch:
         selection: list[int] = []
         stack: list[tuple] = []  # per selected row, its parent's state
         self.frontier = None
-        total = 0  # solutions counted
         while True:
             # enter the node whose state the locals hold
             self.nodes += 1
@@ -489,10 +478,7 @@ class _CoverSearch:
             here, replay = replay, ()
             cands, pos, need_c = (), 0, 1  # leaves and dead ends have no candidates
             if not open_cols:
-                if count:
-                    total += 1
-                else:
-                    yield list(selection)
+                yield list(selection)
             else:
                 n_alive = alive.bit_count()
                 if alive.bit_length() > 4 * n_alive + 64:
@@ -526,8 +512,6 @@ class _CoverSearch:
             while True:
                 if len(cands) - pos < need_c:  # too few rows of c are left
                     if not stack:
-                        if count:
-                            yield total
                         return
                     alive, masks, ids, open_cols, counts, cands, pos, rows_c, need_c, fp, killed = (
                         stack.pop()
@@ -577,16 +561,18 @@ class _CoverSearch:
             if closed:
                 open_cols = [x for x in open_cols if need[x]]
 
-    def _count_ones(self):
-        """The count walk of ``solutions(count=True)`` on a table whose
-        capacities are all 1: yields the number of solutions once, or sets
-        ``frontier`` and returns as ``solutions`` does.
+    def count(self) -> int | None:
+        """The number of solutions, or None when the node budget or the
+        deadline stops the walk, which sets ``frontier`` as ``solutions``
+        does: the footprint indices selected on the way to the node reached.
 
-        A node is its open columns as the bits of ``key`` and its alive rows;
-        selecting a row clears its columns' masks from the alive rows, as the
+        A table with a capacity above 1 is counted solution by solution in
+        the find walk.  On one whose capacities are all 1, a node is its
+        open columns as the bits of ``key`` and its alive rows; selecting a
+        row clears its columns' masks from the alive rows, as the
         capacity-1 rule leaves nothing else to track.  The walk branches on
-        the open column with the fewest alive rows, lowest index on ties, but
-        stops the scan at the first open column with at most one: it is
+        the open column with the fewest alive rows, lowest index on ties,
+        but stops the scan at the first open column with at most one: it is
         forced (one candidate) or dead (none), and a later column could
         improve on it only by being dead.  So the walk can enter a forced
         column before a dead one later in index order.  A node's count is
@@ -599,6 +585,9 @@ class _CoverSearch:
         sparse subtrees within a few nodes (at 64, a count of the resolvable
         STS(9) table renumbers 3 600 times and takes half as long again).
         """
+        if any(k != 1 for k in self.capacities):
+            total = sum(1 for _ in self.solutions())
+            return None if self.frontier is not None else total
         rows = self.rows
         node_budget, deadline = self.node_budget, self.deadline
         n = len(rows)
@@ -616,7 +605,7 @@ class _CoverSearch:
                 deadline is not None and self.nodes % 256 == 0 and time.monotonic() > deadline
             ):
                 self.frontier = [f[3][f[4][f[5] - 1]] for f in stack]
-                return
+                return None
             cands, pos, total = (), 0, 0
             if not key:  # only a root without columns; children of key 0 are not entered
                 total = 1
@@ -643,8 +632,7 @@ class _CoverSearch:
                     if len(new) >= _COUNT_MEMO:
                         old, new = new, {}
                     if not stack:
-                        yield total
-                        return
+                        return total
                     got = total
                     key, alive, masks, ids, cands, pos, total = stack.pop()
                     total += got
@@ -756,7 +744,7 @@ def count_decompositions(
     ``timeout``, copy enumeration included, raises TimeBudgetExceeded.
 
     On a table whose capacities are all 1 the count has a walk of its own
-    (see _CoverSearch._count_ones): subproblems with the same open columns
+    (see _CoverSearch.count): subproblems with the same open columns
     share one count through a bounded memo of two generations that lives
     for this call, and a column with at most one alive row is branched on
     as soon as the scan meets it.  Other tables are counted solution by
@@ -766,8 +754,8 @@ def count_decompositions(
     table = table or enumerate_copies(host, patterns, partition, budget, deadline)
     search = _CoverSearch(table)
     search.deadline = deadline
-    count = sum(search.solutions(count=True))
-    if search.frontier is not None:
+    count = search.count()
+    if count is None:
         raise TimeBudgetExceeded("counting hit the time budget")
     return count
 

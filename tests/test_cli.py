@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 import time
 from pathlib import Path
 
@@ -231,7 +232,6 @@ def test_encode_decode_roundtrip_via_files(tmp_path, capsys):
     cert_path.write_text(out)
     code2, out2 = run_cli(
         capsys, "decode", "--kind", "latin", "--infile", str(cert_path),
-        "--order", "2",
     )
     assert code2 == 0
     assert out2.strip().splitlines() == ["0 1", "1 0"]
@@ -524,3 +524,101 @@ def test_lattice_matrix_entry_that_is_not_an_integer_exits_3(entry, tmp_path, ca
     assert main(["lattice", "--matrix", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("input error: int-matrix entries")
+
+
+@pytest.mark.parametrize("argv", [
+    "solve",
+    "solve --host k_n:7 --timeout abc",
+    "check --kind nope",
+])
+def test_usage_error_exits_3(argv, capsys):
+    # argparse exits 2 on a usage error, the code of a timeout
+    assert main(argv.split()) == 3
+    assert "usage: decomp-lab" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["decode", "--help"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: decomp-lab")
+
+
+@pytest.mark.parametrize("kind, text", [
+    pytest.param("sudoku", "0 1 2 3\n2 3 0 1\n1 0 3 2\n3 2 1 0\n", id="box order 2"),
+    pytest.param("mols", "0 1 2\n1 2 0\n2 0 1\n\n0 1 2\n2 0 1\n1 2 0\n", id="orthogonal pair"),
+])
+def test_encode_decode_read_the_order_from_the_input(kind, text, tmp_path, capsys):
+    # --box-order defaulted to 3 and decode's --order to 0, so both needed options
+    src = tmp_path / "design.txt"
+    src.write_text(text)
+    code, out = run_cli(capsys, "encode", "--kind", kind, "--infile", str(src))
+    assert code == 0
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(out)
+    assert run_cli(capsys, "decode", "--kind", kind, "--infile", str(cert_path)) == (0, text)
+
+
+@pytest.mark.parametrize("kind, name, count, power", [
+    ("latin", "latin-triangles", 3, 2),
+    ("mols", "mols-cliques", 0, 2),
+    ("sudoku", "sudoku-copies", 4, 4),
+])
+def test_decode_of_a_block_count_that_fits_no_order_exits_3(
+    kind, name, count, power, tmp_path, capsys
+):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"type": "design-certificate", "kind": name,
+                                "blocks": [[0, 2, 4]] * count}))
+    assert main(["decode", "--kind", kind, "--infile", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"input error: {count} certificate blocks are not n**{power} for a positive n\n"
+    )
+
+
+def test_encode_of_a_sudoku_grid_whose_rows_fit_no_box_order_exits_3(tmp_path, capsys):
+    src = tmp_path / "grid.txt"
+    src.write_text("0 1 2\n1 2 0\n2 0 1\n")
+    assert main(["encode", "--kind", "sudoku", "--infile", str(src)]) == 3
+    assert capsys.readouterr().err.startswith("input error: 3 grid rows are not n**2")
+
+
+def _readme_examples() -> list[list[str]]:
+    """The words of each command in the README's Examples block; a quoted
+    argument may run on over lines."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\nExamples:\n", 1)[1].split("```")[1]
+    commands, pending = [], ""
+    for line in block.splitlines()[1:]:  # after the language tag
+        pending += line
+        try:
+            words = shlex.split(pending, comments=True)
+        except ValueError:  # no closing quotation yet
+            pending += "\n"
+            continue
+        if words:
+            commands.append(words)
+        pending = ""
+    return commands
+
+
+def test_readme_examples_exit_0(tmp_path, monkeypatch, capsys):
+    """Every example exits 0.  Text echoed into a command goes in through
+    --infile, and a command's output is written where > sends it."""
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for words in _readme_examples():
+        out_path = None
+        if ">" in words:
+            words, out_path = words[: words.index(">")], words[-1]
+        if words[0] == "echo":
+            Path("stdin.txt").write_text(words[1] + "\n")
+            words = words[words.index("|") + 1:] + ["--infile", "stdin.txt"]
+        assert words[0] == "decomp-lab", words
+        code, out = run_cli(capsys, *words[1:])
+        assert code == 0, words
+        if out_path:
+            Path(out_path).write_text(out)
+        ran.append(words[1])
+    assert {"check", "solve", "count", "encode", "decode"} <= set(ran)

@@ -288,9 +288,10 @@ def _random_table(rng, ncols: int, nrows: int) -> CopyTable:
 KILL_COSTS = (None, 0, 1600, 10**30)
 
 
-def _run(engine, table, node_budget=None, replay=None, count=False, kill_cost=None):
-    """(outcome, solutions in the order reported, nodes) of one search; the
-    outcome is True/False, or ("timeout", frontier)."""
+def _run(engine, table, node_budget=None, replay=None, every=False, kill_cost=None):
+    """(outcome, solutions in the order reported, nodes) of one search, which
+    stops at the first solution unless ``every``; the outcome is True/False,
+    or ("timeout", frontier)."""
     search = engine(table)
     search.node_budget = node_budget
     if kill_cost is not None:
@@ -300,7 +301,7 @@ def _run(engine, table, node_budget=None, replay=None, count=False, kill_cost=No
 
         def on_solution(sel):
             solutions.append(sel)
-            return not count
+            return not every
 
         try:
             outcome = search.run(on_solution, replay)
@@ -309,11 +310,11 @@ def _run(engine, table, node_budget=None, replay=None, count=False, kill_cost=No
         return outcome, solutions, search.nodes
     for sel in search.solutions(replay):
         solutions.append(sel)
-        if not count:
+        if not every:
             break
     if search.frontier is not None:
         return ("timeout", search.frontier), solutions, search.nodes
-    return bool(solutions) and not count, solutions, search.nodes
+    return bool(solutions) and not every, solutions, search.nodes
 
 
 def _assert_same_search(table, budgets, resume_budget=None):
@@ -339,7 +340,7 @@ def test_engine_matches_reference_on_random_tables():
     outcomes = set()
     for _ in range(300):
         table = _random_table(rng, rng.randint(3, 8), rng.randint(3, 30))
-        nodes = _run(oracles.RefCoverSearch, table, count=True)[2]
+        nodes = _run(oracles.RefCoverSearch, table, every=True)[2]
         budgets = [None] + rng.sample(range(1, nodes + 1), min(3, nodes))
         _assert_same_search(table, budgets)
         outcomes.add(_run(sv._CoverSearch, table)[0])
@@ -362,12 +363,12 @@ def test_ladder_node_counts():
     """Node counts of the benchmark ladder under the branching rule: fewest
     alive rows, lowest column on ties, rows in ascending order."""
     sts9 = enumerate_copies(Hypergraph.complete(9, 2), TRIANGLE)
-    assert _run(sv._CoverSearch, sts9, count=True)[2] == 6553
+    assert _run(sv._CoverSearch, sts9, every=True)[2] == 6553
     res9 = resolvable_sts_instance(9)
     table = enumerate_copies(
         res9.host, res9.pattern, (res9.pattern_partition, res9.host_partition)
     )
-    outcome, solutions, nodes = _run(sv._CoverSearch, table, count=True)
+    outcome, solutions, nodes = _run(sv._CoverSearch, table, every=True)
     assert (len(solutions), nodes) == (20160, 144229)
     for host, pattern, nodes in [
         (Hypergraph.complete(6, 2), TRIANGLE, 13),
@@ -636,7 +637,7 @@ def test_verify_rejects_weights_that_are_not_ints(w):
 def _count(table):
     """(count, nodes) of one counting walk of the engine."""
     search = sv._CoverSearch(table)
-    count = sum(search.solutions(count=True))
+    count = search.count()
     assert search.frontier is None
     return count, search.nodes
 
@@ -651,7 +652,7 @@ def test_memo_counts_match_reference_on_random_tables():
     for i in range(160):
         table = _random_table(rng, rng.randint(3, 9), rng.randint(3, 40))
         for t in (table, _capacity_one(table)):
-            _, solutions, nodes = _run(oracles.RefCoverSearch, t, count=True)
+            _, solutions, nodes = _run(oracles.RefCoverSearch, t, every=True)
             count, memo_nodes = _count(t)
             assert count == len(solutions)
             if max(t.capacities) > 1:  # the memo is off: the plain walk
@@ -672,7 +673,7 @@ def test_memo_counts_match_reference_when_rows_are_renumbered():
     rng = random.Random(11)
     for _ in range(4):
         table = _capacity_one(_random_table(rng, rng.randint(12, 14), rng.randint(90, 140)))
-        _, solutions, nodes = _run(oracles.RefCoverSearch, table, count=True)
+        _, solutions, nodes = _run(oracles.RefCoverSearch, table, every=True)
         count, memo_nodes = _count(table)
         assert count == len(solutions) and memo_nodes < nodes
 
@@ -700,7 +701,7 @@ def test_memo_counts_on_the_ladder():
         count, nodes = _count(table)
         assert count == expected, name
         if name != "res9":  # its plain count is pinned in test_ladder_node_counts
-            _, solutions, plain_nodes = _run(sv._CoverSearch, table, count=True)
+            _, solutions, plain_nodes = _run(sv._CoverSearch, table, every=True)
             assert len(solutions) == expected and nodes < plain_nodes
 
 
@@ -711,7 +712,7 @@ def test_memo_counts_stay_exact_when_generations_turn_over(monkeypatch):
     rng = random.Random(5)
     for _ in range(40):
         table = _capacity_one(_random_table(rng, rng.randint(5, 9), rng.randint(10, 40)))
-        _, solutions, _ = _run(oracles.RefCoverSearch, table, count=True)
+        _, solutions, _ = _run(oracles.RefCoverSearch, table, every=True)
         assert _count(table)[0] == len(solutions)
 
 
@@ -719,10 +720,8 @@ def test_memo_count_keeps_the_deadline():
     n = 1500
     search = sv._CoverSearch(_table([(c,) for c in range(n)], [1] * n))
     search.deadline = time.monotonic() - 1
-    assert list(search.solutions(count=True)) == []
+    assert search.count() is None
     assert (search.nodes, len(search.frontier)) == (256, 255)
-    with pytest.raises(ValueError, match="root"):
-        next(sv._CoverSearch(_table([(0,)], [1])).solutions([0], count=True))
 
 
 def test_count_walk_node_counts():
@@ -750,7 +749,7 @@ def test_count_walk_matches_reference_when_rows_are_renumbered(monkeypatch):
         extra = rng.sample(list(combinations(range(1, ncols), width)), 600)
         fps = sorted([(c,) for c in range(ncols)] + [(0, *fp) for fp in extra])
         table = _table(fps, [1] * ncols)
-        _, solutions, nodes = _run(oracles.RefCoverSearch, table, count=True)
+        _, solutions, nodes = _run(oracles.RefCoverSearch, table, every=True)
         renumbered.clear()
         count, count_nodes = _count(table)
         # the singletons alone, or one row through column 0 and singletons
@@ -763,7 +762,7 @@ def test_count_walk_stops_with_a_frontier_of_disjoint_copies():
     for deadline, node_budget in ((time.monotonic() - 1, None), (None, 5000)):
         search = sv._CoverSearch(table)
         search.deadline, search.node_budget = deadline, node_budget
-        assert list(search.solutions(count=True)) == []
+        assert search.count() is None
         frontier = search.frontier
         assert frontier and len(frontier) < search.nodes
         columns = [c for r in frontier for c in table.footprints[r]]
@@ -775,6 +774,24 @@ def test_count_walk_stops_with_a_frontier_of_disjoint_copies():
 def test_table_without_columns_counts_one():
     assert count_decompositions(None, None, table=_table([], [])) == 1
     assert _count(_table([()], [])) == (1, 1)
+
+
+def test_count_with_a_capacity_above_one():
+    # K_6 with every edge twice, one colour: 20 triangles, and 12 = 6!/60
+    # decompositions, as the simple 2-(6,3,2) design is unique with an
+    # automorphism group of order 60
+    host = ColouredMultigraph(6, 2, 1, tuple((e, (2,)) for e in combinations(range(6), 2)))
+    pattern = ColouredMultigraph(3, 2, 1, tuple((e, (1,)) for e in combinations(range(3), 2)))
+    table = enumerate_copies(host, pattern)
+    assert (len(table.footprints), set(table.capacities)) == (20, {2})
+    assert count_decompositions(host, pattern) == 12
+    _, solutions, nodes = _run(oracles.RefCoverSearch, table, every=True)
+    assert (len(solutions), nodes) == (12, 146)
+    assert _count(table) == (12, 146)
+    search = sv._CoverSearch(table)
+    search.node_budget = 20
+    assert search.count() is None
+    assert search.frontier and search.nodes == 21
 
 
 def test_table_with_a_repeated_column_is_rejected():
