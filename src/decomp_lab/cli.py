@@ -325,7 +325,9 @@ def cmd_encode(args) -> int:
         grid = enc.SudokuGrid(_side(len(rows), 2, "grid rows"), rows)
         cert = enc.sudoku_encode(grid)
     elif kind == "mols":
-        first_text, second_text = text.split("\n\n", 1)
+        first_text, blank, second_text = text.partition("\n\n")
+        if not blank:
+            raise InputError("mols input needs a blank line and then the second square")
         cert = enc.mols_encode(
             enc.LatinSquare.from_text(first_text),
             enc.LatinSquare.from_text(second_text),

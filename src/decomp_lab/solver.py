@@ -386,6 +386,9 @@ class SolveResult:
 # Keys per generation of a count's memo: hits are local in walk order, so two
 # small generations keep nearly all of them within a bounded size.
 _COUNT_MEMO = 4096
+# Bits of one numbering's per-row conflict masks in a count (rows² of them):
+# below it, entering a child is one mask operation, above it one per column.
+_CONFLICT_BITS = 1 << 24
 
 
 class _CoverSearch:
@@ -407,6 +410,10 @@ class _CoverSearch:
     ``alive * width**3 / open`` per node for ``width``-column footprints.
     Counts are kept while they are the cheaper (many columns of few rows,
     as in K_n^(3) by K_4^(3)) and dropped for good once a subtree is not.
+    While they are kept, a closed column's entry carries an offset larger
+    than any open column's count, so the first least entry of ``counts`` is
+    the column the rule picks and no list of open columns is kept; that
+    list is built from ``need`` when counts are dropped, for the mask scan.
 
     ``solutions`` is the find walk and ``count`` the one count.  On a table
     whose capacities are all 1, ``count`` takes a walk of its own: selecting
@@ -417,31 +424,47 @@ class _CoverSearch:
     two generations, each of at most ``_COUNT_MEMO`` entries, lives for one
     count.  That walk keeps no ``need`` or ``counts`` and takes the first
     open column with at most one alive row without scanning the rest.
+    While a numbering's rows² bits fit ``_CONFLICT_BITS``, it keeps per row
+    the OR of its columns' masks, so entering a child kills its dead rows in
+    one operation; above that it clears the columns' masks one by one.
 
-    A footprint naming a column twice, a negative column or one past the
-    capacities raises ValueError.
+    The masks are built in one pass over the footprints, last to first,
+    into one bytearray per column sized by the column's last row.  A
+    capacity below 1, or a footprint naming a column twice, a negative
+    column or one past the capacities raises ValueError.
     """
 
     def __init__(self, table: CopyTable):
-        self.rows = table.footprints
+        rows = self.rows = table.footprints
         self.capacities = list(table.capacities)
-        # keyed by column, so a negative column is missing, not the one that
-        # many places from the end
-        col_rows: dict[int, list[int]] = {c: [] for c in range(len(self.capacities))}
+        ncols = len(self.capacities)
+        for c, k in enumerate(self.capacities):
+            if k < 1:
+                raise ValueError(f"column {c} has capacity {k}, below 1")
+        # one bytearray per column, as or-ing bits into an int is quadratic;
+        # rows are read last to first, so each is sized by its column's last
+        # row.  Keyed by column, so a negative column is missing, not the one
+        # that many places from the end.
+        bufs = dict.fromkeys(range(ncols), b"")
         try:
-            for r, fp in enumerate(self.rows):
+            for r in range(len(rows) - 1, -1, -1):
+                fp = rows[r]
+                byte, bit = r >> 3, 1 << (r & 7)
                 for c in fp:
-                    col_rows[c].append(r)
+                    buf = bufs[c]
+                    if not buf:
+                        buf = bufs[c] = bytearray(byte + 1)
+                    buf[byte] |= bit
         except KeyError:
             raise ValueError(
                 f"footprint {fp} names a negative column or one past the "
-                f"{len(col_rows)} capacities"
+                f"{ncols} capacities"
             ) from None
-        self.masks = [_mask(rows) for rows in col_rows.values()]
-        self.counts = [m.bit_count() for m in self.masks]  # _mask sets a repeated bit once
-        if sum(self.counts) != sum(map(len, self.rows)):
+        self.masks = [int.from_bytes(bufs.pop(c), "little") for c in range(ncols)]
+        self.counts = [m.bit_count() for m in self.masks]  # a repeated column sets its bit once
+        if sum(self.counts) != sum(map(len, rows)):
             raise ValueError("a footprint names a column twice")
-        self.kill_cost = 1800 * max(map(len, self.rows), default=0) ** 3
+        self.kill_cost = 1800 * max(map(len, rows), default=0) ** 3
         self.nodes = 0
         self.deadline = None
         self.node_budget = None
@@ -461,8 +484,11 @@ class _CoverSearch:
         node_budget, deadline = self.node_budget, self.deadline
         n = len(rows)
         alive, masks, ids = (1 << n) - 1, self.masks, range(n)
-        open_cols = [c for c, k in enumerate(need) if k > 0]
-        counts = list(self.counts)
+        # while counts are kept, a closed column's entry is offset by shut, more
+        # than any open column's, so the first least entry is the open column
+        # the rule picks; open_cols is kept only once counts are dropped
+        shut = n + 1
+        counts, open_cols, n_open = list(self.counts), None, len(need)
         replay = replay or ()
         selection: list[int] = []
         stack: list[tuple] = []  # per selected row, its parent's state
@@ -477,21 +503,22 @@ class _CoverSearch:
                 return
             here, replay = replay, ()
             cands, pos, need_c = (), 0, 1  # leaves and dead ends have no candidates
-            if not open_cols:
+            if not n_open:
                 yield list(selection)
             else:
                 n_alive = alive.bit_count()
                 if alive.bit_length() > 4 * n_alive + 64:
                     alive, masks, ids = _renumber(alive, ids, rows, len(masks))
                 # the column with the fewest alive rows, lowest index on ties; the
-                # two per-node costs of the class docstring, both times 30 * len(open_cols)
+                # two per-node costs of the class docstring, both times 30 * n_open
                 if counts is not None and (
-                    len(open_cols) ** 2 * (1200 + alive.bit_length()) > self.kill_cost * n_alive
+                    n_open**2 * (1200 + alive.bit_length()) > self.kill_cost * n_alive
                 ):
-                    c = min(open_cols, key=counts.__getitem__)
-                    least = counts[c]
+                    least = min(counts)
+                    c = counts.index(least)
                 else:
-                    counts = None
+                    if counts is not None:
+                        counts, open_cols = None, [x for x, k in enumerate(need) if k]
                     least = n + 1
                     for col in open_cols:
                         k = (masks[col] & alive).bit_count()
@@ -513,15 +540,17 @@ class _CoverSearch:
                 if len(cands) - pos < need_c:  # too few rows of c are left
                     if not stack:
                         return
-                    alive, masks, ids, open_cols, counts, cands, pos, rows_c, need_c, fp, killed = (
-                        stack.pop()
-                    )
+                    (alive, masks, ids, open_cols, n_open, counts, cands, pos, rows_c, need_c,
+                     fp, killed) = stack.pop()
                     selection.pop()
+                    if counts is not None:
+                        for col in fp:
+                            if not need[col]:
+                                counts[col] -= shut
+                        for col in chain.from_iterable(killed):
+                            counts[col] += 1
                     for col in fp:
                         need[col] += 1
-                    for kfp in killed:
-                        for col in kfp:
-                            counts[col] += 1
                     replay = ()
                     continue
                 r = cands[pos]
@@ -531,14 +560,14 @@ class _CoverSearch:
                 fp = rows[ids[r]]
                 done = 0
                 viable = True
-                closed = False
+                closed = 0
                 for col in fp:
                     done += 1
                     k = need[col] - 1
                     need[col] = k
                     if k == 0:
                         sub &= ~masks[col]
-                        closed = True
+                        closed += 1
                     elif (masks[col] & sub).bit_count() < k:
                         viable = False
                         break
@@ -550,16 +579,22 @@ class _CoverSearch:
             killed = ()
             if counts is not None:
                 killed = [rows[ids[k]] for k in _bits(alive ^ sub)]
-                for kfp in killed:
-                    for col in kfp:
-                        counts[col] -= 1
+                for col in chain.from_iterable(killed):
+                    counts[col] -= 1
+                if closed:
+                    for col in fp:
+                        if not need[col]:
+                            counts[col] += shut
             stack.append(
-                (alive, masks, ids, open_cols, counts, cands, pos, rows_c, need_c, fp, killed)
+                (alive, masks, ids, open_cols, n_open, counts, cands, pos, rows_c, need_c,
+                 fp, killed)
             )
             selection.append(ids[r])
             alive = sub
             if closed:
-                open_cols = [x for x in open_cols if need[x]]
+                n_open -= closed
+                if open_cols is not None:
+                    open_cols = [x for x in open_cols if need[x]]
 
     def count(self) -> int | None:
         """The number of solutions, or None when the node budget or the
@@ -569,8 +604,9 @@ class _CoverSearch:
         A table with a capacity above 1 is counted solution by solution in
         the find walk.  On one whose capacities are all 1, a node is its
         open columns as the bits of ``key`` and its alive rows; selecting a
-        row clears its columns' masks from the alive rows, as the
-        capacity-1 rule leaves nothing else to track.  The walk branches on
+        row clears its conflict mask (or, above ``_CONFLICT_BITS``, its
+        columns' masks) from the alive rows, as the capacity-1 rule leaves
+        nothing else to track.  The walk branches on
         the open column with the fewest alive rows, lowest index on ties,
         but stops the scan at the first open column with at most one: it is
         forced (one candidate) or dead (none), and a later column could
@@ -593,9 +629,10 @@ class _CoverSearch:
         n = len(rows)
         row_keys = [sum(1 << col for col in fp) for fp in rows]
         key, alive, masks, ids = (1 << len(self.masks)) - 1, (1 << n) - 1, self.masks, range(n)
+        conf = _conflicts(masks, ids, rows)
         new: dict[int, int] = {}
         old: dict[int, int] = {}
-        # per entered child, its parent's (key, alive, masks, ids, cands, pos, total)
+        # per entered child, its parent's (key, alive, masks, ids, conf, cands, pos, total)
         stack: list[tuple] = []
         self.frontier = None
         while True:
@@ -604,7 +641,7 @@ class _CoverSearch:
             if (node_budget is not None and self.nodes > node_budget) or (
                 deadline is not None and self.nodes % 256 == 0 and time.monotonic() > deadline
             ):
-                self.frontier = [f[3][f[4][f[5] - 1]] for f in stack]
+                self.frontier = [f[3][f[5][f[6] - 1]] for f in stack]
                 return None
             cands, pos, total = (), 0, 0
             if not key:  # only a root without columns; children of key 0 are not entered
@@ -612,6 +649,7 @@ class _CoverSearch:
             else:
                 if alive.bit_length() > 4 * alive.bit_count() + 512:
                     alive, masks, ids = _renumber(alive, ids, rows, len(masks))
+                    conf = _conflicts(masks, ids, rows)
                 least = n + 1
                 scan = key
                 while scan:
@@ -634,7 +672,7 @@ class _CoverSearch:
                     if not stack:
                         return total
                     got = total
-                    key, alive, masks, ids, cands, pos, total = stack.pop()
+                    key, alive, masks, ids, conf, cands, pos, total = stack.pop()
                     total += got
                     continue
                 r = cands[pos]
@@ -646,9 +684,12 @@ class _CoverSearch:
                     if got is None:
                         break
                 total += got
-            stack.append((key, alive, masks, ids, cands, pos, total))
-            for col in rows[ids[r]]:
-                alive &= ~masks[col]
+            stack.append((key, alive, masks, ids, conf, cands, pos, total))
+            if conf is not None:
+                alive &= ~conf[r]
+            else:
+                for col in rows[ids[r]]:
+                    alive &= ~masks[col]
             key = child
 
 
@@ -658,20 +699,25 @@ def _renumber(alive: int, ids, rows, ncols: int) -> tuple:
     indices."""
     ids = [ids[i] for i in _bits(alive)]
     masks = [0] * ncols
-    for i, r in enumerate(ids):
+    for bit, r in zip(map((1).__lshift__, range(len(ids))), ids):
         for col in rows[r]:
-            masks[col] |= 1 << i
+            masks[col] |= bit
     return (1 << len(ids)) - 1, masks, ids
 
 
-def _mask(bits: list[int]) -> int:
-    """The int with exactly the given bits (ascending) set."""
-    if not bits:
-        return 0
-    buf = bytearray(bits[-1] // 8 + 1)  # or-ing bits into an int is quadratic
-    for b in bits:
-        buf[b >> 3] |= 1 << (b & 7)
-    return int.from_bytes(buf, "little")
+def _conflicts(masks, ids, rows) -> list | None:
+    """Per row number of a numbering, the rows that selecting it kills in a
+    capacity-1 table: the OR of its columns' masks.  None when the rows²
+    bits would pass _CONFLICT_BITS."""
+    if len(ids) ** 2 > _CONFLICT_BITS:
+        return None
+    conf = []
+    for r in ids:
+        m = 0
+        for col in rows[r]:
+            m |= masks[col]
+        conf.append(m)
+    return conf
 
 
 def _bits(x: int) -> list[int]:
@@ -690,6 +736,17 @@ def _bits(x: int) -> list[int]:
         out.append(low.bit_length() - 1)
         x ^= low
     return out
+
+
+def _deadline(t0: float, timeout: float | None) -> float | None:
+    """The ``time.monotonic()`` instant ``timeout`` seconds after t0, or None
+    for no timeout.  0 stops at the first check and inf never does; NaN,
+    which no clock reading passes, and a negative timeout raise ValueError."""
+    if timeout is None:
+        return None
+    if not timeout >= 0:
+        raise ValueError(f"timeout must be 0 or more seconds, not {timeout}")
+    return t0 + timeout
 
 
 def find_decomposition(
@@ -711,7 +768,7 @@ def find_decomposition(
     resume starts over); ``budget`` caps its nodes as in enumerate_copies.
     """
     t0 = time.monotonic()
-    deadline = None if timeout is None else t0 + timeout
+    deadline = _deadline(t0, timeout)
     try:
         table = table or enumerate_copies(host, patterns, partition, budget, deadline)
     except TimeBudgetExceeded:
@@ -750,7 +807,7 @@ def count_decompositions(
     as soon as the scan meets it.  Other tables are counted solution by
     solution in the find walk, whose node counts, certificates and
     frontiers the count walk leaves alone."""
-    deadline = None if timeout is None else time.monotonic() + timeout
+    deadline = _deadline(time.monotonic(), timeout)
     table = table or enumerate_copies(host, patterns, partition, budget, deadline)
     search = _CoverSearch(table)
     search.deadline = deadline

@@ -59,6 +59,23 @@ def test_count_timeout_exits_two(monkeypatch, capsys):
     assert main(list(argv)) == 3
 
 
+@pytest.mark.parametrize("command", ["solve", "count"])
+@pytest.mark.parametrize("timeout", ["nan", "-1"])
+def test_nan_or_negative_timeout_exits_3(command, timeout, capsys):
+    # --timeout nan ran with no time limit (exit 0), and -1 timed out (exit 2)
+    argv = [command, "--host", "k_n:9", "--pattern", "triangle", "--timeout", timeout]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: timeout must be 0 or more seconds")
+
+
+def test_infinite_timeout_is_no_limit(capsys):
+    code, out = run_cli(capsys, "count", "--host", "k_n:7", "--pattern", "triangle",
+                        "--timeout", "inf")
+    assert (code, json.loads(out)["count"]) == (0, 30)
+
+
 def test_timeout_covers_copy_enumeration(capsys):
     # unbounded, enumerating K_24^(3) by K_4^(3) takes seconds; the time
     # budget stops it, and both commands report a timeout
@@ -574,6 +591,18 @@ def test_decode_of_a_block_count_that_fits_no_order_exits_3(
     assert captured.out == ""
     assert captured.err == (
         f"input error: {count} certificate blocks are not n**{power} for a positive n\n"
+    )
+
+
+def test_encode_of_mols_without_a_blank_line_exits_3(tmp_path, capsys):
+    # the missing second square used to surface as a failed tuple unpacking
+    src = tmp_path / "square.txt"
+    src.write_text("0 1\n1 0\n")
+    assert main(["encode", "--kind", "mols", "--infile", str(src)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: mols input needs a blank line and then the second square\n"
     )
 
 

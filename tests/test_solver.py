@@ -818,3 +818,79 @@ def test_table_with_a_negative_column_is_rejected():
         find_decomposition(None, None, table=table)
     with pytest.raises(ValueError, match="negative column"):
         count_decompositions(None, None, table=table)
+
+
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_table_with_a_capacity_below_one_is_rejected(capacity):
+    # column 1 used to be covered beyond its capacity: find reported "found"
+    # and a count 1
+    table = _table([(0, 1)], [1, capacity])
+    with pytest.raises(ValueError, match=f"column 1 has capacity {capacity}, below 1"):
+        find_decomposition(None, None, table=table)
+    with pytest.raises(ValueError, match="below 1"):
+        count_decompositions(None, None, table=table)
+
+
+@pytest.mark.parametrize("timeout", [math.nan, -1.0, -math.inf])
+def test_nan_and_negative_timeouts_are_rejected(timeout):
+    # a NaN deadline is never passed, so the search ran with no limit at all
+    with pytest.raises(ValueError, match="timeout must be 0 or more seconds"):
+        find_decomposition(Hypergraph.complete(9, 2), TRIANGLE, timeout=timeout)
+    with pytest.raises(ValueError, match="timeout must be 0 or more seconds"):
+        count_decompositions(Hypergraph.complete(7, 2), TRIANGLE, timeout=timeout)
+
+
+def test_zero_and_infinite_timeouts_keep_their_meaning():
+    host = Hypergraph.complete(9, 2)
+    assert find_decomposition(host, TRIANGLE, timeout=math.inf).status == "found"
+    assert count_decompositions(Hypergraph.complete(7, 2), TRIANGLE, timeout=math.inf) == 30
+    assert find_decomposition(host, TRIANGLE, timeout=0).status == "timeout"
+    with pytest.raises(TimeBudgetExceeded):
+        count_decompositions(host, TRIANGLE, timeout=0)
+
+
+# ---------------------------------------------------------------------------
+# the engine build and the count walk's conflict masks
+
+
+def test_engine_build_matches_a_per_column_reference():
+    rng = random.Random(20261020)
+    for _ in range(60):
+        ncols = rng.randint(2, 12)  # _random_table picks two hot columns
+        table = _random_table(rng, ncols, rng.randint(1, 200))
+        fps = table.footprints
+        search = sv._CoverSearch(table)
+        masks = [sum(1 << r for r, fp in enumerate(fps) if c in fp) for c in range(ncols)]
+        assert search.masks == masks
+        assert search.counts == [sum(c in fp for fp in fps) for c in range(ncols)]
+        r = rng.randrange(len(fps))
+        for bad, message in (
+            (fps[r] + fps[r][:1], "twice"),
+            ((-rng.randint(1, ncols),) + fps[r], "negative column"),
+            (fps[r] + (ncols + rng.randint(0, 3),), f"past the {ncols} capacities"),
+        ):
+            broken = replace(table, footprints=fps[:r] + [bad] + fps[r + 1:])
+            with pytest.raises(ValueError, match=message):
+                sv._CoverSearch(broken)
+
+
+def test_count_walk_kills_the_same_rows_with_and_without_conflict_masks(monkeypatch):
+    """Counts and nodes agree whether a child's dead rows come from one
+    conflict mask or from its columns' masks, on the ladder and in subtrees
+    that renumber their rows with and without conflict masks."""
+    rng = random.Random(3)
+    extra = rng.sample(list(combinations(range(1, 20), 3)), 600)
+    renumbering = _table(sorted([(c,) for c in range(20)] + [(0, *fp) for fp in extra]), [1] * 20)
+    tables = [table for _, table, _ in _ladder()] + [renumbering]
+    built = []
+    conflicts = sv._conflicts
+    monkeypatch.setattr(sv, "_conflicts", lambda *a: built.append(conflicts(*a)) or built[-1])
+    expected = [_count(table) for table in tables]
+    assert all(conf is not None for conf in built)
+    for bits in (0, 300**2):  # none at all; none at the 620-row root only
+        monkeypatch.setattr(sv, "_CONFLICT_BITS", bits)
+        built.clear()
+        assert [_count(table) for table in tables] == expected
+        assert all(conf is None or len(conf) ** 2 <= bits for conf in built)
+        assert any(conf is None for conf in built)
+    assert any(conf is not None for conf in built)  # renumbered subtrees under 300 rows
