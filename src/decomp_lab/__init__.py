@@ -6,6 +6,8 @@ finds and counts decompositions by exact-cover search, and simulates the
 random greedy matching process with its counting bounds.
 """
 
+import logging
+
 from .core import (
     ColouredMultidigraph,
     ColouredMultigraph,
@@ -66,3 +68,5 @@ from .weights import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

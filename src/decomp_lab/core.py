@@ -72,7 +72,7 @@ def inj_extends(sup: Inj, sub: Inj) -> bool:
 
 def injections(i: int, n: int) -> list[tuple]:
     """All injections [i] -> [n] as value tuples, lexicographically sorted."""
-    return sorted(permutations(range(n), i))
+    return list(permutations(range(n), i))
 
 
 # ---------------------------------------------------------------------------

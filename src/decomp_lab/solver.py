@@ -10,13 +10,18 @@ carrying a resumable frontier.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
 from .intlattice import SpanChecker
+
+_log = logging.getLogger(__name__)
 
 
 class BudgetExceeded(RuntimeError):
@@ -422,8 +427,9 @@ class _CoverSearch:
     a node is a function of its open columns.
     Keyed by that set as an int, which renumbering leaves alone, a memo of
     two generations, each of at most ``_COUNT_MEMO`` entries, lives for one
-    count.  That walk keeps no ``need`` or ``counts`` and takes the first
-    open column with at most one alive row without scanning the rest.
+    count, or for the counts of one orbit walk's leaves.  That walk keeps
+    no ``need`` or ``counts`` and takes the first open column with at most
+    one alive row without scanning the rest.
     While a numbering's rows² bits fit ``_CONFLICT_BITS``, it keeps per row
     the OR of its columns' masks, so entering a child kills its dead rows in
     one operation; above that it clears the columns' masks one by one.
@@ -469,6 +475,16 @@ class _CoverSearch:
         self.deadline = None
         self.node_budget = None
         self.frontier: list | None = None
+
+    @cached_property
+    def row_keys(self) -> list[int]:
+        """Per row, its columns as the bits of an int."""
+        return [sum(1 << col for col in fp) for fp in self.rows]
+
+    @cached_property
+    def conflicts(self) -> list | None:
+        """The rows' conflict masks in table order (see _conflicts)."""
+        return _conflicts(self.masks, range(len(self.rows)), self.rows)
 
     def solutions(self, replay=None):
         """Yield each solution's footprint indices in selection order.
@@ -596,7 +612,7 @@ class _CoverSearch:
                 if open_cols is not None:
                     open_cols = [x for x in open_cols if need[x]]
 
-    def count(self) -> int | None:
+    def count(self, start=None) -> int | None:
         """The number of solutions, or None when the node budget or the
         deadline stops the walk, which sets ``frontier`` as ``solutions``
         does: the footprint indices selected on the way to the node reached.
@@ -620,18 +636,27 @@ class _CoverSearch:
         find walk's 64: each one rebuilds every mask, and memo hits end most
         sparse subtrees within a few nodes (at 64, a count of the resolvable
         STS(9) table renumbers 3 600 times and takes half as long again).
+
+        ``start``, on a capacity-1 table only, is a node to count from
+        instead of the root: ``(key, alive, memo)`` with ``key`` its open
+        columns, ``alive`` the rows, in table order, whose columns are all
+        open, and ``memo`` the ``[new, old]`` generations, which the walk
+        reads and leaves updated.  As a memo key is an open-column set, one
+        memo serves every start on the table.  The frontier is then the rows
+        selected below ``start``.
         """
         if any(k != 1 for k in self.capacities):
             total = sum(1 for _ in self.solutions())
             return None if self.frontier is not None else total
-        rows = self.rows
+        rows, row_keys, conf = self.rows, self.row_keys, self.conflicts
         node_budget, deadline = self.node_budget, self.deadline
         n = len(rows)
-        row_keys = [sum(1 << col for col in fp) for fp in rows]
-        key, alive, masks, ids = (1 << len(self.masks)) - 1, (1 << n) - 1, self.masks, range(n)
-        conf = _conflicts(masks, ids, rows)
-        new: dict[int, int] = {}
-        old: dict[int, int] = {}
+        masks, ids = self.masks, range(n)
+        if start is None:
+            key, alive, memo = (1 << len(masks)) - 1, (1 << n) - 1, [{}, {}]
+        else:
+            key, alive, memo = start
+        new, old = memo
         # per entered child, its parent's (key, alive, masks, ids, conf, cands, pos, total)
         stack: list[tuple] = []
         self.frontier = None
@@ -650,17 +675,7 @@ class _CoverSearch:
                 if alive.bit_length() > 4 * alive.bit_count() + 512:
                     alive, masks, ids = _renumber(alive, ids, rows, len(masks))
                     conf = _conflicts(masks, ids, rows)
-                least = n + 1
-                scan = key
-                while scan:
-                    low = scan & -scan
-                    col = low.bit_length() - 1
-                    k = (masks[col] & alive).bit_count()
-                    if k < least:
-                        c, least = col, k
-                        if k <= 1:
-                            break
-                    scan ^= low
+                c, least = _least_column(key, masks, alive)
                 if least:
                     cands = _bits(masks[c] & alive)
             # add up the candidates, entering the next one the memo does not know
@@ -670,6 +685,7 @@ class _CoverSearch:
                     if len(new) >= _COUNT_MEMO:
                         old, new = new, {}
                     if not stack:
+                        memo[:] = new, old
                         return total
                     got = total
                     key, alive, masks, ids, conf, cands, pos, total = stack.pop()
@@ -749,6 +765,319 @@ def _deadline(t0: float, timeout: float | None) -> float | None:
     return t0 + timeout
 
 
+# ---------------------------------------------------------------------------
+# vertex symmetries of a copy table: twin classes and orbit-weighted counts
+
+
+def _vertex_keys(atoms, ordered: bool) -> list | None:
+    """Per column key, (vertex tuple, colour) with the colour None when
+    uncoloured; None unless every key is an arc (``ordered``) or a sorted
+    edge of vertices (ints from 0), alone or paired with an int colour.
+    Vertex maps then map distinct keys to distinct keys."""
+    out = []
+    for atom in atoms:
+        item, colour = atom, None
+        if type(atom) is tuple and len(atom) == 2 and type(atom[0]) is tuple:
+            item, colour = atom
+            if type(colour) is not int:
+                return None
+        if type(item) is not tuple or not all(type(v) is int and v >= 0 for v in item):
+            return None
+        if not ordered and list(item) != sorted(item):
+            return None
+        out.append((item, colour))
+    return out
+
+
+class _Action:
+    """A copy table read as a structure on the host's vertices, whose
+    column keys are ``keys`` (see _vertex_keys): the images of its columns
+    and rows under a vertex map ``perm``, a dict from each vertex it moves
+    to that vertex's image.  ``ordered`` says whether a key's vertex tuple
+    is an arc (kept in position order) or an edge (sorted)."""
+
+    def __init__(self, table: CopyTable, ordered: bool, keys: list):
+        self.keys, self.ordered = keys, ordered
+        self.capacities, self.footprints = table.capacities, table.footprints
+        self.column = {key: c for c, key in enumerate(table.atoms)}
+        self.row = {tuple(sorted(fp)): r for r, fp in enumerate(table.footprints)}
+        self.col_verts = [sum({1 << v for v in item}) for item, _ in keys]
+        self.row_verts = [0] * len(self.footprints)
+        self.cols_of: dict[int, list] = {}  # per vertex, the columns through it
+        self.rows_of: list[list] = [[] for _ in keys]  # per column, its rows
+        self.through: dict[int, set] = {}  # per vertex tested, the rows through it
+        for c, (item, _) in enumerate(keys):
+            for v in set(item):
+                self.cols_of.setdefault(v, []).append(c)
+        for r, fp in enumerate(self.footprints):
+            for c in fp:
+                self.rows_of[c].append(r)
+                self.row_verts[r] |= self.col_verts[c]
+
+    def rows_through(self, v: int) -> set:
+        """The rows with a column through vertex v."""
+        rows = self.through.get(v)
+        if rows is None:
+            rows = self.through[v] = {r for c in self.cols_of[v] for r in self.rows_of[c]}
+        return rows
+
+    def column_image(self, c: int, perm: dict) -> int | None:
+        """The column whose key is the image of column c's key, when there
+        is one of the same capacity."""
+        item, colour = self.keys[c]
+        item = tuple(perm.get(v, v) for v in item)
+        if not self.ordered:
+            item = tuple(sorted(item))
+        image = self.column.get(item if colour is None else (item, colour))
+        if image is None or self.capacities[image] != self.capacities[c]:
+            return None
+        return image
+
+    def row_image(self, r: int, columns: dict) -> int | None:
+        """The row whose footprint is row r's under the column images
+        ``columns`` (unlisted columns fixed), when there is one."""
+        return self.row.get(tuple(sorted([columns.get(c, c) for c in self.footprints[r]])))
+
+    def swaps(self, u: int, v: int) -> bool:
+        """Whether the transposition (u v) is an automorphism.  It maps the
+        columns through u one to one into those through v, and so the rows;
+        so when u and v lie on equally many of each, the columns and rows
+        through u having images makes it an automorphism."""
+        cols_u, rows_u = self.cols_of[u], self.rows_through(u)
+        if len(cols_u) != len(self.cols_of[v]) or len(rows_u) != len(self.rows_through(v)):
+            return False
+        perm = {u: v, v: u}
+        columns = {}
+        for c in cols_u:
+            image = self.column_image(c, perm)
+            if image is None:
+                return False
+            columns[c] = image
+            columns[image] = c
+        return all(self.row_image(r, columns) is not None for r in rows_u)
+
+    def twin_classes(self) -> list[list[int]]:
+        """The vertices of the column keys in classes of twins, in order of
+        least member: u and v are twins when the transposition (u v) is an
+        automorphism.  That relation is an equivalence, so each vertex is
+        tested against one member of each class found.  With N(u) the
+        vertices sharing a column with u, twins u and v have N(u) less v
+        equal to N(v) less u; so a class whose members share columns lies
+        in one set of equal closed neighbourhoods N(u) + u and any other in
+        one set of equal open ones N(u), and only vertices of one such set
+        are tested against each other, closed sets first."""
+        nbrs: dict[int, set] = {}
+        for item, _ in self.keys:
+            for v in item:
+                nbrs.setdefault(v, set()).update(item)
+        classes, pending = [], sorted(nbrs)
+        for closed in (True, False):
+            groups: dict[frozenset, list] = {}
+            for v in pending:
+                groups.setdefault(frozenset(nbrs[v] if closed else nbrs[v] - {v}), []).append(v)
+            pending = []
+            for group in groups.values():
+                found: list[list] = []
+                for v in group:
+                    for cls in found:
+                        if self.swaps(cls[0], v):
+                            cls.append(v)
+                            break
+                    else:
+                        found.append([v])
+                for cls in found:
+                    if len(cls) > 1 or not closed:
+                        classes.append(cls)
+                    else:
+                        pending.append(cls[0])
+        return sorted(classes)
+
+
+def _action(table: CopyTable, ordered: bool) -> _Action | None:
+    """The table's _Action, or None when its column keys are not vertex
+    keys or two footprints have the same columns."""
+    keys = _vertex_keys(table.atoms, ordered)
+    if keys is None:
+        return None
+    act = _Action(table, ordered, keys)
+    return act if len(act.row) == len(table.footprints) else None
+
+
+def _table_action(table: CopyTable, ordered: bool, perm) -> tuple | None:
+    """(column images, row images) of the table, as lists by index, under
+    the permutation ``perm`` of the host's vertices (a sequence or a dict,
+    vertices past a sequence's end or missing from a dict fixed), or None
+    when it is not an automorphism: a column key whose image is no column
+    of the same capacity (colours and arc positions included), or a
+    footprint whose image is no footprint.  A table whose column keys are
+    not vertex keys (see _vertex_keys), or with two footprints of the same
+    columns, has no action: None."""
+    items = perm.items() if isinstance(perm, dict) else enumerate(perm)
+    perm = {v: w for v, w in items if v != w}
+    if set(perm) != set(perm.values()):
+        raise ValueError("perm is not a permutation")
+    act = _action(table, ordered)
+    if act is None:
+        return None
+    columns = [act.column_image(c, perm) for c in range(len(table.atoms))]
+    if None in columns:
+        return None
+    images = dict(enumerate(columns))
+    rows = [act.row_image(r, images) for r in range(len(table.footprints))]
+    return None if None in rows else (columns, rows)
+
+
+def _twin_classes(table: CopyTable, ordered: bool) -> list[list[int]]:
+    """The twin classes of the vertices of the table's column keys (see
+    _Action.twin_classes), singletons included; [] when its column keys are
+    not vertex keys."""
+    act = _action(table, ordered)
+    return act.twin_classes() if act else []
+
+
+def _orbit_count(search: _CoverSearch, act: _Action, classes: list) -> tuple[int, int, int]:
+    """(count, orbit nodes, leaves) of the capacity-1 table of ``search``,
+    whose twin classes of two or more vertices are ``classes``.
+
+    A node is a set of selected rows, with its open columns ``key``, alive
+    rows ``alive`` and touched vertices ``touched``, those of its selected
+    rows.  The product H of the symmetric groups on each class's untouched
+    vertices less those of a column c fixes the closed columns and c, so it
+    maps the node's residual problem and c's candidate rows to themselves,
+    and candidates in one H-orbit have equal counts.  A node branches on
+    the column the count walk would pick and adds |orbit| times the count
+    of each orbit's least row.  Orbits come from union-find over one
+    transposition and one cycle per class whose untouched vertices less
+    c's are two or more and meet the candidates.  Once no class has two
+    untouched vertices, the node is a leaf, counted by ``search.count``
+    from its state; every node, leaf or not, shares one memo.  The walk
+    keeps an explicit stack, and passing ``search.deadline`` at any node
+    raises TimeBudgetExceeded.
+    """
+    rows, masks, row_keys, conf = search.rows, search.masks, search.row_keys, search.conflicts
+    deadline = search.deadline
+    class_of = {v: i for i, cls in enumerate(classes) for v in cls}
+    left = [len(cls) for cls in classes]  # untouched vertices per class
+    big = len(classes)  # classes with two or more of them
+    memo: list[dict] = [{}, {}]
+    key, alive, touched = (1 << len(masks)) - 1, (1 << len(rows)) - 1, 0
+    nodes = leaves = 0
+    # per entered child, its parent's (key, alive, touched, orbits, pos, total)
+    stack: list[tuple] = []
+    while True:
+        # enter the node whose state the locals hold
+        nodes += 1
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeBudgetExceeded("counting hit the time budget")
+        orbits, pos, total = (), 0, 0
+        if not key:
+            total = 1
+        elif not big:
+            leaves += 1
+            total = search.count((key, alive, memo))
+            if total is None:
+                raise TimeBudgetExceeded("counting hit the time budget")
+        else:
+            c, least = _least_column(key, masks, alive)
+            if least:
+                fixed = touched | act.col_verts[c]
+                orbits = _candidate_orbits(act, _bits(masks[c] & alive), fixed, classes, class_of)
+        # add up the orbits, entering the next one the memo does not know
+        while True:
+            if pos == len(orbits):
+                new = memo[0]
+                new[key] = total
+                if len(new) >= _COUNT_MEMO:
+                    memo[:] = {}, new
+                if not stack:
+                    return total, nodes, leaves
+                got = total
+                key, alive, was, orbits, pos, total = stack.pop()
+                for v in _bits(touched ^ was):
+                    i = class_of.get(v)
+                    if i is not None:
+                        left[i] += 1
+                        big += left[i] == 2
+                touched = was
+            else:
+                r = orbits[pos][0]
+                pos += 1
+                child = key ^ row_keys[r]
+                got = memo[0].get(child, memo[1].get(child)) if child else 1
+                if got is None:
+                    break
+            total += orbits[pos - 1][1] * got
+        stack.append((key, alive, touched, orbits, pos, total))
+        if conf is not None:
+            alive &= ~conf[r]
+        else:
+            for col in rows[r]:
+                alive &= ~masks[col]
+        key = child
+        for v in _bits(act.row_verts[r] & ~touched):
+            i = class_of.get(v)
+            if i is not None:
+                left[i] -= 1
+                big -= left[i] == 1
+        touched |= act.row_verts[r]
+
+
+def _candidate_orbits(act: _Action, cands: list, fixed: int, classes: list, class_of: dict) -> list:
+    """(least row, size) of each orbit, in order of least row, of the
+    candidate rows ``cands`` under the product of the symmetric groups on
+    each class's vertices outside the bits of ``fixed``."""
+    free = 0
+    for r in cands:
+        free |= act.row_verts[r]
+    free &= ~fixed
+    parent = {r: r for r in cands}
+
+    def find(r):
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        return r
+
+    for i in sorted({class_of[v] for v in _bits(free) if v in class_of}):
+        moved = [v for v in classes[i] if not fixed >> v & 1]
+        if len(moved) < 2:
+            continue
+        bits = sum(1 << v for v in moved)
+        cycle = dict(zip(moved, moved[1:] + moved[:1]))
+        for perm in ({moved[0]: moved[1], moved[1]: moved[0]}, cycle)[: 1 + (len(moved) > 2)]:
+            columns: dict = {}
+            for r in cands:
+                if act.row_verts[r] & bits:
+                    for col in act.footprints[r]:
+                        if col not in columns and act.col_verts[col] & bits:
+                            columns[col] = act.column_image(col, perm)
+                    a, b = find(r), find(act.row_image(r, columns))
+                    if a != b:
+                        parent[max(a, b)] = min(a, b)
+    sizes: dict[int, int] = {}
+    for r in cands:
+        root = find(r)
+        sizes[root] = sizes.get(root, 0) + 1
+    return sorted(sizes.items())
+
+
+def _least_column(key: int, masks: list, alive: int) -> tuple[int, int]:
+    """(column, alive rows in it) by the count walk's rule: the open column
+    (a bit of ``key``) with the fewest alive rows, lowest on ties, the scan
+    stopping at the first one with at most one."""
+    least = alive.bit_count() + 1
+    c = -1
+    while key:
+        low = key & -key
+        col = low.bit_length() - 1
+        k = (masks[col] & alive).bit_count()
+        if k < least:
+            c, least = col, k
+            if k <= 1:
+                break
+        key ^= low
+    return c, least
+
+
 def find_decomposition(
     host,
     patterns,
@@ -804,16 +1133,42 @@ def count_decompositions(
     (see _CoverSearch.count): subproblems with the same open columns
     share one count through a bounded memo of two generations that lives
     for this call, and a column with at most one alive row is branched on
-    as soon as the scan meets it.  Other tables are counted solution by
+    as soon as the scan meets it.  When such a table comes with its host
+    and has a class of two or more twin vertices (see _Action.twin_classes),
+    the walk's upper levels branch on orbits of candidates instead
+    (see _orbit_count), and hand the nodes below them to the count walk;
+    the count is the same int.  Other tables are counted solution by
     solution in the find walk, whose node counts, certificates and
-    frontiers the count walk leaves alone."""
+    frontiers the count walk leaves alone.  Each call logs one DEBUG record
+    on the ``decomp_lab.solver`` logger: the twin class sizes with the orbit
+    nodes, leaves and leaf nodes, or why the plain walk ran (no host, a
+    capacity above 1, or no twin class) with its nodes."""
     deadline = _deadline(time.monotonic(), timeout)
     table = table or enumerate_copies(host, patterns, partition, budget, deadline)
     search = _CoverSearch(table)
     search.deadline = deadline
+    plain = None
+    if host is None:
+        plain = "no host"
+    elif any(k != 1 for k in search.capacities):
+        plain = "a capacity above 1"
+    else:
+        act = _action(table, host._ordered)
+        classes = [] if act is None else [c for c in act.twin_classes() if len(c) > 1]
+        if not classes:
+            plain = "no twin class"
+    if plain is None:
+        count, nodes, leaves = _orbit_count(search, act, classes)
+        _log.debug(
+            "count %d: twin classes by size %s, %d orbit nodes, %d leaves, %d leaf nodes",
+            count, dict(sorted(Counter(map(len, classes)).items(), reverse=True)),
+            nodes, leaves, search.nodes,
+        )
+        return count
     count = search.count()
     if count is None:
         raise TimeBudgetExceeded("counting hit the time budget")
+    _log.debug("count %d: plain walk (%s), %d nodes", count, plain, search.nodes)
     return count
 
 

@@ -39,7 +39,8 @@ orbit walk of its own), kept verbatim as references for reports, infos,
 edge vectors, weight systems and orbit lists.  `ref_verify_resolvable` and
 `ref_verify_large_set` are the earlier triple-system verifiers, each with
 its own block, class and pair checks, kept verbatim as references for
-verdicts.
+verdicts.  `ref_twin_classes` finds a copy table's twin vertices by trying
+every transposition on every column key and footprint.
 """
 
 from __future__ import annotations
@@ -593,6 +594,48 @@ def ref_forced_count(table: CopyTable) -> tuple[int, int]:
         )
 
     return walk(frozenset(range(len(table.capacities))), list(range(len(rows)))), nodes
+
+
+def ref_twin_classes(table: CopyTable, ordered: bool) -> list[list[int]]:
+    """Twin classes of the vertices of a copy table's column keys, by brute
+    force: for every pair u < v, the transposition (u v) is applied to every
+    column key, with its capacity, and to every footprint read as its set of
+    keys, and u, v are twins when both sets come back unchanged.  The
+    classes are the connected parts of that relation, singletons included,
+    each sorted and in order of least member.  A key is an edge or arc of
+    vertices, or such a tuple paired with a colour; edges are sorted after
+    the swap unless ``ordered``."""
+
+    def split(atom):
+        return atom if isinstance(atom[0], tuple) else (atom, None)
+
+    def swap(atom, u, v):
+        item, colour = split(atom)
+        item = tuple(v if x == u else u if x == v else x for x in item)
+        item = item if ordered else tuple(sorted(item))
+        return item if colour is None else (item, colour)
+
+    capacity = dict(zip(table.atoms, table.capacities))
+    copies = {frozenset(table.atoms[c] for c in fp) for fp in table.footprints}
+    verts = sorted({x for atom in table.atoms for x in split(atom)[0]})
+    part = {x: x for x in verts}
+
+    def root(x):
+        while part[x] != x:
+            x = part[x]
+        return x
+
+    for u, v in combinations(verts, 2):
+        if {swap(a, u, v): k for a, k in capacity.items()} != capacity:
+            continue
+        if {frozenset(swap(a, u, v) for a in fp) for fp in copies} != copies:
+            continue
+        a, b = root(u), root(v)
+        part[max(a, b)] = min(a, b)
+    classes: dict[int, list] = {}
+    for x in verts:
+        classes.setdefault(root(x), []).append(x)
+    return sorted(classes.values())
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,12 @@ from decomp_lab.divisibility import h_balanced, hp_divisible, shift_regular
 from decomp_lab.encodings import resolvable_sts_instance, sudoku_pattern
 
 
+def test_injections_are_in_lexicographic_order():
+    for n in range(7):
+        for i in range(n + 1):
+            assert injections(i, n) == sorted(permutations(range(n), i))
+
+
 def test_neighbourhood_complete_graph():
     k7 = Hypergraph.complete(7, 2)
     nb = k7.neighbourhood((0,))

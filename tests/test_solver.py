@@ -1,7 +1,11 @@
 """Exact-cover solver: search, counting, verification, integral oracle."""
 
+import logging
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -678,21 +682,28 @@ def test_memo_counts_match_reference_when_rows_are_renumbered():
         assert count == len(solutions) and memo_nodes < nodes
 
 
-def _ladder():
-    """(name, table, count) of the counting ladder; res9 is the resolvable
-    Steiner triple systems of order 9 with their parallel classes labelled."""
+def _ladder_instances():
+    """(name, host, pattern, partition or None, count) of the counting
+    ladder; res9 is the resolvable Steiner triple systems of order 9 with
+    their parallel classes labelled."""
     latin_host, latin_part = triangle_host(4)
     tri, tri_part = triangle_pattern()
     sud, sud_part = sudoku_pattern()
     sud_host, sud_host_part = sudoku_host(2)
     res9 = resolvable_sts_instance(9)
     return [
-        ("sts9", enumerate_copies(Hypergraph.complete(9, 2), TRIANGLE), 840),
-        ("latin4", enumerate_copies(latin_host, tri, (tri_part, latin_part)), 576),
-        ("sudoku4", enumerate_copies(sud_host, sud, (sud_part, sud_host_part)), 288),
-        ("res9", enumerate_copies(
-            res9.host, res9.pattern, (res9.pattern_partition, res9.host_partition)
-        ), 840 * 24),
+        ("sts9", Hypergraph.complete(9, 2), TRIANGLE, None, 840),
+        ("latin4", latin_host, tri, (tri_part, latin_part), 576),
+        ("sudoku4", sud_host, sud, (sud_part, sud_host_part), 288),
+        ("res9", res9.host, res9.pattern, (res9.pattern_partition, res9.host_partition), 840 * 24),
+    ]
+
+
+def _ladder():
+    """(name, table, count) of the counting ladder."""
+    return [
+        (name, enumerate_copies(host, pattern, partition), count)
+        for name, host, pattern, partition, count in _ladder_instances()
     ]
 
 
@@ -894,3 +905,264 @@ def test_count_walk_kills_the_same_rows_with_and_without_conflict_masks(monkeypa
         assert all(conf is None or len(conf) ** 2 <= bits for conf in built)
         assert any(conf is None for conf in built)
     assert any(conf is not None for conf in built)  # renumbered subtrees under 300 rows
+
+
+# ---------------------------------------------------------------------------
+# twin classes of the copy table and orbit-weighted counting
+
+
+def _relabel(host, partition, rng):
+    """The host, and the partition's host side, with the vertices renamed
+    by a shuffled permutation, as the benchmark relabels its instances."""
+    perm = list(range(host.n))
+    rng.shuffle(perm)
+    new = Hypergraph.from_edges(host.n, host.r, [[perm[v] for v in e] for e in host.edges])
+    if partition is None:
+        return new, None
+    pattern_part, host_part = partition
+    host_part = Partition.from_lists([[perm[v] for v in p] for p in host_part.parts])
+    return new, (pattern_part, host_part)
+
+
+def _orbit_record(caplog, call):
+    """(result of call, the message of its one count record)."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="decomp_lab"):
+        got = call()
+    (record,) = [r for r in caplog.records if r.name == "decomp_lab.solver"]
+    return got, record.getMessage()
+
+
+def test_twin_classes_and_counts_on_the_relabelled_ladder():
+    rng = random.Random(20261021)
+    sizes = {"sts9": [9], "latin4": [4, 4, 4], "sudoku4": [2] * 6, "res9": [9, 4]}
+    for name, host, pattern, partition, expected in _ladder_instances():
+        for k in range(8):
+            h, part = _relabel(host, partition, rng)
+            table = enumerate_copies(h, pattern, part)
+            classes = sv._twin_classes(table, False)
+            assert classes == oracles.ref_twin_classes(table, False), name
+            assert sorted((len(c) for c in classes if len(c) > 1), reverse=True) == sizes[name]
+            assert count_decompositions(h, pattern, part, table=table) == expected, name
+            if k == 0:
+                assert _count(table)[0] == expected, name
+
+
+def test_orbit_walk_node_counts(caplog):
+    """Orbit nodes, leaves and count-walk nodes below the leaves of the
+    orbit walk on the ladder as labelled."""
+    stats = {
+        "sts9": "twin classes by size {9: 1}, 5 orbit nodes, 1 leaves, 49 leaf nodes",
+        "latin4": "twin classes by size {4: 3}, 50 orbit nodes, 18 leaves, 98 leaf nodes",
+        "sudoku4": "twin classes by size {2: 6}, 2 orbit nodes, 1 leaves, 287 leaf nodes",
+        "res9": "twin classes by size {9: 1, 4: 1}, 49 orbit nodes, 36 leaves, 297 leaf nodes",
+    }
+    for name, host, pattern, partition, expected in _ladder_instances():
+        _, message = _orbit_record(caplog, lambda: count_decompositions(host, pattern, partition))
+        assert message == f"count {expected}: {stats[name]}"
+
+
+def test_twin_classes_of_k9_less_a_triangle():
+    host = Hypergraph.from_edges(
+        9, 2, [e for e in combinations(range(9), 2) if not set(e) <= {0, 1, 2}]
+    )
+    table = enumerate_copies(host, TRIANGLE)
+    classes = [[0, 1, 2], [3, 4, 5, 6, 7, 8]]
+    assert sv._twin_classes(table, False) == oracles.ref_twin_classes(table, False) == classes
+    assert count_decompositions(host, TRIANGLE, table=table) == _count(table)[0] == 120
+
+
+def test_twin_classes_of_a_coloured_tripartite_rainbow_host():
+    # parts of 4, each edge coloured by the pair of parts it joins: a rainbow
+    # triangle has one vertex per part, so decompositions are Latin squares
+    parts = [range(0, 4), range(4, 8), range(8, 12)]
+    colour_classes = [
+        [(u, v) for u in parts[i] for v in parts[j]] for i, j in combinations(range(3), 2)
+    ]
+    host = ColouredMultigraph.from_colour_classes(12, 2, 3, colour_classes)
+    patterns = rainbow_family(3)
+    table = enumerate_copies(host, patterns)
+    assert set(table.capacities) == {1}
+    twins = [list(p) for p in parts]
+    assert sv._twin_classes(table, False) == oracles.ref_twin_classes(table, False) == twins
+    assert count_decompositions(host, patterns, table=table) == _count(table)[0] == 576
+
+
+def test_twin_classes_read_arcs_in_position_order(caplog):
+    # the transitive tournament on 4 vertices: read as arcs no two vertices
+    # are twins, read as sorted edges it is K_4 and all four are
+    host = Digraph.from_arcs(4, 2, list(combinations(range(4), 2)))
+    arc = Digraph.from_arcs(2, 2, [(0, 1)])
+    table = enumerate_copies(host, arc)
+    singletons = [[0], [1], [2], [3]]
+    assert sv._twin_classes(table, True) == oracles.ref_twin_classes(table, True) == singletons
+    one = [[0, 1, 2, 3]]
+    assert sv._twin_classes(table, False) == oracles.ref_twin_classes(table, False) == one
+    count, message = _orbit_record(caplog, lambda: count_decompositions(host, arc, table=table))
+    assert count == 1 and "plain walk (no twin class)" in message
+
+
+def test_tables_without_vertex_keys_have_no_action(caplog):
+    table = _table([(0,), (1,), (0, 1)], [1, 1])  # column keys 0 and 1
+    assert sv._twin_classes(table, False) == []
+    assert sv._table_action(table, False, [1, 0]) is None
+    for atoms in ([(0, 1), (1, "a")], [((0, 1), "red"), ((1, 2), 0)], [(0, -1), (1, 2)]):
+        assert sv._twin_classes(replace(table, atoms=atoms), False) == []
+    # an edge not in sorted order, and two footprints of the same columns
+    assert sv._twin_classes(replace(table, atoms=[(1, 0), (1, 2)]), False) == []
+    assert sv._twin_classes(replace(table, atoms=[(1, 0), (1, 2)]), True) == [[0, 2], [1]]
+    assert sv._twin_classes(replace(table, atoms=[(0, 1), (2, 3)]), False) == [[0, 1], [2, 3]]
+    doubled = replace(table, atoms=[(0, 1), (2, 3)], footprints=table.footprints + [(1, 0)])
+    assert sv._twin_classes(doubled, False) == []
+    count, message = _orbit_record(caplog, lambda: count_decompositions(None, None, table=table))
+    assert count == 2 and "plain walk (no host)" in message
+    host = Hypergraph.complete(3, 2)
+    count, message = _orbit_record(caplog, lambda: count_decompositions(host, None, table=table))
+    assert count == 2 and "plain walk (no twin class)" in message
+
+
+def test_table_action_maps_columns_and_rows_onto_the_table():
+    table = enumerate_copies(Hypergraph.complete(9, 2), TRIANGLE)
+    rng = random.Random(4)
+    for _ in range(10):
+        perm = list(range(9))
+        rng.shuffle(perm)
+        columns, rows = sv._table_action(table, False, perm)
+        assert sorted(columns) == list(range(36)) and sorted(rows) == list(range(84))
+        for c, a in enumerate(table.atoms):
+            assert table.atoms[columns[c]] == tuple(sorted(perm[v] for v in a))
+        for r, fp in enumerate(table.footprints):
+            assert table.footprints[rows[r]] == tuple(sorted(columns[c] for c in fp))
+    identity = (list(range(36)), list(range(84)))
+    assert sv._table_action(table, False, {}) == sv._table_action(table, False, {3: 3}) == identity
+    assert sv._table_action(table, False, {0: 1, 1: 0}) is not None
+    # a footprint without an image, then a capacity that changes
+    fewer = replace(table, footprints=table.footprints[1:])  # no triangle 012
+    assert sv._table_action(fewer, False, {0: 3, 3: 0}) is None
+    assert sv._table_action(fewer, False, {7: 8, 8: 7}) is not None
+    # the rows through 0 all have images under (0 3), but not those through 3
+    classes = [[0, 1, 2], [3, 4, 5, 6, 7, 8]]
+    assert sv._twin_classes(fewer, False) == oracles.ref_twin_classes(fewer, False) == classes
+    doubled = replace(table, capacities=[2] + table.capacities[1:])  # edge 01
+    assert sv._table_action(doubled, False, {1: 2, 2: 1}) is None
+    assert sv._table_action(doubled, False, {0: 1, 1: 0}) is not None
+    latin_host, latin_part = triangle_host(4)
+    tri, tri_part = triangle_pattern()
+    latin = enumerate_copies(latin_host, tri, (tri_part, latin_part))
+    assert sv._table_action(latin, False, {0: 4, 4: 0}) is None  # across parts
+    with pytest.raises(ValueError, match="not a permutation"):
+        sv._table_action(table, False, {0: 1})
+
+
+def test_orbit_count_keeps_an_explicit_stack(caplog):
+    # 1500 twin pairs, one orbit level per edge, deeper than Python's
+    # default recursion limit of 1000
+    n = 1500
+    host = Hypergraph.from_edges(2 * n, 2, [(2 * i, 2 * i + 1) for i in range(n)])
+    table = CopyTable(
+        atoms=[(2 * i, 2 * i + 1) for i in range(n)],
+        capacities=[1] * n,
+        footprints=[(i,) for i in range(n)],
+        embeddings=[(0, (2 * i, 2 * i + 1)) for i in range(n)],
+        multiplicities=[2] * n,
+    )
+    count, message = _orbit_record(
+        caplog, lambda: count_decompositions(host, Hypergraph.complete(2, 2), table=table)
+    )
+    assert count == 1 and "1500 orbit nodes" in message
+
+
+def test_orbit_count_keeps_the_deadline():
+    host = Hypergraph.complete(9, 2)
+    with pytest.raises(TimeBudgetExceeded):
+        count_decompositions(host, TRIANGLE, timeout=0)
+    table = enumerate_copies(host, TRIANGLE)
+    with pytest.raises(TimeBudgetExceeded):  # at the first orbit node
+        count_decompositions(host, TRIANGLE, table=table, timeout=0)
+    # in a leaf, whose count walk stops
+    act = sv._action(table, False)
+    search = sv._CoverSearch(table)
+    search.node_budget = 1
+    with pytest.raises(TimeBudgetExceeded):
+        sv._orbit_count(search, act, [c for c in act.twin_classes() if len(c) > 1])
+
+
+def test_orbit_counts_of_latin_5_sqs_10_and_cyclic_triangles(caplog):
+    # Latin squares of order 5: 161 280 (McKay & Wanless 2005)
+    host, part = triangle_host(5)
+    tri, tri_part = triangle_pattern()
+    _, message = _orbit_record(caplog, lambda: count_decompositions(host, tri, (tri_part, part)))
+    assert message == (
+        "count 161280: twin classes by size {5: 3}, 2028 orbit nodes, 432 leaves, 1892 leaf nodes"
+    )
+    for host, pattern, expected in [
+        (Hypergraph.complete(10, 3), Hypergraph.complete(4, 3), 2520),
+        (Digraph.complete(7, 2), tight_cycle(3, 2), 480),
+    ]:
+        table = enumerate_copies(host, pattern)
+        assert count_decompositions(host, pattern, table=table) == _count(table)[0] == expected
+
+
+def _planted_host(rng, kind: str, n: int):
+    """(host, pattern) with the host the union of edge-disjoint copies of
+    the pattern placed at random, so it has a decomposition: K_3 on a plain
+    graph, the cyclic triangle on a digraph, and rainbow triangles, each
+    with its own colouring, on a 3-coloured graph."""
+    used: dict = {}
+    for _ in range(3 * n):
+        a, b, c = rng.sample(range(n), 3)
+        slots = [(a, b), (b, c), (c, a)]
+        if kind != "arcs":
+            slots = [tuple(sorted(e)) for e in slots]
+        if not any(e in used for e in slots):
+            used.update(zip(slots, rng.sample(range(3), 3)))
+    if kind == "plain":
+        return Hypergraph.from_edges(n, 2, used), TRIANGLE
+    if kind == "arcs":
+        return Digraph.from_arcs(n, 2, used), tight_cycle(3, 2)
+    classes = [[e for e, d in used.items() if d == colour] for colour in range(3)]
+    return ColouredMultigraph.from_colour_classes(n, 2, 3, classes), rainbow_family(3)
+
+
+def test_orbit_counts_match_the_plain_walk_on_random_hosts():
+    rng = random.Random(20261021)
+    seen = set()
+    for i in range(120):
+        kind = rng.choice(("plain", "arcs", "coloured"))
+        if i % 2:
+            host, pattern = _planted_host(rng, kind, rng.randint(5, 10))
+        else:
+            r = rng.choice((2, 3)) if kind == "plain" else 2
+            n = rng.randint(r + 2, 9)
+            host = _random_structure(rng, kind, n, r, rng.choice((0.5, 0.8, 1.0)), one_colour=True)
+            pattern = _random_structure(rng, kind, r + 1, r, 1.0, one_colour=True)
+            if kind == "coloured":
+                pattern = rainbow_family(3)
+        table = enumerate_copies(host, pattern)
+        ordered = host._ordered
+        classes = sv._twin_classes(table, ordered)
+        assert classes == oracles.ref_twin_classes(table, ordered)
+        count = count_decompositions(host, pattern, table=table)
+        assert count == _count(table)[0]
+        seen.add((any(len(c) > 1 for c in classes), min(count, 2)))
+    assert seen == {(twins, count) for twins in (False, True) for count in (0, 1, 2)}
+
+
+def test_counts_with_a_capacity_above_one_run_the_plain_walk(caplog):
+    host = ColouredMultigraph(6, 2, 1, tuple((e, (2,)) for e in combinations(range(6), 2)))
+    pattern = ColouredMultigraph(3, 2, 1, tuple((e, (1,)) for e in combinations(range(3), 2)))
+    count, message = _orbit_record(caplog, lambda: count_decompositions(host, pattern))
+    assert count == 12 and "plain walk (a capacity above 1), 146 nodes" in message
+
+
+def test_the_decomp_lab_logger_is_silent_by_default():
+    code = (
+        "import logging\n"
+        "from decomp_lab import Hypergraph, count_decompositions\n"
+        "logging.getLogger('decomp_lab').setLevel(logging.DEBUG)\n"
+        "print(count_decompositions(Hypergraph.complete(7, 2), Hypergraph.complete(3, 2)))\n"
+        "print([type(h).__name__ for h in logging.getLogger('decomp_lab').handlers])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "30\n['NullHandler']\n", "")
