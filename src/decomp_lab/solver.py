@@ -427,9 +427,11 @@ class _CoverSearch:
     a node is a function of its open columns.
     Keyed by that set as an int, which renumbering leaves alone, a memo of
     two generations, each of at most ``_COUNT_MEMO`` entries, lives for one
-    count, or for the counts of one orbit walk's leaves.  That walk keeps
-    no ``need`` or ``counts`` and takes the first open column with at most
-    one alive row without scanning the rest.
+    count.  That walk keeps no ``need`` or ``counts`` and takes the first
+    open column with at most one alive row without scanning the rest.  Given
+    the twin classes of the host's vertices, its upper levels branch on
+    orbits of candidate rows and count each orbit once, weighted by its
+    size; the levels below run as without them.
     While a numbering's rows² bits fit ``_CONFLICT_BITS``, it keeps per row
     the OR of its columns' masks, so entering a child kills its dead rows in
     one operation; above that it clears the columns' masks one by one.
@@ -471,7 +473,7 @@ class _CoverSearch:
         if sum(self.counts) != sum(map(len, rows)):
             raise ValueError("a footprint names a column twice")
         self.kill_cost = 1800 * max(map(len, rows), default=0) ** 3
-        self.nodes = 0
+        self.nodes = self.orbit_nodes = self.leaves = 0
         self.deadline = None
         self.node_budget = None
         self.frontier: list | None = None
@@ -612,7 +614,7 @@ class _CoverSearch:
                 if open_cols is not None:
                     open_cols = [x for x in open_cols if need[x]]
 
-    def count(self, start=None) -> int | None:
+    def count(self, act=None, classes=()) -> int | None:
         """The number of solutions, or None when the node budget or the
         deadline stops the walk, which sets ``frontier`` as ``solutions``
         does: the footprint indices selected on the way to the node reached.
@@ -637,13 +639,21 @@ class _CoverSearch:
         sparse subtrees within a few nodes (at 64, a count of the resolvable
         STS(9) table renumbers 3 600 times and takes half as long again).
 
-        ``start``, on a capacity-1 table only, is a node to count from
-        instead of the root: ``(key, alive, memo)`` with ``key`` its open
-        columns, ``alive`` the rows, in table order, whose columns are all
-        open, and ``memo`` the ``[new, old]`` generations, which the walk
-        reads and leaves updated.  As a memo key is an open-column set, one
-        memo serves every start on the table.  The frontier is then the rows
-        selected below ``start``.
+        ``classes``, with ``act`` the table's _Action, are twin classes of two
+        or more of the host's vertices (see _Action.twin_classes), and make the
+        walk's upper levels orbit nodes.  A node's touched vertices are those of
+        its selected rows.  The product H of the symmetric groups on each
+        class's untouched vertices less those of the column c branched on fixes
+        the closed columns and c, so it maps the node's residual problem and c's
+        candidate rows to themselves, and candidates in one H-orbit have equal
+        counts.  While some class has two untouched vertices a node is an orbit
+        node: its candidates are the least rows of the orbits (see
+        _candidate_orbits), each child's count weighted by its orbit's size, and
+        it checks the deadline itself and never renumbers.  Below that every
+        node is a plain node, as without ``classes``.  ``nodes`` and the node
+        budget count plain nodes only; ``orbit_nodes`` counts the root, when it
+        is an orbit node, and the children of orbit nodes, and ``leaves`` the
+        plain ones among those children.
         """
         if any(k != 1 for k in self.capacities):
             total = sum(1 for _ in self.solutions())
@@ -652,32 +662,41 @@ class _CoverSearch:
         node_budget, deadline = self.node_budget, self.deadline
         n = len(rows)
         masks, ids = self.masks, range(n)
-        if start is None:
-            key, alive, memo = (1 << len(masks)) - 1, (1 << n) - 1, [{}, {}]
-        else:
-            key, alive, memo = start
-        new, old = memo
-        # per entered child, its parent's (key, alive, masks, ids, conf, cands, pos, total)
+        key, alive, new, old = (1 << len(masks)) - 1, (1 << n) - 1, {}, {}
+        class_of = {v: i for i, cls in enumerate(classes) for v in cls}
+        left = [len(cls) for cls in classes]  # untouched vertices per class
+        big = len(classes)  # classes with two or more of them
+        touched = 0
+        self.orbit_nodes += big > 0
+        # per entered child, its parent's
+        # (key, alive, masks, ids, conf, cands, weights, pos, total, touched)
         stack: list[tuple] = []
         self.frontier = None
         while True:
             # enter the node whose state the locals hold
-            self.nodes += 1
-            if (node_budget is not None and self.nodes > node_budget) or (
-                deadline is not None and self.nodes % 256 == 0 and time.monotonic() > deadline
-            ):
-                self.frontier = [f[3][f[5][f[6] - 1]] for f in stack]
+            if big:
+                stop = deadline is not None and time.monotonic() > deadline
+            else:
+                self.nodes += 1
+                stop = (node_budget is not None and self.nodes > node_budget) or (
+                    deadline is not None and self.nodes % 256 == 0 and time.monotonic() > deadline
+                )
+            if stop:
+                self.frontier = [f[3][f[5][f[7] - 1]] for f in stack]
                 return None
-            cands, pos, total = (), 0, 0
+            cands, weights, pos, total = (), None, 0, 0
             if not key:  # only a root without columns; children of key 0 are not entered
                 total = 1
             else:
-                if alive.bit_length() > 4 * alive.bit_count() + 512:
+                if not big and alive.bit_length() > 4 * alive.bit_count() + 512:
                     alive, masks, ids = _renumber(alive, ids, rows, len(masks))
                     conf = _conflicts(masks, ids, rows)
                 c, least = _least_column(key, masks, alive)
                 if least:
                     cands = _bits(masks[c] & alive)
+                    if big:
+                        fixed = touched | act.col_verts[c]
+                        cands, weights = _candidate_orbits(act, cands, fixed, classes, class_of)
             # add up the candidates, entering the next one the memo does not know
             while True:
                 if pos == len(cands):
@@ -685,28 +704,42 @@ class _CoverSearch:
                     if len(new) >= _COUNT_MEMO:
                         old, new = new, {}
                     if not stack:
-                        memo[:] = new, old
                         return total
                     got = total
-                    key, alive, masks, ids, conf, cands, pos, total = stack.pop()
-                    total += got
-                    continue
-                r = cands[pos]
-                pos += 1
-                child = key ^ row_keys[ids[r]]
-                got = new.get(child) if child else 1
-                if got is None:
-                    got = old.get(child)
+                    key, alive, masks, ids, conf, cands, weights, pos, total, was = stack.pop()
+                    if weights is not None:  # back at an orbit node
+                        for v in _bits(touched ^ was):
+                            i = class_of.get(v)
+                            if i is not None:
+                                left[i] += 1
+                                big += left[i] == 2
+                        touched = was
+                else:
+                    r = cands[pos]
+                    pos += 1
+                    child = key ^ row_keys[ids[r]]
+                    got = new.get(child) if child else 1
                     if got is None:
-                        break
-                total += got
-            stack.append((key, alive, masks, ids, conf, cands, pos, total))
+                        got = old.get(child)
+                        if got is None:
+                            break
+                total += got if weights is None else weights[pos - 1] * got
+            stack.append((key, alive, masks, ids, conf, cands, weights, pos, total, touched))
             if conf is not None:
                 alive &= ~conf[r]
             else:
                 for col in rows[ids[r]]:
                     alive &= ~masks[col]
             key = child
+            if weights is not None:  # a child of an orbit node, whose rows are the table's
+                self.orbit_nodes += 1
+                for v in _bits(act.row_verts[r] & ~touched):
+                    i = class_of.get(v)
+                    if i is not None:
+                        left[i] -= 1
+                        big -= left[i] == 1
+                touched |= act.row_verts[r]
+                self.leaves += not big
 
 
 def _renumber(alive: int, ids, rows, ncols: int) -> tuple:
@@ -935,97 +968,14 @@ def _twin_classes(table: CopyTable, ordered: bool) -> list[list[int]]:
     return act.twin_classes() if act else []
 
 
-def _orbit_count(search: _CoverSearch, act: _Action, classes: list) -> tuple[int, int, int]:
-    """(count, orbit nodes, leaves) of the capacity-1 table of ``search``,
-    whose twin classes of two or more vertices are ``classes``.
-
-    A node is a set of selected rows, with its open columns ``key``, alive
-    rows ``alive`` and touched vertices ``touched``, those of its selected
-    rows.  The product H of the symmetric groups on each class's untouched
-    vertices less those of a column c fixes the closed columns and c, so it
-    maps the node's residual problem and c's candidate rows to themselves,
-    and candidates in one H-orbit have equal counts.  A node branches on
-    the column the count walk would pick and adds |orbit| times the count
-    of each orbit's least row.  Orbits come from union-find over one
-    transposition and one cycle per class whose untouched vertices less
-    c's are two or more and meet the candidates.  Once no class has two
-    untouched vertices, the node is a leaf, counted by ``search.count``
-    from its state; every node, leaf or not, shares one memo.  The walk
-    keeps an explicit stack, and passing ``search.deadline`` at any node
-    raises TimeBudgetExceeded.
-    """
-    rows, masks, row_keys, conf = search.rows, search.masks, search.row_keys, search.conflicts
-    deadline = search.deadline
-    class_of = {v: i for i, cls in enumerate(classes) for v in cls}
-    left = [len(cls) for cls in classes]  # untouched vertices per class
-    big = len(classes)  # classes with two or more of them
-    memo: list[dict] = [{}, {}]
-    key, alive, touched = (1 << len(masks)) - 1, (1 << len(rows)) - 1, 0
-    nodes = leaves = 0
-    # per entered child, its parent's (key, alive, touched, orbits, pos, total)
-    stack: list[tuple] = []
-    while True:
-        # enter the node whose state the locals hold
-        nodes += 1
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeBudgetExceeded("counting hit the time budget")
-        orbits, pos, total = (), 0, 0
-        if not key:
-            total = 1
-        elif not big:
-            leaves += 1
-            total = search.count((key, alive, memo))
-            if total is None:
-                raise TimeBudgetExceeded("counting hit the time budget")
-        else:
-            c, least = _least_column(key, masks, alive)
-            if least:
-                fixed = touched | act.col_verts[c]
-                orbits = _candidate_orbits(act, _bits(masks[c] & alive), fixed, classes, class_of)
-        # add up the orbits, entering the next one the memo does not know
-        while True:
-            if pos == len(orbits):
-                new = memo[0]
-                new[key] = total
-                if len(new) >= _COUNT_MEMO:
-                    memo[:] = {}, new
-                if not stack:
-                    return total, nodes, leaves
-                got = total
-                key, alive, was, orbits, pos, total = stack.pop()
-                for v in _bits(touched ^ was):
-                    i = class_of.get(v)
-                    if i is not None:
-                        left[i] += 1
-                        big += left[i] == 2
-                touched = was
-            else:
-                r = orbits[pos][0]
-                pos += 1
-                child = key ^ row_keys[r]
-                got = memo[0].get(child, memo[1].get(child)) if child else 1
-                if got is None:
-                    break
-            total += orbits[pos - 1][1] * got
-        stack.append((key, alive, touched, orbits, pos, total))
-        if conf is not None:
-            alive &= ~conf[r]
-        else:
-            for col in rows[r]:
-                alive &= ~masks[col]
-        key = child
-        for v in _bits(act.row_verts[r] & ~touched):
-            i = class_of.get(v)
-            if i is not None:
-                left[i] -= 1
-                big -= left[i] == 1
-        touched |= act.row_verts[r]
-
-
-def _candidate_orbits(act: _Action, cands: list, fixed: int, classes: list, class_of: dict) -> list:
-    """(least row, size) of each orbit, in order of least row, of the
+def _candidate_orbits(
+    act: _Action, cands: list, fixed: int, classes: list, class_of: dict
+) -> tuple[list, list]:
+    """(least rows, sizes) of the orbits, in order of least row, of the
     candidate rows ``cands`` under the product of the symmetric groups on
-    each class's vertices outside the bits of ``fixed``."""
+    each class's vertices outside the bits of ``fixed``: union-find over one
+    transposition and one cycle per class whose vertices outside ``fixed``
+    are two or more and meet the candidates."""
     free = 0
     for r in cands:
         free |= act.row_verts[r]
@@ -1053,11 +1003,11 @@ def _candidate_orbits(act: _Action, cands: list, fixed: int, classes: list, clas
                     a, b = find(r), find(act.row_image(r, columns))
                     if a != b:
                         parent[max(a, b)] = min(a, b)
-    sizes: dict[int, int] = {}
+    sizes: dict[int, int] = {}  # a root is its orbit's least row, so met first
     for r in cands:
         root = find(r)
         sizes[root] = sizes.get(root, 0) + 1
-    return sorted(sizes.items())
+    return list(sizes), list(sizes.values())
 
 
 def _least_column(key: int, masks: list, alive: int) -> tuple[int, int]:
@@ -1129,25 +1079,25 @@ def count_decompositions(
     """Exact number of decompositions (sets of footprints).  Running out of
     ``timeout``, copy enumeration included, raises TimeBudgetExceeded.
 
-    On a table whose capacities are all 1 the count has a walk of its own
-    (see _CoverSearch.count): subproblems with the same open columns
-    share one count through a bounded memo of two generations that lives
-    for this call, and a column with at most one alive row is branched on
-    as soon as the scan meets it.  When such a table comes with its host
-    and has a class of two or more twin vertices (see _Action.twin_classes),
-    the walk's upper levels branch on orbits of candidates instead
-    (see _orbit_count), and hand the nodes below them to the count walk;
-    the count is the same int.  Other tables are counted solution by
-    solution in the find walk, whose node counts, certificates and
-    frontiers the count walk leaves alone.  Each call logs one DEBUG record
-    on the ``decomp_lab.solver`` logger: the twin class sizes with the orbit
-    nodes, leaves and leaf nodes, or why the plain walk ran (no host, a
-    capacity above 1, or no twin class) with its nodes."""
+    The count is one walk of _CoverSearch.count.  On a table whose
+    capacities are all 1, subproblems with the same open columns share one
+    count through a bounded memo of two generations that lives for this
+    call, and a column with at most one alive row is branched on as soon
+    as the scan meets it.  When such a table comes with its host and has a
+    class of two or more twin vertices (see _Action.twin_classes), the
+    walk's upper levels branch on orbits of candidates; the count is the
+    same int.  Other tables are counted solution by solution in the find
+    walk, whose node counts, certificates and frontiers the count walk
+    leaves alone.  Each call logs one DEBUG record on the
+    ``decomp_lab.solver`` logger: the twin class sizes with the orbit
+    nodes, leaves and the plain nodes below them (leaf nodes), or why no
+    orbit levels ran (no host, a capacity above 1, or no twin class) with
+    the walk's nodes."""
     deadline = _deadline(time.monotonic(), timeout)
     table = table or enumerate_copies(host, patterns, partition, budget, deadline)
     search = _CoverSearch(table)
     search.deadline = deadline
-    plain = None
+    act, classes, plain = None, [], None
     if host is None:
         plain = "no host"
     elif any(k != 1 for k in search.capacities):
@@ -1157,18 +1107,17 @@ def count_decompositions(
         classes = [] if act is None else [c for c in act.twin_classes() if len(c) > 1]
         if not classes:
             plain = "no twin class"
+    count = search.count(act, classes)
+    if count is None:
+        raise TimeBudgetExceeded("counting hit the time budget")
     if plain is None:
-        count, nodes, leaves = _orbit_count(search, act, classes)
         _log.debug(
             "count %d: twin classes by size %s, %d orbit nodes, %d leaves, %d leaf nodes",
             count, dict(sorted(Counter(map(len, classes)).items(), reverse=True)),
-            nodes, leaves, search.nodes,
+            search.orbit_nodes, search.leaves, search.nodes,
         )
-        return count
-    count = search.count()
-    if count is None:
-        raise TimeBudgetExceeded("counting hit the time budget")
-    _log.debug("count %d: plain walk (%s), %d nodes", count, plain, search.nodes)
+    else:
+        _log.debug("count %d: plain walk (%s), %d nodes", count, plain, search.nodes)
     return count
 
 

@@ -716,10 +716,20 @@ def test_memo_counts_on_the_ladder():
             assert len(solutions) == expected and nodes < plain_nodes
 
 
-def test_memo_counts_stay_exact_when_generations_turn_over(monkeypatch):
+def test_memo_counts_stay_exact_when_generations_turn_over(monkeypatch, caplog):
     monkeypatch.setattr(sv, "_COUNT_MEMO", 2)
     for name, table, expected in _ladder()[:3]:
         assert _count(table)[0] == expected, name
+    # and below orbit levels, which share the memo
+    stats = {
+        "sts9": "twin classes by size {9: 1}, 5 orbit nodes, 1 leaves, 53 leaf nodes",
+        "latin4": "twin classes by size {4: 3}, 50 orbit nodes, 18 leaves, 144 leaf nodes",
+        "sudoku4": "twin classes by size {2: 6}, 2 orbit nodes, 1 leaves, 467 leaf nodes",
+        "res9": "twin classes by size {9: 1, 4: 1}, 49 orbit nodes, 36 leaves, 432 leaf nodes",
+    }
+    for name, host, pattern, partition, expected in _ladder_instances():
+        _, message = _orbit_record(caplog, lambda: count_decompositions(host, pattern, partition))
+        assert message == f"count {expected}: {stats[name]}"
     rng = random.Random(5)
     for _ in range(40):
         table = _capacity_one(_random_table(rng, rng.randint(5, 9), rng.randint(10, 40)))
@@ -770,12 +780,19 @@ def test_count_walk_matches_reference_when_rows_are_renumbered(monkeypatch):
 
 def test_count_walk_stops_with_a_frontier_of_disjoint_copies():
     table = _ladder()[3][1]  # res9
-    for deadline, node_budget in ((time.monotonic() - 1, None), (None, 5000)):
+    act = sv._action(table, False)
+    classes = [c for c in act.twin_classes() if len(c) > 1]
+    for deadline, node_budget, twins, rows in (
+        (time.monotonic() - 1, None, (), None),
+        (None, 5000, (), None),
+        (None, 100, classes, 7),  # a stop below the orbit levels
+    ):
         search = sv._CoverSearch(table)
         search.deadline, search.node_budget = deadline, node_budget
-        assert search.count() is None
+        assert search.count(act, twins) is None
         frontier = search.frontier
         assert frontier and len(frontier) < search.nodes
+        assert rows is None or len(frontier) == rows
         columns = [c for r in frontier for c in table.footprints[r]]
         assert len(columns) == len(set(columns))  # pairwise disjoint copies
         assert len(set(frontier)) == len(frontier)
@@ -885,10 +902,11 @@ def test_engine_build_matches_a_per_column_reference():
                 sv._CoverSearch(broken)
 
 
-def test_count_walk_kills_the_same_rows_with_and_without_conflict_masks(monkeypatch):
+def test_count_walk_kills_the_same_rows_with_and_without_conflict_masks(monkeypatch, caplog):
     """Counts and nodes agree whether a child's dead rows come from one
-    conflict mask or from its columns' masks, on the ladder and in subtrees
-    that renumber their rows with and without conflict masks."""
+    conflict mask or from its columns' masks, on the ladder, below its
+    orbit levels, and in subtrees that renumber their rows with and without
+    conflict masks."""
     rng = random.Random(3)
     extra = rng.sample(list(combinations(range(1, 20), 3)), 600)
     renumbering = _table(sorted([(c,) for c in range(20)] + [(0, *fp) for fp in extra]), [1] * 20)
@@ -896,12 +914,21 @@ def test_count_walk_kills_the_same_rows_with_and_without_conflict_masks(monkeypa
     built = []
     conflicts = sv._conflicts
     monkeypatch.setattr(sv, "_conflicts", lambda *a: built.append(conflicts(*a)) or built[-1])
+
+    def orbit_counts():
+        return [
+            _orbit_record(caplog, lambda: count_decompositions(host, pattern, part, table=table))
+            for (_, host, pattern, part, _), table in zip(_ladder_instances(), tables)
+        ]
+
     expected = [_count(table) for table in tables]
+    orbits = orbit_counts()  # pinned in test_orbit_walk_node_counts
     assert all(conf is not None for conf in built)
     for bits in (0, 300**2):  # none at all; none at the 620-row root only
         monkeypatch.setattr(sv, "_CONFLICT_BITS", bits)
         built.clear()
         assert [_count(table) for table in tables] == expected
+        assert orbit_counts() == orbits
         assert all(conf is None or len(conf) ** 2 <= bits for conf in built)
         assert any(conf is None for conf in built)
     assert any(conf is not None for conf in built)  # renumbered subtrees under 300 rows
@@ -1079,22 +1106,26 @@ def test_orbit_count_keeps_the_deadline():
     table = enumerate_copies(host, TRIANGLE)
     with pytest.raises(TimeBudgetExceeded):  # at the first orbit node
         count_decompositions(host, TRIANGLE, table=table, timeout=0)
-    # in a leaf, whose count walk stops
+    # below the orbit levels, where the node budget stops the plain nodes
     act = sv._action(table, False)
     search = sv._CoverSearch(table)
     search.node_budget = 1
-    with pytest.raises(TimeBudgetExceeded):
-        sv._orbit_count(search, act, [c for c in act.twin_classes() if len(c) > 1])
+    assert search.count(act, [c for c in act.twin_classes() if len(c) > 1]) is None
 
 
 def test_orbit_counts_of_latin_5_sqs_10_and_cyclic_triangles(caplog):
     # Latin squares of order 5: 161 280 (McKay & Wanless 2005)
-    host, part = triangle_host(5)
+    # and of order 6: 812 851 200 (Frolov 1890, Tarry 1900)
     tri, tri_part = triangle_pattern()
-    _, message = _orbit_record(caplog, lambda: count_decompositions(host, tri, (tri_part, part)))
-    assert message == (
-        "count 161280: twin classes by size {5: 3}, 2028 orbit nodes, 432 leaves, 1892 leaf nodes"
-    )
+    for order, stats in [
+        (5, "count 161280: twin classes by size {5: 3}, 2028 orbit nodes, 432 leaves, "
+            "1892 leaf nodes"),
+        (6, "count 812851200: twin classes by size {6: 3}, 1552 orbit nodes, 265 leaves, "
+            "187749 leaf nodes"),
+    ]:
+        host, part = triangle_host(order)
+        _, message = _orbit_record(caplog, lambda: count_decompositions(host, tri, (tri_part, part)))
+        assert message == stats
     for host, pattern, expected in [
         (Hypergraph.complete(10, 3), Hypergraph.complete(4, 3), 2520),
         (Digraph.complete(7, 2), tight_cycle(3, 2), 480),
