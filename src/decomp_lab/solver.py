@@ -391,9 +391,6 @@ class SolveResult:
 # Keys per generation of a count's memo: hits are local in walk order, so two
 # small generations keep nearly all of them within a bounded size.
 _COUNT_MEMO = 4096
-# Bits of one numbering's per-row conflict masks in a count (rows² of them):
-# below it, entering a child is one mask operation, above it one per column.
-_CONFLICT_BITS = 1 << 24
 
 
 class _CoverSearch:
@@ -431,10 +428,9 @@ class _CoverSearch:
     open column with at most one alive row without scanning the rest.  Given
     the twin classes of the host's vertices, its upper levels branch on
     orbits of candidate rows and count each orbit once, weighted by its
-    size; the levels below run as without them.
-    While a numbering's rows² bits fit ``_CONFLICT_BITS``, it keeps per row
-    the OR of its columns' masks, so entering a child kills its dead rows in
-    one operation; above that it clears the columns' masks one by one.
+    size; the levels below run as without them.  A node of that walk is
+    three ints: its open columns, its alive rows and the vertices its
+    selected rows touch.
 
     The masks are built in one pass over the footprints, last to first,
     into one bytearray per column sized by the column's last row.  A
@@ -482,11 +478,6 @@ class _CoverSearch:
     def row_keys(self) -> list[int]:
         """Per row, its columns as the bits of an int."""
         return [sum(1 << col for col in fp) for fp in self.rows]
-
-    @cached_property
-    def conflicts(self) -> list | None:
-        """The rows' conflict masks in table order (see _conflicts)."""
-        return _conflicts(self.masks, range(len(self.rows)), self.rows)
 
     def solutions(self, replay=None):
         """Yield each solution's footprint indices in selection order.
@@ -621,15 +612,14 @@ class _CoverSearch:
 
         A table with a capacity above 1 is counted solution by solution in
         the find walk.  On one whose capacities are all 1, a node is its
-        open columns as the bits of ``key`` and its alive rows; selecting a
-        row clears its conflict mask (or, above ``_CONFLICT_BITS``, its
-        columns' masks) from the alive rows, as the capacity-1 rule leaves
-        nothing else to track.  The walk branches on
-        the open column with the fewest alive rows, lowest index on ties,
-        but stops the scan at the first open column with at most one: it is
-        forced (one candidate) or dead (none), and a later column could
-        improve on it only by being dead.  So the walk can enter a forced
-        column before a dead one later in index order.  A node's count is
+        open columns as the bits of ``key``, its alive rows and its touched
+        vertices; selecting a row clears its columns' masks from the alive
+        rows, as the capacity-1 rule leaves nothing else to track.  The walk
+        branches on the open column with the fewest alive rows, lowest index
+        on ties, but stops the scan at the first open column with at most
+        one: it is forced (one candidate) or dead (none), and a later column
+        could improve on it only by being dead.  So the walk can enter a
+        forced column before a dead one later in index order.  A node's count is
         stored under its key when its candidates run out (a dead end's is
         0); when the new generation of the memo holds ``_COUNT_MEMO`` keys
         it becomes the old one, and lookups read the new, then the old.  A
@@ -649,27 +639,28 @@ class _CoverSearch:
         counts.  While some class has two untouched vertices a node is an orbit
         node: its candidates are the least rows of the orbits (see
         _candidate_orbits), each child's count weighted by its orbit's size, and
-        it checks the deadline itself and never renumbers.  Below that every
-        node is a plain node, as without ``classes``.  ``nodes`` and the node
-        budget count plain nodes only; ``orbit_nodes`` counts the root, when it
-        is an orbit node, and the children of orbit nodes, and ``leaves`` the
-        plain ones among those children.
+        it checks the deadline itself and never renumbers.  Each class is an
+        int of vertex bits, so a child's touched vertices tell whether it is an
+        orbit node, and every frame keeps its node's touched vertices for the
+        return.  Below that every node is a plain node, as without ``classes``.
+        ``nodes`` and the node budget count plain nodes only; ``orbit_nodes``
+        counts the root, when it is an orbit node, and the children of orbit
+        nodes, and ``leaves`` the plain ones among those children.
         """
         if any(k != 1 for k in self.capacities):
             total = sum(1 for _ in self.solutions())
             return None if self.frontier is not None else total
-        rows, row_keys, conf = self.rows, self.row_keys, self.conflicts
+        rows, row_keys = self.rows, self.row_keys
         node_budget, deadline = self.node_budget, self.deadline
         n = len(rows)
         masks, ids = self.masks, range(n)
         key, alive, new, old = (1 << len(masks)) - 1, (1 << n) - 1, {}, {}
-        class_of = {v: i for i, cls in enumerate(classes) for v in cls}
-        left = [len(cls) for cls in classes]  # untouched vertices per class
-        big = len(classes)  # classes with two or more of them
+        class_bits = [sum(1 << v for v in cls) for cls in classes]
         touched = 0
-        self.orbit_nodes += big > 0
+        big = any(b.bit_count() > 1 for b in class_bits)  # an orbit node
+        self.orbit_nodes += big
         # per entered child, its parent's
-        # (key, alive, masks, ids, conf, cands, weights, pos, total, touched)
+        # (key, alive, masks, ids, cands, weights, pos, total, touched)
         stack: list[tuple] = []
         self.frontier = None
         while True:
@@ -682,7 +673,7 @@ class _CoverSearch:
                     deadline is not None and self.nodes % 256 == 0 and time.monotonic() > deadline
                 )
             if stop:
-                self.frontier = [f[3][f[5][f[7] - 1]] for f in stack]
+                self.frontier = [f[3][f[4][f[6] - 1]] for f in stack]
                 return None
             cands, weights, pos, total = (), None, 0, 0
             if not key:  # only a root without columns; children of key 0 are not entered
@@ -690,13 +681,12 @@ class _CoverSearch:
             else:
                 if not big and alive.bit_length() > 4 * alive.bit_count() + 512:
                     alive, masks, ids = _renumber(alive, ids, rows, len(masks))
-                    conf = _conflicts(masks, ids, rows)
                 c, least = _least_column(key, masks, alive)
                 if least:
                     cands = _bits(masks[c] & alive)
                     if big:
                         fixed = touched | act.col_verts[c]
-                        cands, weights = _candidate_orbits(act, cands, fixed, classes, class_of)
+                        cands, weights = _candidate_orbits(act, cands, fixed, class_bits)
             # add up the candidates, entering the next one the memo does not know
             while True:
                 if pos == len(cands):
@@ -706,14 +696,9 @@ class _CoverSearch:
                     if not stack:
                         return total
                     got = total
-                    key, alive, masks, ids, conf, cands, weights, pos, total, was = stack.pop()
-                    if weights is not None:  # back at an orbit node
-                        for v in _bits(touched ^ was):
-                            i = class_of.get(v)
-                            if i is not None:
-                                left[i] += 1
-                                big += left[i] == 2
-                        touched = was
+                    # big is read only on entering a node, so it stays stale here
+                    # until an orbit node's next child sets it
+                    key, alive, masks, ids, cands, weights, pos, total, touched = stack.pop()
                 else:
                     r = cands[pos]
                     pos += 1
@@ -724,21 +709,14 @@ class _CoverSearch:
                         if got is None:
                             break
                 total += got if weights is None else weights[pos - 1] * got
-            stack.append((key, alive, masks, ids, conf, cands, weights, pos, total, touched))
-            if conf is not None:
-                alive &= ~conf[r]
-            else:
-                for col in rows[ids[r]]:
-                    alive &= ~masks[col]
+            stack.append((key, alive, masks, ids, cands, weights, pos, total, touched))
+            for col in rows[ids[r]]:
+                alive &= ~masks[col]
             key = child
             if weights is not None:  # a child of an orbit node, whose rows are the table's
                 self.orbit_nodes += 1
-                for v in _bits(act.row_verts[r] & ~touched):
-                    i = class_of.get(v)
-                    if i is not None:
-                        left[i] -= 1
-                        big -= left[i] == 1
                 touched |= act.row_verts[r]
+                big = any((b & ~touched).bit_count() > 1 for b in class_bits)
                 self.leaves += not big
 
 
@@ -752,21 +730,6 @@ def _renumber(alive: int, ids, rows, ncols: int) -> tuple:
         for col in rows[r]:
             masks[col] |= bit
     return (1 << len(ids)) - 1, masks, ids
-
-
-def _conflicts(masks, ids, rows) -> list | None:
-    """Per row number of a numbering, the rows that selecting it kills in a
-    capacity-1 table: the OR of its columns' masks.  None when the rows²
-    bits would pass _CONFLICT_BITS."""
-    if len(ids) ** 2 > _CONFLICT_BITS:
-        return None
-    conf = []
-    for r in ids:
-        m = 0
-        for col in rows[r]:
-            m |= masks[col]
-        conf.append(m)
-    return conf
 
 
 def _bits(x: int) -> list[int]:
@@ -968,14 +931,13 @@ def _twin_classes(table: CopyTable, ordered: bool) -> list[list[int]]:
     return act.twin_classes() if act else []
 
 
-def _candidate_orbits(
-    act: _Action, cands: list, fixed: int, classes: list, class_of: dict
-) -> tuple[list, list]:
+def _candidate_orbits(act: _Action, cands: list, fixed: int, class_bits: list) -> tuple[list, list]:
     """(least rows, sizes) of the orbits, in order of least row, of the
     candidate rows ``cands`` under the product of the symmetric groups on
-    each class's vertices outside the bits of ``fixed``: union-find over one
-    transposition and one cycle per class whose vertices outside ``fixed``
-    are two or more and meet the candidates."""
+    each class's vertices outside the bits of ``fixed``, a class being the
+    int of its vertices' bits: union-find over one transposition and one
+    cycle per class whose vertices outside ``fixed`` are two or more and
+    meet the candidates."""
     free = 0
     for r in cands:
         free |= act.row_verts[r]
@@ -987,11 +949,11 @@ def _candidate_orbits(
             parent[r] = r = parent[parent[r]]
         return r
 
-    for i in sorted({class_of[v] for v in _bits(free) if v in class_of}):
-        moved = [v for v in classes[i] if not fixed >> v & 1]
-        if len(moved) < 2:
+    for bits in class_bits:
+        bits &= ~fixed
+        if bits.bit_count() < 2 or not bits & free:
             continue
-        bits = sum(1 << v for v in moved)
+        moved = _bits(bits)
         cycle = dict(zip(moved, moved[1:] + moved[:1]))
         for perm in ({moved[0]: moved[1], moved[1]: moved[0]}, cycle)[: 1 + (len(moved) > 2)]:
             columns: dict = {}

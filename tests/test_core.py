@@ -1,6 +1,7 @@
 """Core structures: degree machinery, blowups, serialization."""
 
 import importlib
+import pkgutil
 import random
 import subprocess
 import sys
@@ -10,8 +11,19 @@ from pathlib import Path
 
 import pytest
 
+import decomp_lab
 import oracles
+from decomp_lab import (
+    LabelledComplex,
+    coloured_divisible,
+    coloured_weight_system,
+    count_decompositions,
+    counting_bounds,
+    find_decomposition,
+    rainbow_family,
+)
 from decomp_lab import divisibility as dv
+from decomp_lab.complexes import is_typical_plain
 from decomp_lab.core import (
     ColouredMultidigraph,
     ColouredMultigraph,
@@ -27,7 +39,13 @@ from decomp_lab.core import (
     pattern_degree_vector,
 )
 from decomp_lab.divisibility import h_balanced, hp_divisible, shift_regular
-from decomp_lab.encodings import resolvable_sts_instance, sudoku_pattern
+from decomp_lab.encodings import (
+    resolvable_sts_instance,
+    sudoku_pattern,
+    triangle_host,
+    triangle_pattern,
+)
+from decomp_lab.weights import LatticeChecker, coloured_edge_vector
 
 
 def test_injections_are_in_lexicographic_order():
@@ -433,3 +451,41 @@ def test_hp_divisible_asks_both_degree_vectors(monkeypatch):
     inst = resolvable_sts_instance(9)
     assert hp_divisible(inst.host, inst.host_partition, inst.pattern, inst.pattern_partition)
     assert all(calls.values()), calls
+
+
+def test_module_state_stays_bounded():
+    """Every module-level functools cache has a maxsize, and no module-level
+    dict, list, set or bytearray grows or shrinks across a find, an
+    orbit-level count, the divisibility, lattice and typicality checkers and
+    counting bounds, so the README's pure and thread-safe claim holds."""
+    modules = [decomp_lab] + [
+        importlib.import_module(f"decomp_lab.{info.name}")
+        for info in pkgutil.iter_modules(decomp_lab.__path__)
+    ]
+    state = {}
+    for module in modules:
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters"):  # an lru_cache
+                assert value.cache_parameters()["maxsize"] is not None, (module.__name__, name)
+            elif not name.startswith("__") and isinstance(value, (dict, list, set, bytearray)):
+                state[module.__name__, name] = value
+    assert len(modules) > 10 and state
+
+    def sizes():
+        return {where: len(value) for where, value in state.items()}
+
+    before = sizes()
+    triangle = Hypergraph.complete(3, 2)
+    assert find_decomposition(Hypergraph.complete(9, 2), triangle).found
+    host, part = triangle_host(4)
+    tri, tri_part = triangle_pattern()
+    assert count_decompositions(host, tri, (tri_part, part)) == 576
+    family = rainbow_family(3)
+    g = ColouredMultigraph.from_colour_classes(3, 2, 3, [[(0, 1)], [(1, 2)], [(0, 2)]])
+    assert coloured_divisible(g, family)
+    phi = LabelledComplex.complete_complex(3, 3)
+    checker = LatticeChecker(coloured_weight_system(list(family)), phi)
+    assert checker.check(coloured_edge_vector(g, phi)).member
+    assert is_typical_plain(Hypergraph.complete(10, 2), Fraction(1, 10), 1).typical
+    assert counting_bounds(triangle, 8, seed=1).o_terms_dropped
+    assert sizes() == before

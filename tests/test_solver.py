@@ -878,7 +878,7 @@ def test_zero_and_infinite_timeouts_keep_their_meaning():
 
 
 # ---------------------------------------------------------------------------
-# the engine build and the count walk's conflict masks
+# the engine build
 
 
 def test_engine_build_matches_a_per_column_reference():
@@ -900,38 +900,6 @@ def test_engine_build_matches_a_per_column_reference():
             broken = replace(table, footprints=fps[:r] + [bad] + fps[r + 1:])
             with pytest.raises(ValueError, match=message):
                 sv._CoverSearch(broken)
-
-
-def test_count_walk_kills_the_same_rows_with_and_without_conflict_masks(monkeypatch, caplog):
-    """Counts and nodes agree whether a child's dead rows come from one
-    conflict mask or from its columns' masks, on the ladder, below its
-    orbit levels, and in subtrees that renumber their rows with and without
-    conflict masks."""
-    rng = random.Random(3)
-    extra = rng.sample(list(combinations(range(1, 20), 3)), 600)
-    renumbering = _table(sorted([(c,) for c in range(20)] + [(0, *fp) for fp in extra]), [1] * 20)
-    tables = [table for _, table, _ in _ladder()] + [renumbering]
-    built = []
-    conflicts = sv._conflicts
-    monkeypatch.setattr(sv, "_conflicts", lambda *a: built.append(conflicts(*a)) or built[-1])
-
-    def orbit_counts():
-        return [
-            _orbit_record(caplog, lambda: count_decompositions(host, pattern, part, table=table))
-            for (_, host, pattern, part, _), table in zip(_ladder_instances(), tables)
-        ]
-
-    expected = [_count(table) for table in tables]
-    orbits = orbit_counts()  # pinned in test_orbit_walk_node_counts
-    assert all(conf is not None for conf in built)
-    for bits in (0, 300**2):  # none at all; none at the 620-row root only
-        monkeypatch.setattr(sv, "_CONFLICT_BITS", bits)
-        built.clear()
-        assert [_count(table) for table in tables] == expected
-        assert orbit_counts() == orbits
-        assert all(conf is None or len(conf) ** 2 <= bits for conf in built)
-        assert any(conf is None for conf in built)
-    assert any(conf is not None for conf in built)  # renumbered subtrees under 300 rows
 
 
 # ---------------------------------------------------------------------------
@@ -1126,6 +1094,13 @@ def test_orbit_counts_of_latin_5_sqs_10_and_cyclic_triangles(caplog):
         host, part = triangle_host(order)
         _, message = _orbit_record(caplog, lambda: count_decompositions(host, tri, (tri_part, part)))
         assert message == stats
+    # Steiner triple systems on 13 points: 1 197 504 000, all through one leaf
+    # whose plain walk is the largest a test runs
+    k13 = Hypergraph.complete(13, 2)
+    _, message = _orbit_record(caplog, lambda: count_decompositions(k13, TRIANGLE))
+    assert message == (
+        "count 1197504000: twin classes by size {13: 1}, 7 orbit nodes, 1 leaves, 630260 leaf nodes"
+    )
     for host, pattern, expected in [
         (Hypergraph.complete(10, 3), Hypergraph.complete(4, 3), 2520),
         (Digraph.complete(7, 2), tight_cycle(3, 2), 480),
