@@ -103,13 +103,82 @@ def _rest_key(verts, x, ordered: bool, colour):
 # copy enumeration
 
 
-@dataclass
+@dataclass(frozen=True)
 class CopyTable:
+    """The copies of the patterns in a host, as an exact-cover table.
+
+    A table is a value: to change one, build a new one with
+    ``dataclasses.replace`` and never mutate its lists in place.  What the
+    search derives from the table alone, its exact-cover index and, per
+    reading of the column keys as arcs or edges, its vertex action with the
+    twin classes, is built on first use and kept with the table, so the
+    later finds and counts on one table skip that set-up; ``replace`` gives
+    a table that builds its own.  Nothing checks that the lists are left
+    alone: one changed in place after a find or count leaves that index
+    stale, and later calls then mix it with the changed lists and may
+    fail or answer wrongly."""
+
     atoms: list  # column keys, canonical order
     capacities: list
     footprints: list  # sorted tuples of atom indices
     embeddings: list  # one representative (pattern index, images) per footprint
     multiplicities: list  # number of embeddings per footprint
+
+    @cached_property
+    def _cover(self) -> tuple:
+        """(masks, counts, kill_cost) of _CoverSearch over the table: per
+        column the int of its rows' bits and their number, and the cost
+        estimate of keeping counts.  The masks are built in one pass over
+        the footprints, last to first, into one bytearray per column sized
+        by the column's last row.  A capacity below 1, or a footprint
+        naming a column twice, a negative column or one past the capacities
+        raises ValueError."""
+        rows = self.footprints
+        ncols = len(self.capacities)
+        for c, k in enumerate(self.capacities):
+            if k < 1:
+                raise ValueError(f"column {c} has capacity {k}, below 1")
+        # one bytearray per column, as or-ing bits into an int is quadratic;
+        # rows are read last to first, so each is sized by its column's
+        # last row.  Keyed by column, so a negative column is missing, not
+        # the one that many places from the end.
+        bufs = dict.fromkeys(range(ncols), b"")
+        try:
+            for r in range(len(rows) - 1, -1, -1):
+                fp = rows[r]
+                byte, bit = r >> 3, 1 << (r & 7)
+                for c in fp:
+                    buf = bufs[c]
+                    if not buf:
+                        buf = bufs[c] = bytearray(byte + 1)
+                    buf[byte] |= bit
+        except KeyError:
+            raise ValueError(
+                f"footprint {fp} names a negative column or one past the "
+                f"{ncols} capacities"
+            ) from None
+        masks = [int.from_bytes(bufs.pop(c), "little") for c in range(ncols)]
+        counts = [m.bit_count() for m in masks]  # a repeated column sets its bit once
+        if sum(counts) != sum(map(len, rows)):
+            raise ValueError("a footprint names a column twice")
+        return masks, counts, 1800 * max(map(len, rows), default=0) ** 3
+
+    @cached_property
+    def _row_keys(self) -> list[int]:
+        """Per row, its columns as the bits of an int."""
+        return [sum(1 << col for col in fp) for fp in self.footprints]
+
+    @cached_property
+    def _edge_action(self) -> _Action | None:
+        """The table's _Action reading its column keys as edges (see
+        _new_action)."""
+        return _new_action(self, False)
+
+    @cached_property
+    def _arc_action(self) -> _Action | None:
+        """The table's _Action reading its column keys as arcs (see
+        _new_action)."""
+        return _new_action(self, True)
 
 
 def _placements(plans, index, budget=math.inf, deadline=None):
@@ -432,52 +501,18 @@ class _CoverSearch:
     three ints: its open columns, its alive rows and the vertices its
     selected rows touch.
 
-    The masks are built in one pass over the footprints, last to first,
-    into one bytearray per column sized by the column's last row.  A
-    capacity below 1, or a footprint naming a column twice, a negative
-    column or one past the capacities raises ValueError.
+    The masks, column counts and ``kill_cost`` are the table's, built on
+    first use (see CopyTable._cover) and only read here.
     """
 
     def __init__(self, table: CopyTable):
-        rows = self.rows = table.footprints
-        self.capacities = list(table.capacities)
-        ncols = len(self.capacities)
-        for c, k in enumerate(self.capacities):
-            if k < 1:
-                raise ValueError(f"column {c} has capacity {k}, below 1")
-        # one bytearray per column, as or-ing bits into an int is quadratic;
-        # rows are read last to first, so each is sized by its column's last
-        # row.  Keyed by column, so a negative column is missing, not the one
-        # that many places from the end.
-        bufs = dict.fromkeys(range(ncols), b"")
-        try:
-            for r in range(len(rows) - 1, -1, -1):
-                fp = rows[r]
-                byte, bit = r >> 3, 1 << (r & 7)
-                for c in fp:
-                    buf = bufs[c]
-                    if not buf:
-                        buf = bufs[c] = bytearray(byte + 1)
-                    buf[byte] |= bit
-        except KeyError:
-            raise ValueError(
-                f"footprint {fp} names a negative column or one past the "
-                f"{ncols} capacities"
-            ) from None
-        self.masks = [int.from_bytes(bufs.pop(c), "little") for c in range(ncols)]
-        self.counts = [m.bit_count() for m in self.masks]  # a repeated column sets its bit once
-        if sum(self.counts) != sum(map(len, rows)):
-            raise ValueError("a footprint names a column twice")
-        self.kill_cost = 1800 * max(map(len, rows), default=0) ** 3
+        self.table = table
+        self.rows, self.capacities = table.footprints, table.capacities
+        self.masks, self.counts, self.kill_cost = table._cover
         self.nodes = self.orbit_nodes = self.leaves = 0
         self.deadline = None
         self.node_budget = None
         self.frontier: list | None = None
-
-    @cached_property
-    def row_keys(self) -> list[int]:
-        """Per row, its columns as the bits of an int."""
-        return [sum(1 << col for col in fp) for fp in self.rows]
 
     def solutions(self, replay=None):
         """Yield each solution's footprint indices in selection order.
@@ -630,7 +665,7 @@ class _CoverSearch:
         STS(9) table renumbers 3 600 times and takes half as long again).
 
         ``classes``, with ``act`` the table's _Action, are twin classes of two
-        or more of the host's vertices (see _Action.twin_classes), and make the
+        or more of the host's vertices (see _Action._find_twins), and make the
         walk's upper levels orbit nodes.  A node's touched vertices are those of
         its selected rows.  The product H of the symmetric groups on each
         class's untouched vertices less those of the column c branched on fixes
@@ -650,7 +685,7 @@ class _CoverSearch:
         if any(k != 1 for k in self.capacities):
             total = sum(1 for _ in self.solutions())
             return None if self.frontier is not None else total
-        rows, row_keys = self.rows, self.row_keys
+        rows, row_keys = self.rows, self.table._row_keys
         node_budget, deadline = self.node_budget, self.deadline
         n = len(rows)
         masks, ids = self.masks, range(n)
@@ -790,7 +825,10 @@ class _Action:
     column keys are ``keys`` (see _vertex_keys): the images of its columns
     and rows under a vertex map ``perm``, a dict from each vertex it moves
     to that vertex's image.  ``ordered`` says whether a key's vertex tuple
-    is an arc (kept in position order) or an edge (sorted)."""
+    is an arc (kept in position order) or an edge (sorted).  ``classes``,
+    found when it is built, are its twin classes (see _find_twins), or
+    None when two footprints have the same columns.  Its table keeps it for
+    every call and thread, so nothing changes it once built."""
 
     def __init__(self, table: CopyTable, ordered: bool, keys: list):
         self.keys, self.ordered = keys, ordered
@@ -799,23 +837,10 @@ class _Action:
         self.row = {tuple(sorted(fp)): r for r, fp in enumerate(table.footprints)}
         self.col_verts = [sum({1 << v for v in item}) for item, _ in keys]
         self.row_verts = [0] * len(self.footprints)
-        self.cols_of: dict[int, list] = {}  # per vertex, the columns through it
-        self.rows_of: list[list] = [[] for _ in keys]  # per column, its rows
-        self.through: dict[int, set] = {}  # per vertex tested, the rows through it
-        for c, (item, _) in enumerate(keys):
-            for v in set(item):
-                self.cols_of.setdefault(v, []).append(c)
         for r, fp in enumerate(self.footprints):
             for c in fp:
-                self.rows_of[c].append(r)
                 self.row_verts[r] |= self.col_verts[c]
-
-    def rows_through(self, v: int) -> set:
-        """The rows with a column through vertex v."""
-        rows = self.through.get(v)
-        if rows is None:
-            rows = self.through[v] = {r for c in self.cols_of[v] for r in self.rows_of[c]}
-        return rows
+        self.classes = self._find_twins() if len(self.row) == len(self.footprints) else None
 
     def column_image(self, c: int, perm: dict) -> int | None:
         """The column whose key is the image of column c's key, when there
@@ -834,25 +859,7 @@ class _Action:
         ``columns`` (unlisted columns fixed), when there is one."""
         return self.row.get(tuple(sorted([columns.get(c, c) for c in self.footprints[r]])))
 
-    def swaps(self, u: int, v: int) -> bool:
-        """Whether the transposition (u v) is an automorphism.  It maps the
-        columns through u one to one into those through v, and so the rows;
-        so when u and v lie on equally many of each, the columns and rows
-        through u having images makes it an automorphism."""
-        cols_u, rows_u = self.cols_of[u], self.rows_through(u)
-        if len(cols_u) != len(self.cols_of[v]) or len(rows_u) != len(self.rows_through(v)):
-            return False
-        perm = {u: v, v: u}
-        columns = {}
-        for c in cols_u:
-            image = self.column_image(c, perm)
-            if image is None:
-                return False
-            columns[c] = image
-            columns[image] = c
-        return all(self.row_image(r, columns) is not None for r in rows_u)
-
-    def twin_classes(self) -> list[list[int]]:
+    def _find_twins(self) -> list[list[int]]:
         """The vertices of the column keys in classes of twins, in order of
         least member: u and v are twins when the transposition (u v) is an
         automorphism.  That relation is an equivalence, so each vertex is
@@ -862,6 +869,40 @@ class _Action:
         in one set of equal closed neighbourhoods N(u) + u and any other in
         one set of equal open ones N(u), and only vertices of one such set
         are tested against each other, closed sets first."""
+        cols_of: dict[int, list] = {}  # per vertex, the columns through it
+        for c, (item, _) in enumerate(self.keys):
+            for v in set(item):
+                cols_of.setdefault(v, []).append(c)
+        rows_of: list[list] = [[] for _ in self.keys]  # per column, its rows
+        for r, fp in enumerate(self.footprints):
+            for c in fp:
+                rows_of[c].append(r)
+        through: dict[int, set] = {}  # per vertex tested, the rows through it
+
+        def rows_through(v: int) -> set:
+            rows = through.get(v)
+            if rows is None:
+                rows = through[v] = {r for c in cols_of[v] for r in rows_of[c]}
+            return rows
+
+        def swaps(u: int, v: int) -> bool:
+            # (u v) maps the columns through u one to one into those through
+            # v, and so the rows; so when u and v lie on equally many of each,
+            # the columns and rows through u having images makes it an
+            # automorphism
+            cols_u, rows_u = cols_of[u], rows_through(u)
+            if len(cols_u) != len(cols_of[v]) or len(rows_u) != len(rows_through(v)):
+                return False
+            perm = {u: v, v: u}
+            columns = {}
+            for c in cols_u:
+                image = self.column_image(c, perm)
+                if image is None:
+                    return False
+                columns[c] = image
+                columns[image] = c
+            return all(self.row_image(r, columns) is not None for r in rows_u)
+
         nbrs: dict[int, set] = {}
         for item, _ in self.keys:
             for v in item:
@@ -876,7 +917,7 @@ class _Action:
                 found: list[list] = []
                 for v in group:
                     for cls in found:
-                        if self.swaps(cls[0], v):
+                        if swaps(cls[0], v):
                             cls.append(v)
                             break
                     else:
@@ -889,14 +930,15 @@ class _Action:
         return sorted(classes)
 
 
-def _action(table: CopyTable, ordered: bool) -> _Action | None:
-    """The table's _Action, or None when its column keys are not vertex
-    keys or two footprints have the same columns."""
+def _new_action(table: CopyTable, ordered: bool) -> _Action | None:
+    """A new _Action of the table, its twin classes found, or None when its
+    column keys are not vertex keys or two footprints have the same
+    columns."""
     keys = _vertex_keys(table.atoms, ordered)
     if keys is None:
         return None
     act = _Action(table, ordered, keys)
-    return act if len(act.row) == len(table.footprints) else None
+    return None if act.classes is None else act
 
 
 def _table_action(table: CopyTable, ordered: bool, perm) -> tuple | None:
@@ -912,7 +954,7 @@ def _table_action(table: CopyTable, ordered: bool, perm) -> tuple | None:
     perm = {v: w for v, w in items if v != w}
     if set(perm) != set(perm.values()):
         raise ValueError("perm is not a permutation")
-    act = _action(table, ordered)
+    act = table._arc_action if ordered else table._edge_action
     if act is None:
         return None
     columns = [act.column_image(c, perm) for c in range(len(table.atoms))]
@@ -925,10 +967,10 @@ def _table_action(table: CopyTable, ordered: bool, perm) -> tuple | None:
 
 def _twin_classes(table: CopyTable, ordered: bool) -> list[list[int]]:
     """The twin classes of the vertices of the table's column keys (see
-    _Action.twin_classes), singletons included; [] when its column keys are
+    _Action._find_twins), singletons included; [] when its column keys are
     not vertex keys."""
-    act = _action(table, ordered)
-    return act.twin_classes() if act else []
+    act = table._arc_action if ordered else table._edge_action
+    return act.classes if act else []
 
 
 def _candidate_orbits(act: _Action, cands: list, fixed: int, class_bits: list) -> tuple[list, list]:
@@ -1007,6 +1049,8 @@ def find_decomposition(
     passed back as ``resume`` to continue the identical search.  The time
     budget covers copy enumeration too (the frontier is then empty, so a
     resume starts over); ``budget`` caps its nodes as in enumerate_copies.
+    A ``table`` passed back keeps its search index (see CopyTable), so
+    repeated finds on it skip that set-up.
     """
     t0 = time.monotonic()
     deadline = _deadline(t0, timeout)
@@ -1046,7 +1090,7 @@ def count_decompositions(
     count through a bounded memo of two generations that lives for this
     call, and a column with at most one alive row is branched on as soon
     as the scan meets it.  When such a table comes with its host and has a
-    class of two or more twin vertices (see _Action.twin_classes), the
+    class of two or more twin vertices (see _Action._find_twins), the
     walk's upper levels branch on orbits of candidates; the count is the
     same int.  Other tables are counted solution by solution in the find
     walk, whose node counts, certificates and frontiers the count walk
@@ -1054,7 +1098,9 @@ def count_decompositions(
     ``decomp_lab.solver`` logger: the twin class sizes with the orbit
     nodes, leaves and the plain nodes below them (leaf nodes), or why no
     orbit levels ran (no host, a capacity above 1, or no twin class) with
-    the walk's nodes."""
+    the walk's nodes.  A ``table`` passed back keeps its search index and
+    twin classes (see CopyTable), so repeated counts on it skip that
+    set-up."""
     deadline = _deadline(time.monotonic(), timeout)
     table = table or enumerate_copies(host, patterns, partition, budget, deadline)
     search = _CoverSearch(table)
@@ -1065,21 +1111,21 @@ def count_decompositions(
     elif any(k != 1 for k in search.capacities):
         plain = "a capacity above 1"
     else:
-        act = _action(table, host._ordered)
-        classes = [] if act is None else [c for c in act.twin_classes() if len(c) > 1]
+        act = table._arc_action if host._ordered else table._edge_action
+        classes = [] if act is None else [c for c in act.classes if len(c) > 1]
         if not classes:
             plain = "no twin class"
     count = search.count(act, classes)
     if count is None:
         raise TimeBudgetExceeded("counting hit the time budget")
-    if plain is None:
+    if plain is not None:
+        _log.debug("count %d: plain walk (%s), %d nodes", count, plain, search.nodes)
+    elif _log.isEnabledFor(logging.DEBUG):  # the size summary is built only for a record
         _log.debug(
             "count %d: twin classes by size %s, %d orbit nodes, %d leaves, %d leaf nodes",
             count, dict(sorted(Counter(map(len, classes)).items(), reverse=True)),
             search.orbit_nodes, search.leaves, search.nodes,
         )
-    else:
-        _log.debug("count %d: plain walk (%s), %d nodes", count, plain, search.nodes)
     return count
 
 

@@ -6,8 +6,9 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -780,8 +781,8 @@ def test_count_walk_matches_reference_when_rows_are_renumbered(monkeypatch):
 
 def test_count_walk_stops_with_a_frontier_of_disjoint_copies():
     table = _ladder()[3][1]  # res9
-    act = sv._action(table, False)
-    classes = [c for c in act.twin_classes() if len(c) > 1]
+    act = table._edge_action
+    classes = [c for c in act.classes if len(c) > 1]
     for deadline, node_budget, twins, rows in (
         (time.monotonic() - 1, None, (), None),
         (None, 5000, (), None),
@@ -824,10 +825,11 @@ def test_count_with_a_capacity_above_one():
 
 def test_table_with_a_repeated_column_is_rejected():
     table = _table([(0, 0)], [1])
-    with pytest.raises(ValueError, match="twice"):
-        find_decomposition(None, None, table=table)
-    with pytest.raises(ValueError, match="twice"):
-        count_decompositions(None, None, table=table)
+    for _ in range(2):  # a table keeps nothing of a failed build
+        with pytest.raises(ValueError, match="twice"):
+            find_decomposition(None, None, table=table)
+        with pytest.raises(ValueError, match="twice"):
+            count_decompositions(None, None, table=table)
 
 
 def test_table_with_a_column_past_the_capacities_is_rejected():
@@ -853,10 +855,11 @@ def test_table_with_a_capacity_below_one_is_rejected(capacity):
     # column 1 used to be covered beyond its capacity: find reported "found"
     # and a count 1
     table = _table([(0, 1)], [1, capacity])
-    with pytest.raises(ValueError, match=f"column 1 has capacity {capacity}, below 1"):
-        find_decomposition(None, None, table=table)
-    with pytest.raises(ValueError, match="below 1"):
-        count_decompositions(None, None, table=table)
+    for _ in range(2):  # a table keeps nothing of a failed build
+        with pytest.raises(ValueError, match=f"column 1 has capacity {capacity}, below 1"):
+            find_decomposition(None, None, table=table)
+        with pytest.raises(ValueError, match="below 1"):
+            count_decompositions(None, None, table=table)
 
 
 @pytest.mark.parametrize("timeout", [math.nan, -1.0, -math.inf])
@@ -1075,10 +1078,10 @@ def test_orbit_count_keeps_the_deadline():
     with pytest.raises(TimeBudgetExceeded):  # at the first orbit node
         count_decompositions(host, TRIANGLE, table=table, timeout=0)
     # below the orbit levels, where the node budget stops the plain nodes
-    act = sv._action(table, False)
+    act = table._edge_action
     search = sv._CoverSearch(table)
     search.node_budget = 1
-    assert search.count(act, [c for c in act.twin_classes() if len(c) > 1]) is None
+    assert search.count(act, [c for c in act.classes if len(c) > 1]) is None
 
 
 def test_orbit_counts_of_latin_5_sqs_10_and_cyclic_triangles(caplog):
@@ -1172,3 +1175,102 @@ def test_the_decomp_lab_logger_is_silent_by_default():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (out.returncode, out.stdout, out.stderr) == (0, "30\n['NullHandler']\n", "")
+
+
+# ---------------------------------------------------------------------------
+# reused tables: the search index and twin classes kept with the table
+
+
+def _calls(caplog, host, pattern, partition, table, small: bool) -> list:
+    """The results on the table of a budgeted find and its resume, timings
+    left out; and on a ``small`` table first a count with its DEBUG record
+    and a find to the end, whose nodes the budgeted find gets half of."""
+    out, budget = [], 3000
+    if small:
+        out.append(_orbit_record(caplog, lambda: count_decompositions(host, pattern, table=table)))
+        full = find_decomposition(host, pattern, partition, timeout=None, table=table)
+        out.append((full.status, full.nodes, full.certificate))
+        budget = full.nodes // 2
+    part = find_decomposition(host, pattern, partition, node_budget=budget, table=table)
+    resumed = find_decomposition(
+        host, pattern, partition, node_budget=3000, table=table, resume=part.frontier
+    )
+    assert part.status == "timeout" and part.frontier
+    assert not small or resumed.certificate == full.certificate
+    for res in (part, resumed):
+        out.append((res.status, res.nodes, res.frontier, res.certificate))
+    return out
+
+
+def test_reused_tables_match_fresh_tables(caplog):
+    k16 = ("k16", Hypergraph.complete(16, 3), Hypergraph.complete(4, 3), None, None)
+    for name, host, pattern, partition, _ in [*_ladder_instances(), k16]:
+        if name == "sudoku4":
+            continue
+        table = enumerate_copies(host, pattern, partition)
+        fresh = _calls(caplog, host, pattern, partition, replace(table), name != "k16")
+        for _ in range(2):
+            assert _calls(caplog, host, pattern, partition, table, name != "k16") == fresh, name
+
+
+def test_one_table_keeps_a_twin_reading_per_orientation(caplog):
+    # the transitive tournament on 4 vertices: as arcs no two vertices are
+    # twins, as edges all four are; the counts read the table both ways
+    tournament = Digraph.from_arcs(4, 2, list(combinations(range(4), 2)))
+    table = enumerate_copies(tournament, Digraph.from_arcs(2, 2, [(0, 1)]))
+    edges = Hypergraph.complete(4, 2)
+    for host, record in [(tournament, "plain walk (no twin class)"),
+                         (edges, "twin classes by size {4: 1}"),
+                         (tournament, "plain walk (no twin class)")]:
+        count, message = _orbit_record(caplog, lambda: count_decompositions(host, None, table=table))
+        assert count == 1 and record in message
+    assert sv._twin_classes(table, True) == [[0], [1], [2], [3]]
+    assert sv._twin_classes(table, False) == [[0, 1, 2, 3]]
+
+
+def test_replaced_tables_build_their_own_index(caplog):
+    host = Hypergraph.from_edges(
+        9, 2, [e for e in combinations(range(9), 2) if not set(e) <= {0, 1, 2}]
+    )
+    table = enumerate_copies(host, TRIANGLE)
+    with pytest.raises(FrozenInstanceError):
+        table.atoms = table.atoms[::-1]
+    assert count_decompositions(host, TRIANGLE, table=table) == 120
+    perm = [6, 7, 8, 0, 1, 2, 3, 4, 5]
+    moved = replace(table, atoms=[tuple(sorted(perm[v] for v in a)) for a in table.atoms])
+    _, message = _orbit_record(caplog, lambda: count_decompositions(host, TRIANGLE, table=moved))
+    assert message.startswith("count 120: twin classes by size {6: 1, 3: 1}")
+    assert sv._twin_classes(moved, False) == oracles.ref_twin_classes(moved, False)
+    assert sv._twin_classes(moved, False) == [[0, 1, 2, 3, 4, 5], [6, 7, 8]]
+    assert sv._twin_classes(table, False) == [[0, 1, 2], [3, 4, 5, 6, 7, 8]]
+    # a capacity of 0 in a replaced table is rejected although the old one counted
+    broken = replace(table, capacities=[0] + table.capacities[1:])
+    with pytest.raises(ValueError, match="below 1"):
+        count_decompositions(host, TRIANGLE, table=broken)
+
+
+def test_threads_counting_one_fresh_table_agree():
+    # more threads than cores, switching often, all building one table's index
+    _, host, pattern, partition, expected = _ladder_instances()[3]  # res9
+    table = enumerate_copies(host, pattern, partition)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            fresh = replace(table)  # no index built yet
+            start = threading.Barrier(4)
+            got = []
+
+            def count():
+                start.wait(timeout=30)
+                got.append(count_decompositions(host, pattern, table=fresh))
+
+            threads = [threading.Thread(target=count) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [expected] * 4
+    finally:
+        sys.setswitchinterval(switch)
