@@ -161,12 +161,26 @@ class CopyTable:
         counts = [m.bit_count() for m in masks]  # a repeated column sets its bit once
         if sum(counts) != sum(map(len, rows)):
             raise ValueError("a footprint names a column twice")
-        return masks, counts, 1800 * max(map(len, rows), default=0) ** 3
+        return masks, counts, 9400 * max(map(len, rows), default=0) ** 2
 
     @cached_property
     def _row_keys(self) -> list[int]:
-        """Per row, its columns as the bits of an int."""
+        """Per row, its columns as the bits of an int: the count walk's
+        memo keys, and what a find that keeps counts subtracts from the
+        planes for a killed row."""
         return [sum(1 << col for col in fp) for fp in self.footprints]
+
+    @cached_property
+    def _planes(self) -> tuple[int, ...]:
+        """The column counts of _cover as bit planes, most significant first:
+        bit c of plane j is bit j, counted from the top, of column c's
+        count."""
+        counts = self._cover[1]
+        top = max(counts, default=0).bit_length()
+        return tuple(
+            int("".join("1" if k >> j & 1 else "0" for k in reversed(counts)), 2)
+            for j in range(top - 1, -1, -1)
+        )
 
     @cached_property
     def _edge_action(self) -> _Action | None:
@@ -470,21 +484,32 @@ class _CoverSearch:
     search tree with an explicit stack, one frame per selected row holding
     the parent node's state and place in its candidate list, so depth is
     bounded only by memory and backtracking only restores the selected
-    row's ``need`` entries.  When the alive rows grow sparse in their int,
-    a subtree renumbers them densely in the same order; ``ids`` maps its
-    row numbers back to footprint indices, which selections, solutions and
-    frontiers always use.
+    row's ``need`` entries; everything else a node has, the column counts
+    included, is ints and lists it never changes, kept in its frame.  When
+    the alive rows grow sparse in their int, a subtree renumbers them
+    densely in the same order; ``ids`` maps its row numbers back to
+    footprint indices, which selections, solutions and frontiers always
+    use.
 
     Counting each open column's alive rows through its mask costs a node
-    about 40 ns per open column plus 1 ns per 30 bits of the alive int;
-    keeping ``counts`` costs about 60 ns per column of each killed row, some
-    ``alive * width**3 / open`` per node for ``width``-column footprints.
-    Counts are kept while they are the cheaper (many columns of few rows,
-    as in K_n^(3) by K_4^(3)) and dropped for good once a subtree is not.
-    While they are kept, a closed column's entry carries an offset larger
-    than any open column's count, so the first least entry of ``counts`` is
-    the column the rule picks and no list of open columns is kept; that
-    list is built from ``need`` when counts are dropped, for the mask scan.
+    about 60 ns per open column plus 1 ns per 17 bits of the alive int;
+    keeping column counts costs about 550 ns per killed row, some
+    ``alive * width**2 / open`` rows per node for ``width``-column
+    footprints (2-CPU VM, Python 3.11).  Counts are kept while they are the
+    cheaper (many columns of few rows, as in K_n^(3) by K_4^(3)) and
+    dropped for good once a subtree is not.  The root decides whether they
+    are kept at all, and only then reads the table's planes and row keys.
+    Kept counts are bit planes, most significant first: bit c of plane j is
+    bit j, from the top, of column c's alive-row count, and ``opened`` is
+    the int of the open columns.  The pick ANDs ``opened`` with each
+    plane's complement in turn, from the top, keeping the result whenever
+    it is not 0: the lowest bit left is the open column with the fewest
+    alive rows, lowest index on ties (Knuth's rule in "Dancing Links",
+    2000, on counts sliced into planes as rng.py slices its lanes).  A
+    selection subtracts each killed row's int of columns from a copy of the
+    planes, borrowing up from the bottom plane, and the frame keeps the
+    parent's planes.  The list of open columns that the mask scan reads is
+    built from ``need`` when counts are dropped.
 
     ``solutions`` is the find walk and ``count`` the one count.  On a table
     whose capacities are all 1, ``count`` takes a walk of its own: selecting
@@ -501,8 +526,8 @@ class _CoverSearch:
     three ints: its open columns, its alive rows and the vertices its
     selected rows touch.
 
-    The masks, column counts and ``kill_cost`` are the table's, built on
-    first use (see CopyTable._cover) and only read here.
+    The masks, column counts, planes, row keys and ``kill_cost`` are the
+    table's, built on first use (see CopyTable) and only read here.
     """
 
     def __init__(self, table: CopyTable):
@@ -528,11 +553,11 @@ class _CoverSearch:
         node_budget, deadline = self.node_budget, self.deadline
         n = len(rows)
         alive, masks, ids = (1 << n) - 1, self.masks, range(n)
-        # while counts are kept, a closed column's entry is offset by shut, more
-        # than any open column's, so the first least entry is the open column
-        # the rule picks; open_cols is kept only once counts are dropped
-        shut = n + 1
-        counts, open_cols, n_open = list(self.counts), None, len(need)
+        # planes stays () until a node keeps counts, so a root that scans reads
+        # neither the planes nor the row keys, and becomes None once counts are
+        # dropped; open_cols is kept only from then on
+        planes, row_keys, open_cols = (), None, None
+        opened = (1 << len(need)) - 1
         replay = replay or ()
         selection: list[int] = []
         stack: list[tuple] = []  # per selected row, its parent's state
@@ -547,22 +572,34 @@ class _CoverSearch:
                 return
             here, replay = replay, ()
             cands, pos, need_c = (), 0, 1  # leaves and dead ends have no candidates
-            if not n_open:
+            if not opened:
                 yield list(selection)
             else:
                 n_alive = alive.bit_count()
                 if alive.bit_length() > 4 * n_alive + 64:
                     alive, masks, ids = _renumber(alive, ids, rows, len(masks))
                 # the column with the fewest alive rows, lowest index on ties; the
-                # two per-node costs of the class docstring, both times 30 * n_open
-                if counts is not None and (
-                    n_open**2 * (1200 + alive.bit_length()) > self.kill_cost * n_alive
+                # two per-node costs of the class docstring, both times 17 times
+                # the number of open columns
+                if planes is not None and (
+                    opened.bit_count() ** 2 * (1000 + alive.bit_length())
+                    > self.kill_cost * n_alive
                 ):
-                    least = min(counts)
-                    c = counts.index(least)
+                    if not planes:
+                        planes, row_keys = self.table._planes, self.table._row_keys
+                    # from the top plane down, keep the columns with a 0 there
+                    # unless none has one; least gathers the bits so chosen
+                    least, low = 0, opened
+                    for p in planes:
+                        t = low & ~p
+                        if t:
+                            low, least = t, 2 * least
+                        else:
+                            least = 2 * least + 1
+                    c = (low & -low).bit_length() - 1
                 else:
-                    if counts is not None:
-                        counts, open_cols = None, [x for x, k in enumerate(need) if k]
+                    if planes is not None:
+                        planes, open_cols = None, [x for x, k in enumerate(need) if k]
                     least = n + 1
                     for col in open_cols:
                         k = (masks[col] & alive).bit_count()
@@ -584,15 +621,10 @@ class _CoverSearch:
                 if len(cands) - pos < need_c:  # too few rows of c are left
                     if not stack:
                         return
-                    (alive, masks, ids, open_cols, n_open, counts, cands, pos, rows_c, need_c,
-                     fp, killed) = stack.pop()
+                    alive, masks, ids, opened, open_cols, planes, cands, pos, rows_c, need_c, fp = (
+                        stack.pop()
+                    )
                     selection.pop()
-                    if counts is not None:
-                        for col in fp:
-                            if not need[col]:
-                                counts[col] -= shut
-                        for col in chain.from_iterable(killed):
-                            counts[col] += 1
                     for col in fp:
                         need[col] += 1
                     replay = ()
@@ -611,7 +643,7 @@ class _CoverSearch:
                     need[col] = k
                     if k == 0:
                         sub &= ~masks[col]
-                        closed += 1
+                        closed |= 1 << col
                     elif (masks[col] & sub).bit_count() < k:
                         viable = False
                         break
@@ -620,23 +652,28 @@ class _CoverSearch:
                 for col in fp[:done]:
                     need[col] += 1
                 replay = ()
-            killed = ()
-            if counts is not None:
-                killed = [rows[ids[k]] for k in _bits(alive ^ sub)]
-                for col in chain.from_iterable(killed):
-                    counts[col] -= 1
-                if closed:
-                    for col in fp:
-                        if not need[col]:
-                            counts[col] += shut
             stack.append(
-                (alive, masks, ids, open_cols, n_open, counts, cands, pos, rows_c, need_c,
-                 fp, killed)
+                (alive, masks, ids, opened, open_cols, planes, cands, pos, rows_c, need_c, fp)
             )
             selection.append(ids[r])
+            if planes:
+                # subtract each killed row from the planes, bottom plane first:
+                # a row's bits that borrow go on to the plane above
+                planes = list(planes)
+                borrows = [row_keys[ids[k]] for k in _bits(alive ^ sub)]
+                j = len(planes)
+                while borrows:
+                    j -= 1
+                    p, left = planes[j], []
+                    for b in borrows:
+                        p ^= b
+                        b &= p
+                        if b:
+                            left.append(b)
+                    planes[j], borrows = p, left
             alive = sub
             if closed:
-                n_open -= closed
+                opened ^= closed
                 if open_cols is not None:
                     open_cols = [x for x in open_cols if need[x]]
 

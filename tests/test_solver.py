@@ -364,6 +364,13 @@ def test_engine_matches_reference_when_rows_are_renumbered():
     _assert_same_search(k12, (300, 2000), 2000)
 
 
+def test_engine_matches_reference_on_the_bench_k16_find():
+    # the bench's budgeted K_16^(3) by K_4^(3) find, where column counts are
+    # kept from the root, and the resume from its frontier
+    k16 = enumerate_copies(Hypergraph.complete(16, 3), Hypergraph.complete(4, 3))
+    _assert_same_search(k16, (3000,), 3000)
+
+
 def test_ladder_node_counts():
     """Node counts of the benchmark ladder under the branching rule: fewest
     alive rows, lowest column on ties, rows in ascending order."""
@@ -894,6 +901,10 @@ def test_engine_build_matches_a_per_column_reference():
         masks = [sum(1 << r for r, fp in enumerate(fps) if c in fp) for c in range(ncols)]
         assert search.masks == masks
         assert search.counts == [sum(c in fp for fp in fps) for c in range(ncols)]
+        planes = table._planes  # most significant first
+        assert [
+            sum((p >> c & 1) << j for j, p in enumerate(reversed(planes))) for c in range(ncols)
+        ] == search.counts
         r = rng.randrange(len(fps))
         for bad, message in (
             (fps[r] + fps[r][:1], "twice"),
@@ -903,6 +914,20 @@ def test_engine_build_matches_a_per_column_reference():
             broken = replace(table, footprints=fps[:r] + [bad] + fps[r + 1:])
             with pytest.raises(ValueError, match=message):
                 sv._CoverSearch(broken)
+
+
+def test_planes_and_row_keys_are_built_only_when_the_root_keeps_counts():
+    # a find that scans masks from its root reads neither, so tables such as
+    # the resolvable n = 21 one do not keep them
+    table = enumerate_copies(Hypergraph.complete(16, 3), Hypergraph.complete(4, 3))
+    for kill_cost in (10**30, None):
+        search = sv._CoverSearch(table)
+        search.node_budget = 200
+        if kill_cost is not None:
+            search.kill_cost = kill_cost
+        assert next(search.solutions(), None) is None and search.frontier
+        built = {"_cover", "_planes", "_row_keys"} & set(vars(table))
+        assert built == ({"_cover"} if kill_cost else {"_cover", "_planes", "_row_keys"})
 
 
 # ---------------------------------------------------------------------------
