@@ -670,7 +670,8 @@ def is_extendable(
 # Every mode generates cases (k, key, lhs, expected): a family of k sets, its
 # joint count lhs and the count a random host of the same densities would
 # give.  One fold turns the cases into a report, so all modes share one band,
-# one deviation and one witness rule.
+# one deviation and one witness rule, and every mode first checks its band
+# and family size with _band.
 
 @dataclass
 class TypicalityReport:
@@ -683,6 +684,17 @@ class TypicalityReport:
     witness: tuple | None = None  # (*key, lhs, expected) of the first failing case
     exact: bool = True
     notes: list[str] = field(default_factory=list)
+
+
+def _band(c, s: int) -> Fraction:
+    """c as a Fraction.  A family size s below 1, which would check no
+    family and report typical, or a band c below 0 raises ValueError."""
+    if s < 1:
+        raise ValueError(f"typicality needs a family size s of at least 1, not {s}")
+    c = Fraction(c)
+    if c < 0:
+        raise ValueError(f"typicality needs a band c of 0 or more, not {c}")
+    return c
 
 
 def _typicality(mode: str, c: Fraction, s: int, cases, exact: bool = True) -> TypicalityReport:
@@ -757,7 +769,7 @@ def is_typical_plain(
     seed: int | None = None,
 ) -> TypicalityReport:
     """Joint neighbourhoods of up to s many (r-1)-sets have near-expected size."""
-    c = Fraction(c)
+    c = _band(c, s)
     n = g.n
     d = g.density()
     fsets = list(combinations(range(n), g.r - 1))
@@ -786,7 +798,7 @@ def is_typical_blowup(
 ) -> TypicalityReport:
     """Blowup typicality: within-class joint neighbourhoods track the class
     densities of the pattern edges involved."""
-    c = Fraction(c)
+    c = _band(c, s)
     if host_partition.t != h.n:
         raise ValueError("host partition must have one class per pattern vertex")
     part_of = host_partition.assignment()
@@ -831,7 +843,7 @@ def is_typical_coloured(
     seed: int | None = None,
 ) -> TypicalityReport:
     """Colour-weighted joint degrees track products of colour densities."""
-    c = Fraction(c)
+    c = _band(c, s)
     n = g.n
     dens = g.density_vector()
     fsets = list(combinations(range(n), g.r - 1))
@@ -893,7 +905,7 @@ def is_typical_hp(
     """Index-partite typicality: per-part joint neighbourhoods track the
     densities of the index classes hit, with both sides allowed to vanish
     when an index falls outside the pattern's realized index set."""
-    c = Fraction(c)
+    c = _band(c, s)
     if host_partition.t != pattern_partition.t:
         raise ValueError("partitions have different part counts")
     dens = {

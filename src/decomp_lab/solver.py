@@ -127,12 +127,12 @@ class CopyTable:
     @cached_property
     def _cover(self) -> tuple:
         """(masks, counts, kill_cost) of _CoverSearch over the table: per
-        column the int of its rows' bits and their number, and the cost
-        estimate of keeping counts.  The masks are built in one pass over
-        the footprints, last to first, into one bytearray per column sized
-        by the column's last row.  A capacity below 1, or a footprint
-        naming a column twice, a negative column or one past the capacities
-        raises ValueError."""
+        column the int of its rows' bits and their number (which _planes
+        slices), and the cost estimate of keeping counts.  The masks are
+        built in one pass over the footprints, last to first, into one
+        bytearray per column sized by the column's last row.  A capacity
+        below 1, or a footprint naming a column twice, a negative column or
+        one past the capacities raises ValueError."""
         rows = self.footprints
         ncols = len(self.capacities)
         for c, k in enumerate(self.capacities):
@@ -495,21 +495,21 @@ class _CoverSearch:
     about 60 ns per open column plus 1 ns per 17 bits of the alive int;
     keeping column counts costs about 550 ns per killed row, some
     ``alive * width**2 / open`` rows per node for ``width``-column
-    footprints (2-CPU VM, Python 3.11).  Counts are kept while they are the
-    cheaper (many columns of few rows, as in K_n^(3) by K_4^(3)) and
-    dropped for good once a subtree is not.  The root decides whether they
-    are kept at all, and only then reads the table's planes and row keys.
-    Kept counts are bit planes, most significant first: bit c of plane j is
-    bit j, from the top, of column c's alive-row count, and ``opened`` is
-    the int of the open columns.  The pick ANDs ``opened`` with each
-    plane's complement in turn, from the top, keeping the result whenever
-    it is not 0: the lowest bit left is the open column with the fewest
-    alive rows, lowest index on ties (Knuth's rule in "Dancing Links",
-    2000, on counts sliced into planes as rng.py slices its lanes).  A
-    selection subtracts each killed row's int of columns from a copy of the
-    planes, borrowing up from the bottom plane, and the frame keeps the
-    parent's planes.  The list of open columns that the mask scan reads is
-    built from ``need`` when counts are dropped.
+    footprints (2-CPU VM, Python 3.11).  The root compares the two once and
+    the whole walk keeps its choice: counts when they are the cheaper (many
+    columns of few rows, as in K_n^(3) by K_4^(3)), and only then does it
+    read the table's planes and row keys; mask scans otherwise (as in the
+    resolvable STS(21) table), over a list of the open columns built at the
+    root and shortened as columns close.  Kept counts are bit planes, most
+    significant first: bit c of plane j is bit j, from the top, of column
+    c's alive-row count, and ``opened`` is the int of the open columns.  The
+    pick ANDs ``opened`` with each plane's complement in turn, from the top,
+    keeping the result whenever it is not 0: the lowest bit left is the open
+    column with the fewest alive rows, lowest index on ties (Knuth's rule in
+    "Dancing Links", 2000, on counts sliced into planes as rng.py slices its
+    lanes).  A selection subtracts each killed row's int of columns from a
+    copy of the planes, borrowing up from the bottom plane, and the frame
+    keeps the parent's planes.
 
     ``solutions`` is the find walk and ``count`` the one count.  On a table
     whose capacities are all 1, ``count`` takes a walk of its own: selecting
@@ -518,7 +518,7 @@ class _CoverSearch:
     a node is a function of its open columns.
     Keyed by that set as an int, which renumbering leaves alone, a memo of
     two generations, each of at most ``_COUNT_MEMO`` entries, lives for one
-    count.  That walk keeps no ``need`` or ``counts`` and takes the first
+    count.  That walk keeps no ``need`` or column counts and takes the first
     open column with at most one alive row without scanning the rest.  Given
     the twin classes of the host's vertices, its upper levels branch on
     orbits of candidate rows and count each orbit once, weighted by its
@@ -526,14 +526,14 @@ class _CoverSearch:
     three ints: its open columns, its alive rows and the vertices its
     selected rows touch.
 
-    The masks, column counts, planes, row keys and ``kill_cost`` are the
-    table's, built on first use (see CopyTable) and only read here.
+    The masks, planes, row keys and ``kill_cost`` are the table's, built on
+    first use (see CopyTable) and only read here.
     """
 
     def __init__(self, table: CopyTable):
         self.table = table
         self.rows, self.capacities = table.footprints, table.capacities
-        self.masks, self.counts, self.kill_cost = table._cover
+        self.masks, _, self.kill_cost = table._cover
         self.nodes = self.orbit_nodes = self.leaves = 0
         self.deadline = None
         self.node_budget = None
@@ -551,13 +551,18 @@ class _CoverSearch:
         """
         rows, need = self.rows, list(self.capacities)
         node_budget, deadline = self.node_budget, self.deadline
-        n = len(rows)
+        n, ncols = len(rows), len(need)
         alive, masks, ids = (1 << n) - 1, self.masks, range(n)
-        # planes stays () until a node keeps counts, so a root that scans reads
-        # neither the planes nor the row keys, and becomes None once counts are
-        # dropped; open_cols is kept only from then on
-        planes, row_keys, open_cols = (), None, None
-        opened = (1 << len(need)) - 1
+        # the root fixes the column rule for the walk by the two per-node costs
+        # of the class docstring, both times 17 times the number of open
+        # columns: kept counts read the table's planes and row keys, mask
+        # scans a list of the open columns
+        planes = row_keys = open_cols = None
+        if ncols**2 * (1000 + n) > self.kill_cost * n:
+            planes, row_keys = self.table._planes, self.table._row_keys
+        else:
+            open_cols = list(range(ncols))
+        opened = (1 << ncols) - 1
         replay = replay or ()
         selection: list[int] = []
         stack: list[tuple] = []  # per selected row, its parent's state
@@ -575,18 +580,10 @@ class _CoverSearch:
             if not opened:
                 yield list(selection)
             else:
-                n_alive = alive.bit_count()
-                if alive.bit_length() > 4 * n_alive + 64:
+                if alive.bit_length() > 4 * alive.bit_count() + 64:
                     alive, masks, ids = _renumber(alive, ids, rows, len(masks))
-                # the column with the fewest alive rows, lowest index on ties; the
-                # two per-node costs of the class docstring, both times 17 times
-                # the number of open columns
-                if planes is not None and (
-                    opened.bit_count() ** 2 * (1000 + alive.bit_length())
-                    > self.kill_cost * n_alive
-                ):
-                    if not planes:
-                        planes, row_keys = self.table._planes, self.table._row_keys
+                # the column with the fewest alive rows, lowest index on ties
+                if planes is not None:
                     # from the top plane down, keep the columns with a 0 there
                     # unless none has one; least gathers the bits so chosen
                     least, low = 0, opened
@@ -598,8 +595,6 @@ class _CoverSearch:
                             least = 2 * least + 1
                     c = (low & -low).bit_length() - 1
                 else:
-                    if planes is not None:
-                        planes, open_cols = None, [x for x, k in enumerate(need) if k]
                     least = n + 1
                     for col in open_cols:
                         k = (masks[col] & alive).bit_count()
@@ -656,7 +651,7 @@ class _CoverSearch:
                 (alive, masks, ids, opened, open_cols, planes, cands, pos, rows_c, need_c, fp)
             )
             selection.append(ids[r])
-            if planes:
+            if planes is not None:
                 # subtract each killed row from the planes, bottom plane first:
                 # a row's bits that borrow go on to the plane above
                 planes = list(planes)

@@ -4,15 +4,17 @@ import json
 import re
 import shlex
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import oracles
+from decomp_lab import complexes as cx
 from decomp_lab import divisibility as dv
 from decomp_lab import nibble as nb
-from decomp_lab.cli import _BUILTINS, main
-from decomp_lab.core import Hypergraph, dumps_canonical
+from decomp_lab.cli import _BUILTINS, main, parse_structure
+from decomp_lab.core import ColouredMultigraph, Hypergraph, dumps_canonical
 from decomp_lab.intlattice import matrix_to_json
 
 
@@ -260,6 +262,66 @@ def test_typicality_cli(capsys):
     )
     assert code == 0
     assert json.loads(out)["typical"] is True
+
+
+def _typicality_doc(rep) -> dict:
+    return {
+        "command": "typicality", "mode": rep.mode, "typical": rep.typical,
+        "c": str(rep.c), "s": rep.s, "checked": rep.checked,
+        "worst_deviation": str(rep.worst_deviation), "exact": rep.exact,
+    }
+
+
+@pytest.mark.parametrize("mode", ["blowup", "hp"])
+def test_typicality_cli_partite_modes_match_the_library(mode, capsys):
+    inst = parse_structure("k3n:3")
+    for c, s in (("0", 1), ("1/10", 2)):
+        if mode == "blowup":
+            rep = cx.is_typical_blowup(inst.host, inst.host_partition, inst.pattern, Fraction(c), s)
+        else:
+            rep = cx.is_typical_hp(
+                inst.host, inst.host_partition, inst.pattern, inst.pattern_partition,
+                Fraction(c), s,
+            )
+        assert rep.checked > 0
+        code, out = run_cli(
+            capsys, "typicality", "--host", "k3n:3", "--mode", mode, "--c", c, "--s", str(s)
+        )
+        assert json.loads(out) == _typicality_doc(rep)
+        assert code == (0 if rep.typical else 1)
+
+
+def test_typicality_cli_coloured_mode_matches_the_library(tmp_path, capsys):
+    g = ColouredMultigraph.from_colour_classes(
+        6, 2, 2,
+        [[(0, 1), (2, 3), (4, 5), (0, 2), (1, 3)],
+         [(0, 3), (1, 2), (0, 4), (1, 4), (2, 4)]],
+    )
+    path = tmp_path / "host.json"
+    path.write_text(json.dumps(g.to_json_dict()))
+    verdicts = set()
+    for c in ("1/10", "9/10", "3"):
+        rep = cx.is_typical_coloured(g, Fraction(c), 1)
+        code, out = run_cli(
+            capsys, "typicality", "--host", f"@{path}", "--mode", "coloured", "--c", c
+        )
+        assert json.loads(out) == _typicality_doc(rep)
+        assert code == (0 if rep.typical else 1)
+        verdicts.add(rep.typical)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("argv", [
+    "typicality --host k_n:6 --c 1/2 --s 0",
+    "typicality --mode hp --host k3n:3 --c 1/2 --s -2",
+    "typicality --host k_n:6 --c=-1/2",
+])
+def test_typicality_cli_rejects_a_family_size_below_one_and_a_negative_band(argv, capsys):
+    # s = 0 or -2 checked no family and printed "typical": true with exit 0;
+    # a negative c gave a verdict from a negative band
+    assert main(argv.split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: typicality needs")
 
 
 def test_budget_env_var_limits_enumeration(monkeypatch, capsys):

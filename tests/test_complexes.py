@@ -344,6 +344,31 @@ def test_typicality_hp_rejects_mismatched_part_counts():
         is_typical_hp(g, two, tri, Partition.singletons(3), Fraction(0), 1)
 
 
+@pytest.mark.parametrize("mode", ["plain", "blowup", "coloured", "hp"])
+def test_typicality_rejects_a_family_size_below_one_and_a_negative_band(mode):
+    # s below 1 checked no family and reported typical; a negative c gave a
+    # verdict from a negative band
+    tri = Hypergraph.complete(3, 2)
+    host, hpart = blowup(tri, [2, 2, 2])
+    coloured = ColouredMultigraph.from_colour_classes(
+        6, 2, 2,
+        [[(0, 1), (2, 3), (4, 5), (0, 2), (1, 3)],
+         [(0, 3), (1, 2), (0, 4), (1, 4), (2, 4)]],
+    )
+    call = {
+        "plain": lambda c, s: is_typical_plain(host, c, s),
+        "blowup": lambda c, s: is_typical_blowup(host, hpart, tri, c, s),
+        "coloured": lambda c, s: is_typical_coloured(coloured, c, s),
+        "hp": lambda c, s: is_typical_hp(host, hpart, tri, Partition.singletons(3), c, s),
+    }[mode]
+    for s in (0, -2):
+        with pytest.raises(ValueError, match="family size s of at least 1"):
+            call(Fraction(1, 2), s)
+    with pytest.raises(ValueError, match="band c of 0 or more"):
+        call(Fraction(-1, 2), 1)
+    assert call(0, 1).checked > 0 and call(Fraction(1, 2), 1).checked > 0
+
+
 def test_extension_json_roundtrip():
     from decomp_lab.complexes import Extension
     from decomp_lab.core import inj_from_pairs as inj

@@ -288,8 +288,11 @@ def _random_table(rng, ncols: int, nrows: int) -> CopyTable:
     return _table(fps, caps)
 
 
-# How the engine picks a column: its own choice, column counts kept to the
-# leaves, counts dropped for mask scans part-way down, mask scans throughout.
+# How the engine picks its column rule, once at the root for the whole walk:
+# its own choice (mask scans on the small tables, counts on K16), column
+# counts, counts or mask scans by the table's shape at a lower threshold
+# than the default (counts on most tables here, scans on about one in five),
+# mask scans.
 KILL_COSTS = (None, 0, 1600, 10**30)
 
 
@@ -900,11 +903,12 @@ def test_engine_build_matches_a_per_column_reference():
         search = sv._CoverSearch(table)
         masks = [sum(1 << r for r, fp in enumerate(fps) if c in fp) for c in range(ncols)]
         assert search.masks == masks
-        assert search.counts == [sum(c in fp for fp in fps) for c in range(ncols)]
+        counts = table._cover[1]
+        assert counts == [sum(c in fp for fp in fps) for c in range(ncols)]
         planes = table._planes  # most significant first
         assert [
             sum((p >> c & 1) << j for j, p in enumerate(reversed(planes))) for c in range(ncols)
-        ] == search.counts
+        ] == counts
         r = rng.randrange(len(fps))
         for bad, message in (
             (fps[r] + fps[r][:1], "twice"),
@@ -914,6 +918,28 @@ def test_engine_build_matches_a_per_column_reference():
             broken = replace(table, footprints=fps[:r] + [bad] + fps[r + 1:])
             with pytest.raises(ValueError, match=message):
                 sv._CoverSearch(broken)
+
+
+def test_bits_matches_bit_peeling_on_either_side_of_the_long_int_path():
+    # above 4 096 bits _bits searches the int's binary string instead of
+    # peeling bits off it; the 13 300-row resolvable n = 21 table takes that path
+    def peel(x):
+        out = []
+        while x:
+            low = x & -x
+            out.append(low.bit_length() - 1)
+            x ^= low
+        return out
+
+    rng = random.Random(26)
+    for length in (4095, 4096, 4097, 13300):
+        top = 1 << (length - 1)
+        sparse = [top, top | 1, top | sum(1 << rng.randrange(length) for _ in range(20))]
+        dense = [(1 << length) - 1, top | rng.getrandbits(length - 1), (1 << length) - 2]
+        for x in sparse + dense:
+            assert x.bit_length() == length
+            assert sv._bits(x) == peel(x)
+    assert sv._bits(0) == []
 
 
 def test_planes_and_row_keys_are_built_only_when_the_root_keeps_counts():
