@@ -374,6 +374,42 @@ def test_engine_matches_reference_on_the_bench_k16_find():
     _assert_same_search(k16, (3000,), 3000)
 
 
+def test_engine_matches_reference_on_the_bench_res21_find(monkeypatch):
+    # the bench's budgeted resolvable n = 21 find, whose 13 300-row table
+    # scans masks from the root, renumbers its rows and reads them through
+    # the long-int path of _bits; and the resume from its frontier
+    res21 = resolvable_sts_instance(21)
+    partition = (res21.pattern_partition, res21.host_partition)
+    table = enumerate_copies(res21.host, res21.pattern, partition)
+    renumber, renumbered = sv._renumber, []
+
+    def counted(alive, *args):
+        renumbered.append(alive.bit_length())
+        return renumber(alive, *args)
+
+    monkeypatch.setattr(sv, "_renumber", counted)
+    res = find_decomposition(res21.host, res21.pattern, partition, node_budget=2000, table=table)
+    assert res.status == "timeout" and renumbered and max(renumbered) > 4096
+    assert not {"_planes", "_row_keys"} & set(vars(table))
+    _assert_same_search(table, (2000,), 2000)
+
+
+def test_scan_past_a_forced_column_looks_only_for_a_dead_one():
+    # mask scans stop counting rows at the first forced column (one alive
+    # row); a later dead column still wins, and a later forced one does not
+    ref, new = oracles.RefCoverSearch, sv._CoverSearch
+    # column 0 is forced, column 1 dead: the root is a dead end
+    dead_after_forced = _table([(0, 2), (2,)], [1, 1, 1])
+    # columns 1 and 3 are forced: column 1 is taken first, then column 3
+    forced_twice = _table([(0,), (0, 1), (2,), (2, 3)], [1, 1, 1, 1])
+    for table, expected in (
+        (dead_after_forced, (False, [], 1)),
+        (forced_twice, (False, [[1, 3]], 3)),
+    ):
+        got = _run(new, table, every=True, kill_cost=10**30)
+        assert got == _run(ref, table, every=True) == expected
+
+
 def test_ladder_node_counts():
     """Node counts of the benchmark ladder under the branching rule: fewest
     alive rows, lowest column on ties, rows in ascending order."""
