@@ -267,11 +267,12 @@ class LabelledComplex:
                     return False
         return True
 
-    def exactly_adapted(self, degree_bound: int = ADAPT_DEGREE_BOUND) -> PermGroup | None:
+    def exactly_adapted(self) -> PermGroup | None:
         """The unique group Sigma for which membership of psi o tau is
-        equivalent to tau being a restriction of a Sigma element, or None."""
-        if self.q > degree_bound:
-            raise ValueError(f"label degree {self.q} above configured bound {degree_bound}")
+        equivalent to tau being a restriction of a Sigma element, or None.
+        A label degree above ADAPT_DEGREE_BOUND raises ValueError."""
+        if self.q > ADAPT_DEGREE_BOUND:
+            raise ValueError(f"label degree {self.q} above the bound {ADAPT_DEGREE_BOUND}")
         candidates = [s for s in permutations(range(self.q)) if self._maps_into(s)]
         try:
             group = PermGroup(self.q, candidates)
@@ -600,13 +601,13 @@ class ExtendabilityReport:
     notes: list[str] = field(default_factory=list)
 
 
-def default_templates(q: int, rank: int, max_new: int = 3):
-    """Template library: every multiset of at most max_new new partite
-    vertices with per-position copies bounded by the rank."""
+def default_templates(q: int, rank: int):
+    """Template library: every multiset of at most 3 new partite vertices
+    with per-position copies bounded by the rank."""
     from itertools import combinations_with_replacement
 
     out = []
-    for k in range(1, max_new + 1):
+    for k in range(1, 4):
         for positions in combinations_with_replacement(range(q), k):
             if any(positions.count(p) > rank for p in set(positions)):
                 continue

@@ -536,13 +536,13 @@ class _CoverSearch:
     first use (see CopyTable) and only read here.
     """
 
-    def __init__(self, table: CopyTable):
+    def __init__(self, table: CopyTable, node_budget=None, deadline=None):
         self.table = table
         self.rows, self.capacities = table.footprints, table.capacities
         self.masks, _, self.kill_cost = table._cover
         self.nodes = self.orbit_nodes = self.leaves = 0
-        self.deadline = None
-        self.node_budget = None
+        self.node_budget: int | None = node_budget
+        self.deadline: float | None = deadline  # a time.monotonic() instant
         self.frontier: list | None = None
 
     def solutions(self, replay=None):
@@ -839,17 +839,6 @@ def _bits(x: int) -> list[int]:
     return out
 
 
-def _deadline(t0: float, timeout: float | None) -> float | None:
-    """The ``time.monotonic()`` instant ``timeout`` seconds after t0, or None
-    for no timeout.  0 stops at the first check and inf never does; NaN,
-    which no clock reading passes, and a negative timeout raise ValueError."""
-    if timeout is None:
-        return None
-    if not timeout >= 0:
-        raise ValueError(f"timeout must be 0 or more seconds, not {timeout}")
-    return t0 + timeout
-
-
 # ---------------------------------------------------------------------------
 # vertex symmetries of a copy table: twin classes and orbit-weighted counts
 
@@ -1086,6 +1075,25 @@ def _least_column(key: int, masks: list, alive: int) -> tuple[int, int]:
     return c, least
 
 
+def _search(host, patterns, partition, table, budget, timeout, node_budget=None) -> _CoverSearch:
+    """The set-up of find_decomposition and count_decompositions: a
+    _CoverSearch over ``table``, or over the copies enumerate_copies finds
+    within ``budget`` nodes.  ``timeout`` seconds from this call cover that
+    enumeration too, which raises TimeBudgetExceeded when they run out.
+    None is no timeout, 0 stops at the first check and inf never does; NaN,
+    which no clock reading passes, and a negative timeout raise ValueError,
+    a table passed or not.  A passed ``table`` is never enumerated again
+    and keeps its search index and twin classes (see CopyTable), so
+    repeated searches on it skip that set-up."""
+    deadline = None
+    if timeout is not None:
+        if not timeout >= 0:
+            raise ValueError(f"timeout must be 0 or more seconds, not {timeout}")
+        deadline = time.monotonic() + timeout
+    table = table or enumerate_copies(host, patterns, partition, budget, deadline)
+    return _CoverSearch(table, node_budget, deadline)
+
+
 def find_decomposition(
     host,
     patterns,
@@ -1100,30 +1108,25 @@ def find_decomposition(
 
     Returns status "none" only when the search space is exhausted; hitting
     the time or node budget returns "timeout" with a frontier that can be
-    passed back as ``resume`` to continue the identical search.  The time
-    budget covers copy enumeration too (the frontier is then empty, so a
-    resume starts over); ``budget`` caps its nodes as in enumerate_copies.
-    A ``table`` passed back keeps its search index (see CopyTable), so
-    repeated finds on it skip that set-up.
+    passed back as ``resume`` to continue the identical search.  The
+    timeout, ``budget`` and ``table`` are as in _search; a timeout in copy
+    enumeration leaves an empty frontier, so a resume starts over.
     """
     t0 = time.monotonic()
-    deadline = _deadline(t0, timeout)
     try:
-        table = table or enumerate_copies(host, patterns, partition, budget, deadline)
+        search = _search(host, patterns, partition, table, budget, timeout, node_budget)
     except TimeBudgetExceeded:
         return SolveResult("timeout", None, 0, time.monotonic() - t0, frontier=[])
-    search = _CoverSearch(table)
-    search.deadline = deadline
-    search.node_budget = node_budget
     solution = next(search.solutions(resume), None)
     elapsed = time.monotonic() - t0
     if search.frontier is not None:
         return SolveResult("timeout", None, search.nodes, elapsed, frontier=search.frontier)
     if solution is None:
         return SolveResult("none", None, search.nodes, elapsed)
+    solution.sort()
     cert = Certificate(
-        footprint_indices=sorted(solution),
-        embeddings=[table.embeddings[r] for r in sorted(solution)],
+        footprint_indices=solution,
+        embeddings=[search.table.embeddings[r] for r in solution],
     )
     return SolveResult("found", cert, search.nodes, elapsed)
 
@@ -1137,7 +1140,8 @@ def count_decompositions(
     budget: int = 10_000_000,
 ) -> int:
     """Exact number of decompositions (sets of footprints).  Running out of
-    ``timeout``, copy enumeration included, raises TimeBudgetExceeded.
+    ``timeout`` raises TimeBudgetExceeded; the timeout, ``budget`` and
+    ``table`` are as in _search.
 
     The count is one walk of _CoverSearch.count.  On a table whose
     capacities are all 1, subproblems with the same open columns share one
@@ -1152,20 +1156,15 @@ def count_decompositions(
     ``decomp_lab.solver`` logger: the twin class sizes with the orbit
     nodes, leaves and the plain nodes below them (leaf nodes), or why no
     orbit levels ran (no host, a capacity above 1, or no twin class) with
-    the walk's nodes.  A ``table`` passed back keeps its search index and
-    twin classes (see CopyTable), so repeated counts on it skip that
-    set-up."""
-    deadline = _deadline(time.monotonic(), timeout)
-    table = table or enumerate_copies(host, patterns, partition, budget, deadline)
-    search = _CoverSearch(table)
-    search.deadline = deadline
+    the walk's nodes."""
+    search = _search(host, patterns, partition, table, budget, timeout)
     act, classes, plain = None, [], None
     if host is None:
         plain = "no host"
     elif any(k != 1 for k in search.capacities):
         plain = "a capacity above 1"
     else:
-        act = table._arc_action if host._ordered else table._edge_action
+        act = search.table._arc_action if host._ordered else search.table._edge_action
         classes = [] if act is None else [c for c in act.classes if len(c) > 1]
         if not classes:
             plain = "no twin class"

@@ -66,6 +66,12 @@ def test_partite_complex_exactly_adapted_group():
     assert set(group.elements) == {(0, 1, 2), (1, 0, 2)}
 
 
+def test_exactly_adapted_rejects_a_label_degree_above_the_bound():
+    # the candidate scan runs over all q! permutations of the labels
+    with pytest.raises(ValueError, match="label degree 11 above the bound 10"):
+        LabelledComplex.from_maximal(11, 2, []).exactly_adapted()
+
+
 def test_deleting_one_labelled_edge_breaks_adaptedness():
     full = sorted(LabelledComplex.complete_complex(2, 3).full_level())
     phi = LabelledComplex.from_maximal(2, 3, full[1:])

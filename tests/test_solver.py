@@ -16,6 +16,7 @@ import pytest
 
 import oracles
 from decomp_lab import solver as sv
+from decomp_lab.cli import main
 from decomp_lab.core import (
     ColouredMultidigraph,
     ColouredMultigraph,
@@ -24,6 +25,7 @@ from decomp_lab.core import (
     Partition,
     blowup,
 )
+from decomp_lab.divisibility import digraph_divisible
 from decomp_lab.encodings import (
     large_set_instance,
     rainbow_family,
@@ -244,6 +246,25 @@ def test_integral_oracle_matches_reference():
                 cover[c] += w
         assert cover == table.capacities
     assert verdicts == {True, False}
+
+
+def test_tight_4_cycles_in_the_complete_3_digraph_on_5_vertices():
+    # a desk-scale gap between divisibility and the decomposition lattice,
+    # pinned against brute-force oracles as criterion 07 pins Mendelsohn's n = 6
+    host, cycle = Digraph.complete(5, 3), tight_cycle(4, 3)
+    assert digraph_divisible(host, cycle).verdict
+    ref = oracles.ref_enumerate_copies(host, cycle)
+    assert len(ref.atoms) == 60 and set(ref.capacities) == {1}
+    assert len(ref.footprints) == 30
+    rows = [frozenset(fp) for fp in ref.footprints]
+    assert oracles._exact_cover_count(rows, set(range(len(ref.atoms)))) == 0
+    assert oracles.ref_integral_decomposition_exists(host, cycle, table=ref) == (False, None)
+    assert integral_decomposition_exists(host, cycle) == (False, None)
+    res = find_decomposition(host, cycle)
+    assert (res.status, res.nodes) == ("none", 5)
+    specs = ["--host", "kdn:3:5", "--pattern", "cycle:4:3"]
+    assert main(["check", "--kind", "digraph", *specs]) == 0
+    assert main(["solve", *specs]) == 1
 
 
 def test_certificate_json_roundtrip():
@@ -915,6 +936,26 @@ def test_nan_and_negative_timeouts_are_rejected(timeout):
         find_decomposition(Hypergraph.complete(9, 2), TRIANGLE, timeout=timeout)
     with pytest.raises(ValueError, match="timeout must be 0 or more seconds"):
         count_decompositions(Hypergraph.complete(7, 2), TRIANGLE, timeout=timeout)
+    # the timeout is checked before a passed table is used
+    table = enumerate_copies(Hypergraph.complete(7, 2), TRIANGLE)
+    with pytest.raises(ValueError, match="timeout must be 0 or more seconds"):
+        find_decomposition(None, None, timeout=timeout, table=table)
+    with pytest.raises(ValueError, match="timeout must be 0 or more seconds"):
+        count_decompositions(None, None, timeout=timeout, table=table)
+
+
+def test_a_passed_table_is_never_enumerated_again(monkeypatch):
+    # repeated searches on one table, as the bench runs them, reuse it
+    host = Hypergraph.complete(7, 2)
+    table = enumerate_copies(host, TRIANGLE)
+
+    def refuse(*args):
+        raise AssertionError("copies enumerated although a table was passed")
+
+    monkeypatch.setattr(sv, "enumerate_copies", refuse)
+    res = find_decomposition(host, TRIANGLE, table=table)
+    assert res.found and verify_certificate(host, TRIANGLE, res.certificate).valid
+    assert count_decompositions(host, TRIANGLE, table=table) == 30
 
 
 def test_zero_and_infinite_timeouts_keep_their_meaning():
