@@ -375,7 +375,7 @@ def _fraction(text: str, option: str) -> Fraction:
 def cmd_nibble(args) -> int:
     pattern = _spec(args.pattern, "pattern", Hypergraph)
     stop_density = _fraction(args.stop_density, "--stop-density") if args.stop_density else None
-    bounds, aux = nb._blowup_bounds(pattern, args.blowup, args.seed, stop_density)
+    bounds, run = nb._blowup_bounds(pattern, args.blowup, args.seed, stop_density)
     doc = {
         "command": "nibble",
         "pattern": args.pattern,
@@ -390,7 +390,6 @@ def cmd_nibble(args) -> int:
         "notes": bounds.notes,
     }
     if args.trajectory_out:
-        run = nb.random_greedy(aux, seed=args.seed, stop_density=stop_density)
         with open(args.trajectory_out, "w", encoding="utf-8") as fh:
             fh.write(run.dump_jsonl() + "\n")
         doc["trajectory"] = args.trajectory_out

@@ -130,8 +130,25 @@ class PermGroup:
 # ---------------------------------------------------------------------------
 # labelled complexes
 
+def _complete_levels(pools) -> dict:
+    """Per label set B of 0..len(pools)-1, every injection sending each
+    label x of B into pools[x], with distinct images."""
+    levels = {}
+    for size in range(len(pools) + 1):
+        for B in combinations(range(len(pools)), size):
+            levels[frozenset(B)] = {
+                tuple(zip(B, img))
+                for img in product(*(pools[x] for x in B))
+                if len(set(img)) == size
+            }
+    return levels
+
+
 class LabelledComplex:
-    """Levels B -> set of injections B -> V, closed under restriction."""
+    """Levels B -> set of injections B -> V, closed under restriction.
+
+    A complex given no label or host partition carries the one-part
+    partition on that side, so every complex has both."""
 
     def __init__(
         self,
@@ -146,23 +163,15 @@ class LabelledComplex:
         self.vertex_count = vertex_count
         self.levels = {frozenset(B): frozenset(s) for B, s in levels.items()}
         self.levels.setdefault(frozenset(), frozenset({()}))
-        self.label_partition = label_partition
-        self.host_partition = host_partition
+        self.label_partition = label_partition or Partition.trivial(q)
+        self.host_partition = host_partition or Partition.trivial(vertex_count)
         self.complete = complete
 
     # -- constructors
 
     @classmethod
     def complete_complex(cls, q: int, n: int) -> "LabelledComplex":
-        levels = {}
-        verts = range(n)
-        for size in range(q + 1):
-            for B in combinations(range(q), size):
-                injs = set()
-                for img in permutations(verts, size):
-                    injs.add(tuple(zip(B, img)))
-                levels[frozenset(B)] = injs
-        return cls(q, levels, n, complete=True)
+        return cls(q, _complete_levels([range(n)] * q), n, complete=True)
 
     @classmethod
     def complete_partite(
@@ -171,25 +180,15 @@ class LabelledComplex:
         """Injections sending labels of part j into host part j."""
         if label_partition.t != host_partition.t:
             raise ValueError("pattern and host partitions need equal part counts")
-        q = label_partition.ground_size
-        n = host_partition.ground_size
-        label_part = label_partition.assignment()
         for j in range(label_partition.t):
             if label_partition.parts[j] and not host_partition.parts[j]:
                 raise ValueError(f"host part {j} empty but pattern part {j} is not")
-        levels = {}
-        for size in range(q + 1):
-            for B in combinations(range(q), size):
-                injs = set()
-                pools = [host_partition.parts[label_part[x]] for x in B]
-                for img in product(*pools):
-                    if len(set(img)) == size:
-                        injs.add(tuple(zip(B, img)))
-                levels[frozenset(B)] = injs
+        label_part = label_partition.assignment()
+        pools = [host_partition.parts[label_part[x]] for x in range(label_partition.ground_size)]
         return cls(
-            q,
-            levels,
-            n,
+            len(pools),
+            _complete_levels(pools),
+            host_partition.ground_size,
             label_partition=label_partition,
             host_partition=host_partition,
             complete=True,
@@ -321,32 +320,13 @@ class LabelledComplex:
     # -- embeddings
 
     def full_embedding_exists(self, partial: Inj) -> bool:
-        """Is there a top-level labelled edge extending the partial map?"""
+        """Is there a top-level labelled edge extending the partial map?
+        A complete complex holds every injection that sends each label into
+        its host part, so a partial map extends exactly when it is in the
+        complex and every part has room for all its labels, which is when
+        the top level is not empty."""
         if self.complete:
-            assigned = dict(partial)
-            used = set(assigned.values())
-            if self.host_partition is None:
-                free = self.q - len(assigned)
-                return self.vertex_count - len(used) >= free
-            label_part = self.label_partition.assignment()
-            host_part = self.host_partition.assignment()
-            for x, v in assigned.items():
-                if host_part.get(v) != label_part[x]:
-                    return False
-            for j in range(self.label_partition.t):
-                need = sum(
-                    1
-                    for x in self.label_partition.parts[j]
-                    if x not in assigned
-                )
-                have = sum(
-                    1
-                    for v in self.host_partition.parts[j]
-                    if v not in used
-                )
-                if have < need:
-                    return False
-            return True
+            return partial in self and bool(self.full_level())
         return any(inj_extends(phi, partial) for phi in self.full_level())
 
     def to_json_dict(self) -> dict:
@@ -625,10 +605,12 @@ def is_extendable(
 ) -> ExtendabilityReport:
     """Check the template library over every root embedding.
 
-    A zero completion count is never considered dense, so an empty complex
-    reports non-extendable for any positive omega.  Above ``root_limit``
-    roots only every stride-th root is checked, and a note says how many;
-    a ``root_limit`` below 1 raises ValueError.
+    Every template, the extras included, is counted exactly, whatever its
+    number of new vertices.  A zero completion count is never considered
+    dense, so an empty complex reports non-extendable for any positive
+    omega.  Above ``root_limit`` roots only every stride-th root is
+    checked, and a note says how many; a ``root_limit`` below 1 raises
+    ValueError.
     """
     omega = Fraction(omega)
     n = phi.vertex_count
@@ -653,7 +635,7 @@ def is_extendable(
     library = ((complete_extension(phi.q, root, p), p) for p in position_lists for root in roots)
     extra = ((ext, ext.new_vertices) for ext in extra_templates)
     for ext, description in chain(library, extra):
-        res = extension_count(phi, ext)
+        res = extension_count(phi, ext, exact_limit=ext.new_count)
         threshold = omega * Fraction(n) ** ext.new_count
         checked += 1
         if not (res.value >= threshold and res.value > 0):

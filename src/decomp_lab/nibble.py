@@ -33,14 +33,14 @@ from .solver import CopyTable, enumerate_copies
 
 @dataclass(frozen=True)
 class AuxiliaryMatchingInstance:
-    atoms: list  # host slots
-    copies: list  # tuples of atom indices, uniform size
+    atoms: tuple  # host slots
+    copies: tuple  # tuples of atom indices, uniform size
     vertex_count: int  # N
     copy_size: int  # R
     degree_min: int
     degree_max: int
     degree_avg: Fraction
-    incidence: list  # atom index -> tuple of copy ids
+    incidence: tuple  # atom index -> tuple of copy ids
 
     @property
     def N(self) -> int:
@@ -81,7 +81,7 @@ def build_auxiliary(host, patterns, partition=None, budget: int = 10_000_000) ->
         degree_min=min(degrees) if degrees else 0,
         degree_max=max(degrees) if degrees else 0,
         degree_avg=Fraction(sum(degrees), N) if N else Fraction(0),
-        incidence=[tuple(lst) for lst in incidence],
+        incidence=tuple(map(tuple, incidence)),
     )
 
 
@@ -244,8 +244,8 @@ def _blowup_auxiliary(pattern: Hypergraph, n: int) -> AuxiliaryMatchingInstance:
 
 def _blowup_bounds(
     pattern: Hypergraph, n: int, seed: int, stop_density=None
-) -> tuple[CountingBounds, AuxiliaryMatchingInstance]:
-    """counting_bounds and the blowup auxiliary it ran on."""
+) -> tuple[CountingBounds, GreedyRun]:
+    """counting_bounds and the greedy run it read its steps from."""
     if not pattern.edges:
         raise ValueError("pattern has no edges; its blowup has nothing to count")
     if stop_density is None:
@@ -273,4 +273,4 @@ def _blowup_bounds(
             f"stop={run.stop_reason}",
         ],
     )
-    return bounds, aux
+    return bounds, run

@@ -15,7 +15,7 @@ import math
 import time
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -108,22 +108,23 @@ def _rest_key(verts, x, ordered: bool, colour):
 class CopyTable:
     """The copies of the patterns in a host, as an exact-cover table.
 
-    A table is a value: to change one, build a new one with
-    ``dataclasses.replace`` and never mutate its lists in place.  What the
-    search derives from the table alone, its exact-cover index and, per
-    reading of the column keys as arcs or edges, its vertex action with the
-    twin classes, is built on first use and kept with the table, so the
-    later finds and counts on one table skip that set-up; ``replace`` gives
-    a table that builds its own.  Nothing checks that the lists are left
-    alone: one changed in place after a find or count leaves that index
-    stale, and later calls then mix it with the changed lists and may
-    fail or answer wrongly."""
+    A table is a value: its fields are tuples, lists passed in are stored
+    as tuples, and a changed table is a new one built with
+    ``dataclasses.replace``.  What the search derives from the table alone,
+    its exact-cover index and, per reading of the column keys as arcs or
+    edges, its vertex action with the twin classes, is built on first use
+    and kept with the table, so the later finds and counts on one table
+    skip that set-up; ``replace`` gives a table that builds its own."""
 
-    atoms: list  # column keys, canonical order
-    capacities: list
-    footprints: list  # sorted tuples of atom indices
-    embeddings: list  # one representative (pattern index, images) per footprint
-    multiplicities: list  # number of embeddings per footprint
+    atoms: tuple  # column keys, canonical order
+    capacities: tuple
+    footprints: tuple  # sorted tuples of atom indices
+    embeddings: tuple  # one representative (pattern index, images) per footprint
+    multiplicities: tuple  # number of embeddings per footprint
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
 
     @cached_property
     def _cover(self) -> tuple:
@@ -410,6 +411,7 @@ def enumerate_copies(
             embeddings.append((p_idx, images))
             counts.append(multiplicities[p_idx])
             last = fp
+    del rows  # freed before the table copies its lists into tuples
     return CopyTable(
         atoms=atom_order,
         capacities=[atoms[a] for a in atom_order],

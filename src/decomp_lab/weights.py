@@ -117,8 +117,9 @@ def coloured_weight_system(
     colour its image carries in that pattern, or (1,) when the patterns
     are uncoloured.
 
-    With a label partition the group is the part stabilizer, otherwise
-    the full symmetric group.
+    The group is the stabilizer of the label partition's parts; without a
+    partition it is that of the one-part partition, the full symmetric
+    group.
     """
     if not patterns:
         raise ValueError("empty pattern family")
@@ -129,11 +130,7 @@ def coloured_weight_system(
             raise ValueError("patterns disagree on (q, r, colours)")
         if h._coloured:
             h.unit_colours()  # raises unless each slot carries one colour once
-    group = (
-        PermGroup.part_stabilizer(partition)
-        if partition is not None
-        else PermGroup.symmetric(q)
-    )
+    group = PermGroup.part_stabilizer(partition or Partition.trivial(q))
     # each pattern slot carries one unit vector: its weight
     weight = {
         (tag, theta): vec
@@ -518,10 +515,7 @@ def master_edge_vector(
     r = g.r
     label_index = {}
     for B in combinations(range(phi.q), r):
-        label_index.setdefault(
-            phi.label_partition.index_vector(B) if phi.label_partition else (r,),
-            [],
-        ).append(B)
+        label_index.setdefault(phi.label_partition.index_vector(B), []).append(B)
     for arc in g.arcs():
         host_idx = host_partition.index_vector(arc)
         targets = label_index.get(host_idx, [])

@@ -241,6 +241,26 @@ def test_nibble_builds_its_auxiliary_once(tmp_path, monkeypatch, capsys):
     assert code == 0 and builds == []  # the cached auxiliary serves a new seed
 
 
+def test_nibble_trajectory_is_the_run_it_reports(tmp_path, monkeypatch, capsys):
+    # the default stop density ends the reported run early; the file holds
+    # that run, not a second one run to exhaustion
+    runs = []
+    real = nb.random_greedy
+    monkeypatch.setattr(nb, "random_greedy", lambda *a, **k: runs.append(a) or real(*a, **k))
+    out_path = tmp_path / "t.jsonl"
+    for extra in ((), ("--stop-density", "1/2")):
+        code, out = run_cli(
+            capsys, "nibble", "--pattern", "triangle", "--blowup", "10",
+            "--seed", "42", "--trajectory-out", str(out_path), *extra,
+        )
+        doc = json.loads(out)
+        steps = [json.loads(line)["step"] for line in out_path.read_text().splitlines()]
+        assert code == 0 and len(runs) == 1
+        assert steps == list(range(doc["steps"]))
+        runs.clear()
+    assert doc["steps"] > 1  # the explicit stop runs past the default's single step
+
+
 def test_encode_decode_roundtrip_via_files(tmp_path, capsys):
     grid = "0 1\n1 0\n"
     src = tmp_path / "latin.txt"

@@ -25,6 +25,7 @@ from decomp_lab.core import (
     Hypergraph,
     Partition,
     blowup,
+    inj_extends,
     inj_from_pairs,
 )
 
@@ -43,6 +44,65 @@ def test_complete_partite_level_sizes():
     a, b = 4, 2
     assert len(phi.full_level()) == a * (a - 1) * b
     assert phi.is_restriction_closed()
+
+
+def test_complete_complex_is_the_one_part_partite_complex():
+    for q in range(5):
+        for n in range(1, 6):
+            phi = LabelledComplex.complete_complex(q, n)
+            one_part = LabelledComplex.complete_partite(Partition.trivial(q), Partition.trivial(n))
+            assert phi.levels == one_part.levels, (q, n)
+            assert (phi.label_partition, phi.host_partition) == (
+                one_part.label_partition, one_part.host_partition
+            )
+
+
+def test_every_complex_carries_both_partitions():
+    lp = Partition.from_lists([[0, 1], [2]])
+    hp = Partition.from_lists([[0, 1, 2], [3, 4]])
+    complete = LabelledComplex.complete_complex(3, 5)
+    plain = [
+        complete,
+        LabelledComplex.complete_complex(3, 0),
+        LabelledComplex.from_maximal(3, 5, [((0, 1), (1, 2), (2, 0))]),
+        LabelledComplex.from_json_dict(complete.to_json_dict()),
+        LabelledComplex(2, {}, 4),
+    ]
+    for phi in plain:
+        assert phi.label_partition == Partition.trivial(phi.q)
+        assert phi.host_partition == Partition.trivial(phi.vertex_count)
+    partite = LabelledComplex.complete_partite(lp, hp)
+    assert (partite.label_partition, partite.host_partition) == (lp, hp)
+
+
+def test_symmetric_group_is_the_one_part_stabilizer():
+    for q in range(5):
+        assert (
+            PermGroup.symmetric(q).elements
+            == PermGroup.part_stabilizer(Partition.trivial(q)).elements
+        )
+
+
+def test_full_embedding_exists_matches_a_scan_of_the_top_level():
+    rng = random.Random(29)
+    lp = Partition.from_lists([[0, 1], [2]])
+    complete = [
+        LabelledComplex.complete_complex(3, n) for n in (0, 1, 2, 3, 5)
+    ] + [
+        LabelledComplex.complete_partite(lp, Partition.from_lists(parts))
+        for parts in ([[0, 1, 2], [3]], [[0], [1, 2]], [[0, 1], [2, 3, 4]], [[3, 4], [0, 1, 2]])
+    ]
+    answers = set()
+    for phi in complete:
+        for _ in range(60):
+            labels = rng.sample(range(phi.q), rng.randint(0, phi.q))
+            # images may include the vertex one past the host
+            images = rng.sample(range(phi.vertex_count + 1), min(len(labels), phi.vertex_count + 1))
+            partial = tuple(sorted(zip(labels, images)))
+            expected = any(inj_extends(psi, partial) for psi in phi.full_level())
+            assert phi.full_embedding_exists(partial) == expected, (phi.host_partition, partial)
+            answers.add(expected)
+    assert answers == {False, True}
 
 
 def test_empty_complex():
@@ -243,6 +303,20 @@ def _extendable_with_extra(templates, extra):
     return is_extendable(
         phi, Fraction(1, 2), 2, templates=templates,
         extra_templates=[extra(root)], root_limit=1,
+    )
+
+
+def test_extendable_counts_a_template_of_five_new_vertices_exactly():
+    # five new vertices on the five host vertices the root leaves: 5! ways
+    phi = LabelledComplex.complete_complex(3, 8)
+    root = sorted(phi.full_level())[0]
+    ext = complete_extension(3, root, [0, 1, 2, 0, 1])
+    report = is_extendable(
+        phi, Fraction(1, 1000), 2, templates=[], extra_templates=[ext], root_limit=None
+    )
+    assert report == complexes.ExtendabilityReport(
+        extendable=True, omega=Fraction(1, 1000), rank=2, checked=1,
+        worst=(Fraction(120), Fraction(8**5, 1000), ext.new_vertices),
     )
 
 

@@ -264,6 +264,15 @@ def test_blowup_auxiliary_cache_is_bounded_and_read_only():
     assert aux.pair_degree_max == 1  # the cached property still fills in
 
 
+def test_auxiliary_fields_are_tuples_that_refuse_changes_in_place():
+    aux = partite_aux(4)
+    for name in ("atoms", "copies", "incidence"):
+        assert type(getattr(aux, name)) is tuple, name
+    with pytest.raises(TypeError):
+        aux.incidence[0] = ()
+    assert len(random_greedy(aux, seed=1).matching) > 0
+
+
 def test_default_stop_density():
     assert default_count_stop(30) == Fraction(7, 10)
     assert default_count_stop(9) == Fraction(1)
@@ -301,7 +310,7 @@ def test_counting_upper_rates_for_known_patterns():
 
 def test_edgeless_copies_leave_the_pool_and_have_no_bounds():
     aux = build_auxiliary(Hypergraph.complete(4, 2), Hypergraph.from_edges(3, 2, []))
-    assert aux.copies == [()]
+    assert aux.copies == ((),)
     assert random_greedy(aux, 1, stop_steps=2).matching == [0]
     run = random_greedy(aux, 1)
     assert run.matching == [0] and run.stop_reason == "exhausted"

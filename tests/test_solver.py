@@ -191,7 +191,7 @@ def test_integral_examples():
     for idx, w in wit7:
         for c in table.footprints[idx]:
             cover[c] += w
-    assert cover == table.capacities
+    assert tuple(cover) == table.capacities
     doubled = ColouredMultigraph.from_dict(
         6, 2, 1, {e: (2,) for e in Hypergraph.complete(6, 2).sorted_edges()}
     )
@@ -244,7 +244,7 @@ def test_integral_oracle_matches_reference():
         for idx, w in witness:
             for c in table.footprints[idx]:
                 cover[c] += w
-        assert cover == table.capacities
+        assert tuple(cover) == table.capacities
     assert verdicts == {True, False}
 
 
@@ -571,9 +571,9 @@ def test_enumeration_of_k30_3_by_k4_3_in_closed_form():
     quads = list(combinations(range(30), 4))
     fps = sorted(tuple(sorted(index[t] for t in combinations(quad, 3))) for quad in quads)
     rep = {tuple(sorted(index[t] for t in combinations(quad, 3))): quad for quad in quads}
-    assert table.footprints == fps
-    assert table.embeddings == [(0, rep[fp]) for fp in fps]
-    assert table.multiplicities == [24] * len(quads)
+    assert table.footprints == tuple(fps)
+    assert table.embeddings == tuple((0, rep[fp]) for fp in fps)
+    assert table.multiplicities == (24,) * len(quads)
 
 
 def test_enumeration_matches_reference_on_random_hosts():
@@ -992,7 +992,7 @@ def test_engine_build_matches_a_per_column_reference():
             ((-rng.randint(1, ncols),) + fps[r], "negative column"),
             (fps[r] + (ncols + rng.randint(0, 3),), f"past the {ncols} capacities"),
         ):
-            broken = replace(table, footprints=fps[:r] + [bad] + fps[r + 1:])
+            broken = replace(table, footprints=fps[:r] + (bad,) + fps[r + 1:])
             with pytest.raises(ValueError, match=message):
                 sv._CoverSearch(broken)
 
@@ -1138,7 +1138,7 @@ def test_tables_without_vertex_keys_have_no_action(caplog):
     assert sv._twin_classes(replace(table, atoms=[(1, 0), (1, 2)]), False) == []
     assert sv._twin_classes(replace(table, atoms=[(1, 0), (1, 2)]), True) == [[0, 2], [1]]
     assert sv._twin_classes(replace(table, atoms=[(0, 1), (2, 3)]), False) == [[0, 1], [2, 3]]
-    doubled = replace(table, atoms=[(0, 1), (2, 3)], footprints=table.footprints + [(1, 0)])
+    doubled = replace(table, atoms=[(0, 1), (2, 3)], footprints=table.footprints + ((1, 0),))
     assert sv._twin_classes(doubled, False) == []
     count, message = _orbit_record(caplog, lambda: count_decompositions(None, None, table=table))
     assert count == 2 and "plain walk (no host)" in message
@@ -1169,7 +1169,7 @@ def test_table_action_maps_columns_and_rows_onto_the_table():
     # the rows through 0 all have images under (0 3), but not those through 3
     classes = [[0, 1, 2], [3, 4, 5, 6, 7, 8]]
     assert sv._twin_classes(fewer, False) == oracles.ref_twin_classes(fewer, False) == classes
-    doubled = replace(table, capacities=[2] + table.capacities[1:])  # edge 01
+    doubled = replace(table, capacities=(2,) + table.capacities[1:])  # edge 01
     assert sv._table_action(doubled, False, {1: 2, 2: 1}) is None
     assert sv._table_action(doubled, False, {0: 1, 1: 0}) is not None
     latin_host, latin_part = triangle_host(4)
@@ -1372,9 +1372,23 @@ def test_replaced_tables_build_their_own_index(caplog):
     assert sv._twin_classes(moved, False) == [[0, 1, 2, 3, 4, 5], [6, 7, 8]]
     assert sv._twin_classes(table, False) == [[0, 1, 2], [3, 4, 5, 6, 7, 8]]
     # a capacity of 0 in a replaced table is rejected although the old one counted
-    broken = replace(table, capacities=[0] + table.capacities[1:])
+    broken = replace(table, capacities=(0,) + table.capacities[1:])
     with pytest.raises(ValueError, match="below 1"):
         count_decompositions(host, TRIANGLE, table=broken)
+
+
+def test_table_fields_are_tuples_that_refuse_changes_in_place():
+    host = Hypergraph.complete(9, 2)
+    table = enumerate_copies(host, TRIANGLE)
+    assert count_decompositions(host, TRIANGLE, table=table) == 840
+    for name in ("atoms", "capacities", "footprints", "embeddings", "multiplicities"):
+        assert type(getattr(table, name)) is tuple, name
+    with pytest.raises(TypeError):
+        table.capacities[0] = 0
+    assert count_decompositions(host, TRIANGLE, table=table) == 840
+    hand = _table([(0, 1), (1,)], [1, 1])  # lists in, tuples stored
+    assert hand.footprints == ((0, 1), (1,)) and hand.capacities == (1, 1)
+    assert replace(hand, capacities=[1, 2]).capacities == (1, 2)
 
 
 def test_threads_counting_one_fresh_table_agree():
