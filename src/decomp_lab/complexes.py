@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations, permutations, product
 from math import comb, prod
+from types import MappingProxyType
 
 from .core import (
     ColouredMultigraph,
@@ -22,7 +24,6 @@ from .core import (
     index_set,
     inj_compose,
     inj_domain,
-    inj_extends,
     inj_from_pairs,
     inj_restrict,
     partite_density,
@@ -157,21 +158,20 @@ class LabelledComplex:
         vertex_count: int,
         label_partition: Partition | None = None,
         host_partition: Partition | None = None,
-        complete: bool = False,
     ) -> None:
         self.q = q
         self.vertex_count = vertex_count
-        self.levels = {frozenset(B): frozenset(s) for B, s in levels.items()}
-        self.levels.setdefault(frozenset(), frozenset({()}))
+        levels = {frozenset(B): frozenset(s) for B, s in levels.items()}
+        levels.setdefault(frozenset(), frozenset({()}))
+        self.levels = MappingProxyType(levels)
         self.label_partition = label_partition or Partition.trivial(q)
         self.host_partition = host_partition or Partition.trivial(vertex_count)
-        self.complete = complete
 
     # -- constructors
 
     @classmethod
     def complete_complex(cls, q: int, n: int) -> "LabelledComplex":
-        return cls(q, _complete_levels([range(n)] * q), n, complete=True)
+        return cls(q, _complete_levels([range(n)] * q), n)
 
     @classmethod
     def complete_partite(
@@ -191,7 +191,6 @@ class LabelledComplex:
             host_partition.ground_size,
             label_partition=label_partition,
             host_partition=host_partition,
-            complete=True,
         )
 
     @classmethod
@@ -320,14 +319,17 @@ class LabelledComplex:
     # -- embeddings
 
     def full_embedding_exists(self, partial: Inj) -> bool:
-        """Is there a top-level labelled edge extending the partial map?
-        A complete complex holds every injection that sends each label into
-        its host part, so a partial map extends exactly when it is in the
-        complex and every part has room for all its labels, which is when
-        the top level is not empty."""
-        if self.complete:
-            return partial in self and bool(self.full_level())
-        return any(inj_extends(phi, partial) for phi in self.full_level())
+        """Is there a top-level labelled edge extending the partial map?"""
+        return partial in self._extendable
+
+    @cached_property
+    def _extendable(self) -> frozenset:
+        """Every restriction of every top-level labelled edge; the levels
+        are read-only, so this set cannot go stale."""
+        return frozenset(
+            sub for phi in self.full_level() for size in range(self.q + 1)
+            for sub in combinations(phi, size)
+        )
 
     def to_json_dict(self) -> dict:
         maximal = sorted(self.full_level())

@@ -94,6 +94,12 @@ class _Incidence:
 
     _ordered = False
     _coloured = False
+    _type = ""  # the JSON document type
+
+    @classmethod
+    def _key(cls, item) -> tuple:
+        """The stored form of an edge (sorted) or arc (as given)."""
+        return tuple(map(int, item)) if cls._ordered else tuple(sorted(map(int, item)))
 
     def _incidence(self, level: int) -> dict:
         memo = self.__dict__.setdefault("_incidence_memo", {})
@@ -216,31 +222,63 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class Hypergraph(_Incidence):
-    """r-uniform hypergraph on 0..n-1 with canonically sorted edges."""
+class _Plain(_Incidence):
+    """Uncoloured r-uniform hypergraph or r-digraph on 0..n-1: a set of
+    edges or arcs.  Subclasses set ``_ordered``, the JSON ``_type`` and the
+    name ``_field`` of their set field."""
 
     n: int
     r: int
-    edges: frozenset
+
+    _field = ""
 
     def __post_init__(self):
-        if self.r <= 0:
+        n, r, ordered = self.n, self.r, self._ordered
+        if r <= 0:
             raise ValueError("uniformity must be positive")
-        for e in self.edges:
-            if len(e) != self.r or len(set(e)) != self.r:
-                raise ValueError(f"edge {e} is not an {self.r}-set")
-            if tuple(sorted(e)) != e:
-                raise ValueError(f"edge {e} is not canonically sorted")
-            if any(v < 0 or v >= self.n for v in e):
-                raise ValueError(f"edge {e} has a vertex out of range")
+        kind = "arc" if ordered else "edge"
+        for e in getattr(self, self._field):
+            if len(e) != r or len(set(e)) != r or not (ordered or tuple(sorted(e)) == e):
+                raise ValueError(f"bad {kind} {e}")
+            if min(e) < 0 or max(e) >= n:
+                raise ValueError(f"{kind} {e} out of range")
+
+    @classmethod
+    def _from_items(cls, n: int, r: int, items):
+        return cls(n, r, frozenset(map(cls._key, items)))
+
+    @classmethod
+    def complete(cls, n: int, r: int):
+        """Every edge (r-set) or arc (injection [r] -> [n]) on 0..n-1."""
+        return cls(n, r, frozenset((permutations if cls._ordered else combinations)(range(n), r)))
+
+    def slots(self) -> list[tuple]:
+        """(edge or arc, None) pairs in sorted order."""
+        return [(item, None) for item in sorted(getattr(self, self._field))]
+
+    def to_json_dict(self) -> dict:
+        items = [list(item) for item, _ in self.slots()]
+        return {"type": self._type, "n": self.n, "r": self.r, self._field: items}
+
+    @classmethod
+    def from_json_dict(cls, doc: dict):
+        if doc.get("type") != cls._type:
+            raise ValueError(f"not a {cls._type} document")
+        return cls._from_items(doc["n"], doc["r"], doc[cls._field])
+
+
+@dataclass(frozen=True)
+class Hypergraph(_Plain):
+    """r-uniform hypergraph on 0..n-1 with canonically sorted edges."""
+
+    edges: frozenset
+
+    _field = "edges"
+    _type = "hypergraph"
 
     @classmethod
     def from_edges(cls, n: int, r: int, edges) -> "Hypergraph":
-        return cls(n, r, frozenset(tuple(sorted(map(int, e))) for e in edges))
-
-    @classmethod
-    def complete(cls, n: int, r: int) -> "Hypergraph":
-        return cls(n, r, frozenset(combinations(range(n), r)))
+        return cls._from_items(n, r, edges)
 
     @property
     def edge_count(self) -> int:
@@ -253,10 +291,6 @@ class Hypergraph(_Incidence):
     def sorted_edges(self) -> list[tuple]:
         return sorted(self.edges)
 
-    def slots(self) -> list[tuple]:
-        """(edge, None) pairs in sorted edge order."""
-        return [(e, None) for e in sorted(self.edges)]
-
     def neighbourhood(self, e) -> set:
         """Sets f disjoint from e with e u f an edge."""
         es = set(e)
@@ -267,20 +301,6 @@ class Hypergraph(_Incidence):
 
     def degree(self, e) -> int:
         return len(self.neighbourhood(e))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "hypergraph",
-            "n": self.n,
-            "r": self.r,
-            "edges": [list(e) for e in self.sorted_edges()],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Hypergraph":
-        if doc.get("type") != "hypergraph":
-            raise ValueError("not a hypergraph document")
-        return cls.from_edges(doc["n"], doc["r"], doc["edges"])
 
 
 def blowup(h: Hypergraph, sizes) -> tuple[Hypergraph, Partition]:
@@ -366,7 +386,6 @@ class _Coloured(_Incidence):
     mult: tuple  # tuple[(edge or arc, tuple[int]*colours), ...] sorted
 
     _coloured = True
-    _type = ""
 
     def __post_init__(self):
         kind = "arc" if self._ordered else "edge"
@@ -385,12 +404,6 @@ class _Coloured(_Incidence):
                 raise ValueError("negative multiplicity")
             if not any(vec):
                 raise ValueError("zero multiplicity vectors are not stored")
-
-    @classmethod
-    def _key(cls, item) -> tuple:
-        """The stored form of an edge (sorted) or arc (as given)."""
-        item = tuple(map(int, item))
-        return item if cls._ordered else tuple(sorted(item))
 
     @classmethod
     def from_dict(cls, n: int, r: int, colours: int, mult: dict):
@@ -486,29 +499,18 @@ class ColouredMultigraph(_Coloured):
 
 
 @dataclass(frozen=True)
-class Digraph(_Incidence):
+class Digraph(_Plain):
     """r-digraph: a set of arcs, each an injection [r] -> V given by its value tuple."""
 
-    n: int
-    r: int
     arcs: frozenset
 
     _ordered = True
-
-    def __post_init__(self):
-        for a in self.arcs:
-            if len(a) != self.r or len(set(a)) != self.r:
-                raise ValueError(f"arc {a} is not an injection")
-            if any(v < 0 or v >= self.n for v in a):
-                raise ValueError(f"arc {a} out of range")
+    _field = "arcs"
+    _type = "digraph"
 
     @classmethod
     def from_arcs(cls, n: int, r: int, arcs) -> "Digraph":
-        return cls(n, r, frozenset(tuple(map(int, a)) for a in arcs))
-
-    @classmethod
-    def complete(cls, n: int, r: int) -> "Digraph":
-        return cls(n, r, frozenset(permutations(range(n), r)))
+        return cls._from_items(n, r, arcs)
 
     @property
     def arc_count(self) -> int:
@@ -522,28 +524,10 @@ class Digraph(_Incidence):
         images = [frozenset(a) for a in self.arcs]
         return len(set(images)) == len(images)
 
-    def slots(self) -> list[tuple]:
-        """(arc, None) pairs in sorted arc order."""
-        return [(a, None) for a in sorted(self.arcs)]
-
     def degree_vector(self, psi) -> tuple[int, ...]:
         """Coordinate pi (injections [i]->[r], lex order): arcs with positions
         pi placed on the vertices psi."""
         return tuple(len(arcs) for arcs in self._placements(psi))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "digraph",
-            "n": self.n,
-            "r": self.r,
-            "arcs": [list(a) for a in self.sorted_arcs()],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Digraph":
-        if doc.get("type") != "digraph":
-            raise ValueError("not a digraph document")
-        return cls.from_arcs(doc["n"], doc["r"], doc["arcs"])
 
 
 class ColouredMultidigraph(_Coloured):

@@ -80,9 +80,9 @@ class SplitMix64:
         return next(self.stream)
 
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n); rejection keeps the draw unbiased."""
-        if n <= 0:
-            raise ValueError("randrange needs a positive bound")
+        """Uniform integer in [0, n), n <= 2**64; rejection keeps it unbiased."""
+        if not 0 < n <= _TOP:
+            raise ValueError("randrange needs a bound in 1..2**64")
         limit = _TOP - _TOP % n
         for x in self.stream:
             if x < limit:

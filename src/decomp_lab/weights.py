@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
+from types import MappingProxyType
 
 from .complexes import LabelledComplex, PermGroup
 from .core import (
@@ -52,7 +54,12 @@ class WeightSystem:
         self.r = r
         self.dim = dim
         self.tags = tuple(tags)
-        self.weight = dict(weight)  # (tag_index, theta) -> tuple[int]*dim
+        self.weight = MappingProxyType(dict(weight))  # (tag_index, theta) -> tuple[int]*dim
+
+    @cached_property
+    def types(self) -> TypeTable:
+        """The type table of this system, built on first use."""
+        return TypeTable(self)
 
     def weight_of(self, tag: int, theta: Inj) -> tuple[int, ...]:
         return self.weight.get((tag, theta), _zero(self.dim))
@@ -244,11 +251,10 @@ class TypeTable:
         return {B: len(cls) for B, cls in self.by_labels.items()}
 
 
-def is_elementary(system: WeightSystem, types: TypeTable | None = None) -> bool:
+def is_elementary(system: WeightSystem) -> bool:
     """Distinct nonzero atom vectors at each orbit shape must be independent."""
-    types = types or TypeTable(system)
     for B in system.r_subsets():
-        indices, span = types.atom_span(B)  # type vectors are distinct
+        indices, span = system.types.atom_span(B)  # type vectors are distinct
         if span.rank != len(indices):
             return False
     return True
@@ -295,7 +301,7 @@ class AtomDecomposition:
 
 
 def atom_decomposition(
-    J: EdgeVector, system: WeightSystem, phi: LabelledComplex, types: TypeTable | None = None
+    J: EdgeVector, system: WeightSystem, phi: LabelledComplex
 ) -> AtomDecomposition:
     """Express J orbit-by-orbit as integer combinations of typed atoms.
 
@@ -303,18 +309,17 @@ def atom_decomposition(
     outside the integer span of the atoms there; with an elementary system
     the coefficients are unique.
     """
-    types = types or TypeTable(system)
     terms = []
     for orbit in phi.distinct_orbits(sorted(J), system.group):
         rep = orbit[0]
-        target, pairs = _atom_coefficients(J, rep, system, types)
+        target, pairs = _atom_coefficients(J, rep, system)
         if pairs is None:
             return AtomDecomposition(terms=[], failed_orbit=(rep, tuple(target)))
         terms.extend((rep, idx, c) for idx, c in pairs if c)
     return AtomDecomposition(terms=terms)
 
 
-def _atom_coefficients(J: EdgeVector, psi: Inj, system: WeightSystem, types: TypeTable):
+def _atom_coefficients(J: EdgeVector, psi: Inj, system: WeightSystem):
     """(target, pairs): J over psi's orbit, flattened in the order of the
     group maps onto psi's labels, and the (type index, coefficient) pairs
     that write it in the atoms there, or None outside their span."""
@@ -322,7 +327,7 @@ def _atom_coefficients(J: EdgeVector, psi: Inj, system: WeightSystem, types: Typ
     target = []
     for s in system.group.onto(B):
         target.extend(J.get(inj_compose(psi, s), _zero(system.dim)))
-    indices, span = types.atom_span(B)
+    indices, span = system.types.atom_span(B)
     coeffs = span.membership(target)
     return target, None if coeffs is None else list(zip(indices, coeffs))
 
@@ -333,12 +338,11 @@ def dominates(
     phi: LabelledComplex,
     tag: int,
     embedding: Inj,
-    types: TypeTable | None = None,
 ) -> bool:
     """True when J minus the molecule of (tag, embedding) is a nonnegative
     integer combination of atoms."""
     diff = edge_vector_add(J, molecule(system, tag, embedding), system.dim, sign=-1)
-    dec = atom_decomposition(diff, system, phi, types)
+    dec = atom_decomposition(diff, system, phi)
     return dec.ok and all(c >= 0 for _, _, c in dec.terms)
 
 
@@ -550,27 +554,25 @@ def _box(system: WeightSystem, phi: LabelledComplex, omega: Fraction) -> tuple:
     return omega * scale, scale / omega
 
 
-def _typed_incidence(copies, system: WeightSystem, types: TypeTable):
+def _typed_incidence(copies, system: WeightSystem):
     """(copy, (emb o theta, type index)) for every (tag, emb) copy and every
     level map theta of nonzero type in the tagged complex: a molecule
     contributes at every member of every orbit it touches, via the
     basepoint-changed type."""
-    support = {tag: types.nonzero_level_maps(tag) for tag in range(len(system.tags))}
+    support = {tag: system.types.nonzero_level_maps(tag) for tag in range(len(system.tags))}
     for copy in copies:
         tag, emb = copy
         for theta, tindex in support[tag]:
             yield copy, (inj_compose(emb, theta), tindex)
 
 
-def _member_coefficients(
-    J: EdgeVector, system: WeightSystem, phi: LabelledComplex, types: TypeTable
-):
+def _member_coefficients(J: EdgeVector, system: WeightSystem, phi: LabelledComplex):
     """(member, type index) -> J's atom coefficient at every member of every
     orbit J touches, or None when one lies outside the atom span."""
     coeffs: dict = {}
     for orbit in phi.distinct_orbits(J, system.group):
         for member in orbit:
-            _, pairs = _atom_coefficients(J, member, system, types)
+            _, pairs = _atom_coefficients(J, member, system)
             if pairs is None:
                 return None
             for idx, coef in pairs:
@@ -585,7 +587,6 @@ def verify_regularity_witness(
     phi: LabelledComplex,
     c,
     omega,
-    types: TypeTable | None = None,
 ) -> RegularityReport:
     """Check a molecule weighting: box constraints on each weight and the
     typed degree sums within (1 +- c) of J's atom coefficients.
@@ -594,18 +595,17 @@ def verify_regularity_witness(
     indexed by copies whose molecules J dominates.
     """
     c = Fraction(c)
-    types = types or TypeTable(system)
     lo, hi = _box(system, phi, Fraction(omega))
     box_violations = 0
     for (tag, emb), weight in y.items():
-        if not dominates(J, system, phi, tag, emb, types):
+        if not dominates(J, system, phi, tag, emb):
             raise ValueError(f"witness indexed by a copy J does not dominate: {emb}")
         if not (lo <= Fraction(weight) <= hi):
             box_violations += 1
     partial: dict = {}
-    for copy, key in _typed_incidence(y, system, types):
+    for copy, key in _typed_incidence(y, system):
         partial[key] = partial.get(key, Fraction(0)) + Fraction(y[copy])
-    coeffs = _member_coefficients(J, system, phi, types)
+    coeffs = _member_coefficients(J, system, phi)
     if coeffs is None:
         raise ValueError("J is not atom-decomposable; no witness can verify")
     worst = Fraction(0)
@@ -648,20 +648,19 @@ def search_regularity_witness(
     solves the band/box system exactly.
     """
     c = Fraction(c)
-    types = TypeTable(system)
     lo, hi = _box(system, phi, Fraction(omega))
     copies = []
     for tag in range(len(system.tags)):
         for emb in sorted(phi.full_level()):
-            if dominates(J, system, phi, tag, emb, types):
+            if dominates(J, system, phi, tag, emb):
                 copies.append((tag, emb))
                 if len(copies) > molecule_budget:
                     raise ValueError("molecule budget exceeded")
-    coeffs = _member_coefficients(J, system, phi, types)
+    coeffs = _member_coefficients(J, system, phi)
     if coeffs is None:
         return None
     rows: dict = {}
-    for copy, key in _typed_incidence(copies, system, types):
+    for copy, key in _typed_incidence(copies, system):
         rows.setdefault(key, []).append(copy)
     col = {copy: i for i, copy in enumerate(copies)}
     constraints = []

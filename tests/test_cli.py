@@ -5,6 +5,7 @@ import re
 import shlex
 import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from decomp_lab import complexes as cx
 from decomp_lab import divisibility as dv
 from decomp_lab import nibble as nb
 from decomp_lab.cli import _BUILTINS, main, parse_structure
-from decomp_lab.core import ColouredMultigraph, Hypergraph, dumps_canonical
+from decomp_lab.core import ColouredMultigraph, Hypergraph, Partition, dumps_canonical
 from decomp_lab.intlattice import matrix_to_json
 
 
@@ -139,6 +140,78 @@ def test_missing_or_wrong_kind_spec_is_an_input_error(argv, capsys):
     # a missing spec, or one naming the wrong kind of structure
     assert main(argv.split()) == 3
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["solve --host kdn:0:5 --pattern cycle:3:2", "solve --host kdn:2:5 --pattern kdn:0:1"],
+)
+def test_digraph_of_nonpositive_uniformity_is_an_input_error(argv, capsys):
+    # the host gave a proven "none", the pattern an internal error
+    assert main(argv.split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: uniformity must be positive")
+
+
+def _check_hp(capsys, argv, host, host_partition, pattern, pattern_partition) -> dict:
+    """check --kind hp on argv, its exit code, verdict and failures compared
+    with hp_divisible called directly."""
+    rep = dv.hp_divisible(host, host_partition, pattern, pattern_partition)
+    code, out = run_cli(capsys, "check", "--kind", "hp", *argv)
+    doc = json.loads(out)
+    assert code == (0 if rep.verdict else 1)
+    assert (doc["verdict"], doc["failures"]) == (
+        rep.verdict,
+        [{"level": f.level, "witness": list(f.witness), "vector": list(f.vector)}
+         for f in rep.failures],
+    )
+    return doc
+
+
+def _at_files(tmp_path, **structures) -> dict:
+    """name -> "@path" of a file holding that structure's JSON document."""
+    specs = {}
+    for name, obj in structures.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj.to_json_dict()))
+        specs[name] = f"@{path}"
+    return specs
+
+
+def test_check_hp_cli_on_an_instance_spec(capsys):
+    inst = parse_structure("resolvable:9")
+    doc = _check_hp(
+        capsys, ["--host", "resolvable:9"],
+        inst.host, inst.host_partition, inst.pattern, inst.pattern_partition,
+    )
+    assert doc["verdict"] is True
+
+
+def test_check_hp_cli_with_a_pattern_spec_and_partition_files(tmp_path, capsys):
+    inst = parse_structure("resolvable:9")
+    at = _at_files(tmp_path, host=inst.host_partition, pattern=inst.pattern_partition)
+    argv = ["--host", "resolvable:9", "--pattern", "k_q:4",
+            "--host-partition", at["host"], "--pattern-partition", at["pattern"]]
+    doc = _check_hp(
+        capsys, argv, inst.host, inst.host_partition, Hypergraph.complete(4, 2), inst.pattern_partition
+    )
+    assert doc["verdict"] is True
+
+
+def test_check_hp_cli_false_verdict_on_files(tmp_path, capsys):
+    # 7 points and 3 class vertices, all pairs not inside the class part: a
+    # class vertex meets 7 points, and a copy covers 3 at its class vertex
+    host = Hypergraph.from_edges(10, 2, [e for e in combinations(range(10), 2) if e[0] < 7])
+    host_partition = Partition.from_lists([range(7), range(7, 10)])
+    pattern_partition = Partition.from_lists([[0, 1, 2], [3]])
+    at = _at_files(tmp_path, host=host, hp=host_partition, pp=pattern_partition)
+    argv = ["--host", at["host"], "--pattern", "k_q:4",
+            "--host-partition", at["hp"], "--pattern-partition", at["pp"]]
+    doc = _check_hp(
+        capsys, argv, host, host_partition, Hypergraph.complete(4, 2), pattern_partition
+    )
+    assert doc["failures"] == [{"level": 1, "vector": [0, 7], "witness": [7]}]
 
 
 @pytest.mark.parametrize("command", ["solve", "count", "verify"])

@@ -86,14 +86,22 @@ def test_symmetric_group_is_the_one_part_stabilizer():
 def test_full_embedding_exists_matches_a_scan_of_the_top_level():
     rng = random.Random(29)
     lp = Partition.from_lists([[0, 1], [2]])
-    complete = [
+    phis = [
         LabelledComplex.complete_complex(3, n) for n in (0, 1, 2, 3, 5)
     ] + [
         LabelledComplex.complete_partite(lp, Partition.from_lists(parts))
         for parts in ([[0, 1, 2], [3]], [[0], [1, 2]], [[0, 1], [2, 3, 4]], [[3, 4], [0, 1, 2]])
+    ] + [
+        # maximal maps below the top level, which extend to no top-level edge
+        LabelledComplex.from_maximal(3, 4, maximal)
+        for maximal in (
+            [((0, 0), (1, 1), (2, 2)), ((0, 3), (2, 1)), ((1, 3),)],
+            [((0, 1), (1, 2)), ((2, 0),), ((0, 3), (2, 2))],
+            [((0, 2), (1, 0), (2, 3)), ((0, 3), (1, 2), (2, 0)), ((0, 1), (2, 2)), ((1, 1),)],
+        )
     ]
     answers = set()
-    for phi in complete:
+    for phi in phis:
         for _ in range(60):
             labels = rng.sample(range(phi.q), rng.randint(0, phi.q))
             # images may include the vertex one past the host
@@ -103,6 +111,23 @@ def test_full_embedding_exists_matches_a_scan_of_the_top_level():
             assert phi.full_embedding_exists(partial) == expected, (phi.host_partition, partial)
             answers.add(expected)
     assert answers == {False, True}
+
+
+def test_only_the_top_level_decides_a_full_embedding():
+    # a map in the complex that extends to no top-level edge
+    phi = LabelledComplex.from_maximal(2, 3, [((0, 0), (1, 1)), ((0, 2),)])
+    assert ((0, 2),) in phi
+    assert not phi.full_embedding_exists(((0, 2),))
+    assert phi.full_embedding_exists(((0, 0),))
+    # a caller can no longer declare the complex complete, which made the
+    # map above extend
+    with pytest.raises(TypeError):
+        LabelledComplex(2, phi.levels, 3, complete=True)
+    assert not LabelledComplex(2, phi.levels, 3).full_embedding_exists(((0, 2),))
+    # nor change the levels that the answers are built from
+    with pytest.raises(TypeError):
+        phi.levels[frozenset({0, 1})] = frozenset({((0, 2), (1, 1))})
+    assert not phi.full_embedding_exists(((0, 2),))
 
 
 def test_empty_complex():

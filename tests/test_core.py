@@ -1,5 +1,6 @@
 """Core structures: degree machinery, blowups, serialization."""
 
+import ast
 import importlib
 import pkgutil
 import random
@@ -240,6 +241,41 @@ def test_coloured_multidigraph_degree_vector():
 def test_simplicity_flag():
     assert Digraph.from_arcs(3, 2, [(0, 1), (1, 2)]).is_simple()
     assert not Digraph.from_arcs(3, 2, [(0, 1), (1, 0)]).is_simple()
+
+
+def test_digraph_of_nonpositive_uniformity_is_refused():
+    # as a hypergraph is: the empty arc () made K*_n with r = 0 one arc
+    for r in (0, -1):
+        with pytest.raises(ValueError):
+            Digraph.from_arcs(3, r, [])
+        with pytest.raises(ValueError):
+            Digraph.complete(5, r)
+        with pytest.raises(ValueError):
+            Hypergraph.complete(5, r)
+
+
+def test_plain_structures_refuse_bad_edges_and_arcs():
+    for cls in (Hypergraph, Digraph):
+        for bad in [(0,), (0, 0), (0, 3), (-1, 0)]:
+            with pytest.raises(ValueError):
+                cls(3, 2, frozenset({bad}))
+    # a stored edge is sorted; an arc keeps its order
+    with pytest.raises(ValueError):
+        Hypergraph(3, 2, frozenset({(1, 0)}))
+    assert Hypergraph.from_edges(3, 2, [[1, 0]]).edges == {(0, 1)}
+    assert Digraph.from_arcs(3, 2, [[1, 0]]).arcs == {(1, 0)}
+
+
+def test_plain_json_documents_are_pinned():
+    h = Hypergraph.from_edges(4, 2, [(3, 2), (0, 1)])
+    d = Digraph.from_arcs(4, 2, [(3, 2), (0, 1)])
+    assert dumps_canonical(h.to_json_dict()) == '{"edges":[[0,1],[2,3]],"n":4,"r":2,"type":"hypergraph"}'
+    assert dumps_canonical(d.to_json_dict()) == '{"arcs":[[0,1],[3,2]],"n":4,"r":2,"type":"digraph"}'
+    # each reader takes only its own document type
+    with pytest.raises(ValueError):
+        Hypergraph.from_json_dict(d.to_json_dict())
+    with pytest.raises(ValueError):
+        Digraph.from_json_dict(h.to_json_dict())
 
 
 def test_json_roundtrips_byte_stable():
@@ -489,3 +525,17 @@ def test_module_state_stays_bounded():
     assert is_typical_plain(Hypergraph.complete(10, 2), Fraction(1, 10), 1).typical
     assert counting_bounds(triangle, 8, seed=1).o_terms_dropped
     assert sizes() == before
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package declares dependencies = []
+    src = Path(decomp_lab.__file__).parent
+    imported = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "json" in imported
+    assert imported - set(sys.stdlib_module_names) <= {"decomp_lab"}

@@ -55,3 +55,11 @@ def test_stream_and_methods_match_the_reference_across_blocks(seed):
 def test_randrange_rejects_a_nonpositive_bound():
     with pytest.raises(ValueError):
         SplitMix64(1).randrange(0)
+
+
+def test_randrange_and_randint_reject_a_range_wider_than_one_draw():
+    # above 2**64 every 64-bit draw was rejected and the call never returned
+    with pytest.raises(ValueError):
+        SplitMix64(1).randrange(2**64 + 1)
+    with pytest.raises(ValueError):
+        SplitMix64(1).randint(0, 2**64)

@@ -124,6 +124,18 @@ def test_elementary_rejects_doubled_image_mixed_with_plain_arcs():
     assert not is_elementary(ws)
 
 
+def test_a_weight_system_owns_its_type_table_and_read_only_weights():
+    # a type table passed in was not checked against the system it served
+    ws = coloured_weight_system(rainbow_family(3))
+    other = digraph_weight_system(tight_cycle(3, 2))
+    assert ws.types is ws.types and ws.types.system is ws
+    assert other.types.counts() != ws.types.counts()
+    with pytest.raises(TypeError):
+        is_elementary(other, ws.types)
+    with pytest.raises(TypeError):
+        ws.weight[(0, ((0, 0), (1, 1)))] = (1,) * ws.dim
+
+
 def test_orbit_decomposition_identity():
     ws = coloured_weight_system(rainbow_family(3))
     phi = LabelledComplex.complete_complex(3, 4)
@@ -525,7 +537,7 @@ def test_weights_match_reference(seed):
                     rep = lib.check(J)
                     assert rep.to_json_dict() == ref.check(J).to_json_dict()
                     seen.add(("member", rep.member))
-                dec = atom_decomposition(J, ws, phi, types)
+                dec = atom_decomposition(J, ws, phi)
                 ref_dec = oracles.ref_atom_decomposition(J, ws, phi, types)
                 assert (dec.terms, dec.failed_orbit) == (ref_dec.terms, ref_dec.failed_orbit)
                 seen.add(("decomposable", dec.ok))
@@ -534,9 +546,9 @@ def test_weights_match_reference(seed):
                 y = {}
                 for _ in range(3):
                     copy = (rng.randrange(len(ws.tags)), rng.choice(embeddings))
-                    if rng.random() < 0.2 or dominates(J, ws, phi, *copy, types):
+                    if rng.random() < 0.2 or dominates(J, ws, phi, *copy):
                         y[copy] = Fraction(rng.randint(0, 4), rng.randint(1, 4) * phi.vertex_count)
-                args = (y, J, ws, phi, Fraction(rng.randint(0, 2), 4), Fraction(1, 20), types)
+                args = (y, J, ws, phi, Fraction(rng.randint(0, 2), 4), Fraction(1, 20))
                 got = _outcome(verify_regularity_witness, *args)
                 assert got == _outcome(oracles.ref_verify_regularity_witness, *args)
                 seen.add(("verify", got[0], got[1].regular if got[0] == "ok" else got[1]))
